@@ -70,10 +70,7 @@ def _basis_for(problem: Problem, basis_arg: str) -> AnsatzBasis:
     slots = dict(default.slots)
     explicit = problem.ansatz
     if basis_arg not in (None, "auto"):
-        explicit = _load(basis_arg, None).ansatz if basis_arg.endswith(".rop") else None
-        if explicit is None:
-            other = parse_problem(Path(basis_arg).read_text())
-            explicit = other.ansatz
+        explicit = parse_problem(Path(basis_arg).read_text()).ansatz
     if explicit:
         for slot, terms in explicit.items():
             slots[slot] = terms
@@ -119,7 +116,6 @@ def cmd_verify(problem: Problem, args) -> dict:
             "verdict": "PASS" if rep.passed else "FAIL",
             "compatibility_residual": fmt(rep.compatibility),
             "symmetry_residual": fmt(rep.symmetry),
-            "retried": rep.retried,
             "timings": rep.timings,
         })
     passed = any(r["verdict"] == "PASS" for r in results)
@@ -137,12 +133,12 @@ def cmd_solve(problem: Problem, args) -> dict:
     out_solutions = []
     warnings = list(problem.warnings)
     t0 = time.monotonic()
+    space = problem.space
+    basis = _basis_for(problem, args.basis)
+    if basis.fallback:
+        warnings.append("no first-derivative denominators in the Lax "
+                        "coefficients; using the fallback ansatz basis")
     for orientation in _orientations(problem, args.orientation):
-        space = problem.space
-        basis = _basis_for(problem, args.basis)
-        if basis.fallback:
-            warnings.append("no first-derivative denominators in the Lax "
-                            "coefficients; using the fallback ansatz basis")
         ds = engine.derive_determining_system(problem.F, problem.lax, basis,
                                               orientation, space)
         try:
@@ -230,8 +226,7 @@ def render_human(doc: dict) -> str:
     lines = [f"problem: {doc['problem']}", f"command: {doc['command']}",
              f"verdict: {doc['verdict']}"]
     for r in doc.get("results", []):
-        lines.append(f"  [{r['orientation']}] {r['verdict']}"
-                     + ("  (retried with raised order bound)" if r.get("retried") else ""))
+        lines.append(f"  [{r['orientation']}] {r['verdict']}")
         lines.append(f"    compatibility residual: {r['compatibility_residual']}")
         lines.append(f"    symmetry residual:      {r['symmetry_residual']}")
     for t in doc.get("linearization", []):

@@ -28,7 +28,7 @@ from . import kernel
 from .jets import (JetSpace, RewriteRule, RewriteSystem, solve_for_leading,
                    total_derivative)
 from .kernel import Expr, normalize
-from .lax import LAMBDA, DegeneratePairError, FirstOrderOperator, LaxPair
+from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
 from .linearize import linearize
 
 ORIENTATIONS = ("forward", "swapped")
@@ -78,16 +78,15 @@ class TwistRelations:
     def with_orientation(self, orientation: str) -> "TwistRelations":
         return TwistRelations(dict(self.f), orientation)
 
-    def substituted(self, bindings: dict) -> "TwistRelations":
-        return TwistRelations(
-            {slot: normalize(sp.sympify(e).xreplace(bindings))
-             for slot, e in self.f.items()},
-            self.orientation)
-
     def free_constants(self, space: JetSpace) -> set:
+        """Symbols that are neither jets, declared parameters nor
+        independent variables: the unknown constants of an ansatz.  Run
+        after validate, which rejects the spectral parameter."""
+        known = set(space.params) | set(space.var_syms.values())
         out = set()
         for e in self.f.values():
-            out |= sp.sympify(e).free_symbols & set(space.constants)
+            out |= {s for s in sp.sympify(e).free_symbols
+                    if s not in known and space.jet_var(s) is None}
         return out
 
     @staticmethod
@@ -139,13 +138,10 @@ def full_system(F, relset: RelationSet, space: JetSpace) -> RewriteSystem:
     """Three-layer rewrite system: F = 0, the linearized equation for U,
     and the recursion relations for Ut, each solved and reduced against
     the layers below."""
-    f_rule, f_lead = solve_for_leading(F, "u", space)
-    sys_u = RewriteSystem(space, [f_rule],
-                          [f_lead] if not f_lead.is_Number else [])
+    sys_u = equation_system(F, space)
     lin_u = sys_u.reduce(linearize(F, space).apply_to("U", space))
     u_rule, u_lead = solve_for_leading(lin_u, "U", space)
-    sys_uu = sys_u.extended([u_rule],
-                            [u_lead] if not u_lead.is_Number else [])
+    sys_uu = sys_u.extended([u_rule], [u_lead])
     ut_rules = [RewriteRule(r.lhs, sys_uu.reduce(r.rhs)) for r in relset.rules]
     return sys_uu.extended(ut_rules, relset.assumptions)
 
@@ -178,34 +174,29 @@ class VerifyReport:
     symmetry: Expr
     assumptions: tuple[Expr, ...]
     timings: dict = field(default_factory=dict)
-    retried: bool = False
 
 
 def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyReport:
     """PASS iff both residuals are exactly zero.
 
-    A nonzero residual triggers one retry with the jet-order bound raised
-    by one, guarding against false positives of the non-completed
-    reduction strategy.
+    Both residuals are reduced to normal form in one derivation; the
+    jet-order bound only decides whether a jet may be formed at all
+    (OrderOverflowError), never the value of a residual.
     """
+    twist.validate(space)
     if twist.free_constants(space):
         raise InvalidTwistError("verify requires a twist without unknown constants")
-    retried = False
-    for attempt, sp_ in enumerate((space, space.with_max_order(space.max_order + 1))):
-        t0 = time.monotonic()
-        relset = build_relations(pair, twist, sp_)
-        sys = full_system(F, relset, sp_)
-        t1 = time.monotonic()
-        compat = compatibility_residual(relset, F, sp_, sys)
-        t2 = time.monotonic()
-        symm = symmetry_residual(relset, F, sp_, sys)
-        t3 = time.monotonic()
-        timings = {"build": t1 - t0, "compatibility": t2 - t1, "symmetry": t3 - t2}
-        if compat == 0 and symm == 0:
-            break
-        retried = True
+    t0 = time.monotonic()
+    relset = build_relations(pair, twist, space)
+    sys = full_system(F, relset, space)
+    t1 = time.monotonic()
+    compat = compatibility_residual(relset, F, space, sys)
+    t2 = time.monotonic()
+    symm = symmetry_residual(relset, F, space, sys)
+    t3 = time.monotonic()
+    timings = {"build": t1 - t0, "compatibility": t2 - t1, "symmetry": t3 - t2}
     return VerifyReport(compat == 0 and symm == 0, twist.orientation,
-                        compat, symm, sys.assumptions, timings, retried)
+                        compat, symm, sys.assumptions, timings)
 
 
 # -- ansatz and determining system ------------------------------------
@@ -265,21 +256,17 @@ class DeterminingSystem:
     orientation: str
 
 
-def ansatz_twist(basis: AnsatzBasis, orientation: str,
-                 space: JetSpace) -> tuple[TwistRelations, dict]:
-    """Expand each slot over its basis with fresh unknown constants."""
-    f, slot_terms, consts = {}, {}, []
+def ansatz_twist(basis: AnsatzBasis,
+                 orientation: str) -> tuple[TwistRelations, dict]:
+    """Expand each slot over its basis with fresh unknown constants.
+
+    Returns the twist and, per slot, the (constant, basis term) pairs."""
+    f, slot_terms = {}, {}
     for (i, s) in SLOTS:
-        pairs = []
-        acc = sp.S.Zero
-        for k, term in enumerate(basis.slots[(i, s)]):
-            c = sp.Symbol(f"c{i}{s}_{k}")
-            consts.append(str(c))
-            pairs.append((c, term))
-            acc += c * term
-        f[(i, s)] = acc
+        pairs = [(sp.Symbol(f"c{i}{s}_{k}"), term)
+                 for k, term in enumerate(basis.slots[(i, s)])]
+        f[(i, s)] = sum((c * term for c, term in pairs), sp.S.Zero)
         slot_terms[(i, s)] = pairs
-    space.constants = tuple(sp.Symbol(c) for c in consts)  # register
     return TwistRelations(f, orientation), slot_terms
 
 
@@ -293,9 +280,10 @@ def derive_determining_system(F, pair: LaxPair, basis: AnsatzBasis,
             for s in space.jets_in(t):
                 if space.jet_var(s).unknown != "u":
                     raise InvalidTwistError(f"basis term {t} depends on {s}")
-    twist, slot_terms = ansatz_twist(basis, orientation, space)
+    twist, slot_terms = ansatz_twist(basis, orientation)
     equations = determining_equations_for_twist(F, pair, twist, space)
-    unknowns = sorted(set(space.constants), key=str)
+    unknowns = sorted({c for pairs in slot_terms.values() for c, _ in pairs},
+                      key=str)
     return DeterminingSystem(equations, unknowns, slot_terms, orientation)
 
 

@@ -13,8 +13,7 @@ demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import sympy as sp
@@ -56,7 +55,7 @@ class JetSpace:
     """
 
     def __init__(self, variables: Sequence[str], max_order: int = 4,
-                 params: Sequence[str] = (), constants: Sequence[str] = ()):
+                 params: Sequence[str] = ()):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate independent variables")
         for v in variables:
@@ -69,13 +68,7 @@ class JetSpace:
         self._pos = {v: i for i, v in enumerate(self.variables)}
         self.var_syms = {v: sp.Symbol(v) for v in self.variables}
         self.params = tuple(sp.Symbol(p) for p in params)
-        self.constants = tuple(sp.Symbol(c) for c in constants)
         self._by_name: dict[str, JetVar] = {}
-
-    def with_max_order(self, max_order: int) -> "JetSpace":
-        return JetSpace(self.variables, max_order,
-                        [str(p) for p in self.params],
-                        [str(c) for c in self.constants])
 
     # -- jet symbols ---------------------------------------------------
 
@@ -123,12 +116,6 @@ class JetSpace:
                 out.append(s)
         return out
 
-    def shift(self, sym: sp.Symbol, x: str) -> sp.Symbol:
-        jv = self.jet_var(sym)
-        if jv is None:
-            raise ValueError(f"{sym} is not a jet variable")
-        return self.jet(jv.unknown, jv.index + (x,))
-
     # -- ranking -------------------------------------------------------
 
     def rank_key(self, jv: JetVar) -> tuple:
@@ -143,12 +130,6 @@ class JetSpace:
             raise ValueError(f"{sym} is not a jet variable")
         return self.rank_key(jv)
 
-    def highest_jet(self, e: Expr, unknown: str | None = None) -> sp.Symbol | None:
-        jets = self.jets_in(e, unknown)
-        if not jets:
-            return None
-        return max(jets, key=self.rank_of)
-
 
 def total_derivative(e, x: str, space: JetSpace) -> Expr:
     """Total derivative D_x: explicit x-dependence plus the chain rule
@@ -160,12 +141,6 @@ def total_derivative(e, x: str, space: JetSpace) -> Expr:
         if jv is not None:
             out += sp.diff(e, s) * space.jet(jv.unknown, jv.index + (x,))
     return normalize(out)
-
-
-def iterated_total_derivative(e, index: Iterable[str], space: JetSpace) -> Expr:
-    for x in index:
-        e = total_derivative(e, x, space)
-    return e
 
 
 def _multiset_leq(small: tuple[str, ...], big: tuple[str, ...]) -> bool:
@@ -315,13 +290,6 @@ class RewriteSystem:
                 break
             e = e.xreplace(repl)
         return normalize(e)
-
-    def prolong(self, rule: RewriteRule, x: str) -> RewriteRule:
-        """One differential consequence of a rule, reduced against the system."""
-        new = RewriteRule(self.space.shift(rule.lhs, x),
-                          self.reduce(total_derivative(rule.rhs, x, self.space)))
-        new.validate(self.space)
-        return new
 
     def extended(self, rules: Iterable[RewriteRule],
                  assumptions: Iterable[Expr] = ()) -> "RewriteSystem":

@@ -9,9 +9,7 @@ syntactic and results are reproducible.  Floating point never enters.
 
 from __future__ import annotations
 
-import enum
 import random
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 import sympy as sp
@@ -22,25 +20,12 @@ Expr = sp.Expr
 _UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 
 
-class SymbolKind(enum.Enum):
-    INDEPENDENT = "independent-variable"
-    JET = "jet-variable"
-    PARAMETER = "parameter"
-    UNKNOWN_CONSTANT = "unknown-constant"
-    LAMBDA = "lambda"
-    EPSILON = "epsilon"
-
-
 class DegenerateExpressionError(ZeroDivisionError):
     """Denominator vanishes identically after simplification."""
 
 
 class PoleError(ZeroDivisionError):
     """Denominator vanishes at the requested evaluation point."""
-
-
-class CyclicBindingError(ValueError):
-    """A substitution replacement mentions a bound symbol."""
 
 
 def symbol_order(symbols: Iterable[sp.Symbol]) -> list[sp.Symbol]:
@@ -107,25 +92,6 @@ def as_fraction(e) -> tuple[sp.Expr, sp.Expr]:
 def partial_diff(e, s: sp.Symbol) -> sp.Expr:
     """Formal partial derivative treating every other symbol as constant."""
     return normalize(sp.diff(sp.sympify(e), s))
-
-
-def substitute(e, bindings: Mapping[sp.Symbol, Expr]) -> sp.Expr:
-    """Simultaneous substitution followed by canonicalization.
-
-    Bindings must be acyclic in the strong sense: no replacement may
-    mention any bound symbol, directly or transitively.
-    """
-    e = sp.sympify(e)
-    if not bindings:
-        return normalize(e)
-    bound = set(bindings)
-    for target, repl in bindings.items():
-        hit = sp.sympify(repl).free_symbols & bound
-        if hit:
-            raise CyclicBindingError(
-                f"replacement for {target} mentions bound symbol(s) {sorted(hit, key=str)}"
-            )
-    return normalize(e.xreplace({s: sp.sympify(v) for s, v in bindings.items()}))
 
 
 def eval_rational(e, point: Mapping[sp.Symbol, object]) -> sp.Rational:

@@ -91,6 +91,14 @@ def solve_results(eq5, dfkn2, dfkn3):
 
 def test_criterion_4_solve_mode_recovery(solve_results):
     expectations = {}
+    prob5 = solve_results["eq5"][0]
+    j = prob5.space.jet
+    expectations["eq5"] = {
+        (1, 0): (j("u", ("y", "r")) - j("u", ("t", "s"))) / j("u", "s"),
+        (1, 1): sp.S.Zero,
+        (2, 0): (j("u", ("z", "r")) - j("u", ("x", "s"))) / j("u", "s"),
+        (2, 1): sp.S.Zero,
+    }
     prob2 = solve_results["dfkn2"][0]
     j = prob2.space.jet
     expectations["dfkn2"] = {

@@ -34,13 +34,6 @@ class TestTwistRelations:
         with pytest.raises(InvalidTwistError):
             t.validate(space)
 
-    def test_substituted(self, space):
-        c = sp.Symbol("c10_0")
-        t = TwistRelations({**TwistRelations.zero().f,
-                            (1, 0): c * space.jet("u", "xx") / space.jet("u", "x")})
-        out = t.substituted({c: sp.S(2)})
-        assert equal(out.f[(1, 0)], 2 * space.jet("u", "xx") / space.jet("u", "x"))
-
 
 class TestBuildRelations:
     def test_second_example_forward(self, dfkn2):
@@ -79,7 +72,6 @@ class TestVerify:
             rep = verify(prob.F, prob.lax, _twist(prob), prob.space)
             assert rep.passed, (prob.name, rep.compatibility, rep.symmetry)
             assert rep.compatibility == 0 and rep.symmetry == 0
-            assert not rep.retried
 
     def test_zero_twist_fails_second_example(self, dfkn2):
         s = dfkn2.space
@@ -104,7 +96,7 @@ class TestVerify:
     def test_rejects_unknown_constants(self, dfkn2):
         s = dfkn2.space
         basis = default_ansatz(dfkn2.F, dfkn2.lax, s)
-        twist, _ = engine.ansatz_twist(basis, "forward", s)
+        twist, _ = engine.ansatz_twist(basis, "forward")
         with pytest.raises(InvalidTwistError):
             verify(dfkn2.F, dfkn2.lax, twist, s)
 
@@ -120,6 +112,17 @@ class TestDeterminingSystem:
                                               TwistRelations.zero(),
                                               dfkn2.space)
         assert eqs
+
+    def test_derivation_leaves_jet_space_unchanged(self, dfkn2):
+        s = dfkn2.space
+        j = s.jet
+        before = {k: v for k, v in vars(s).items() if not k.startswith("_")}
+        basis = AnsatzBasis({(1, 0): [], (1, 1): [j("u", "xz") / j("u", "x")],
+                             (2, 0): [], (2, 1): [j("u", "xx") / j("u", "x")]})
+        ds = engine.derive_determining_system(dfkn2.F, dfkn2.lax, basis,
+                                              "forward", s)
+        assert [str(c) for c in ds.unknowns] == ["c11_0", "c21_0"]
+        assert {k: v for k, v in vars(s).items() if not k.startswith("_")} == before
 
     def test_default_ansatz_second_example(self, dfkn2):
         s = dfkn2.space

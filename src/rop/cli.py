@@ -92,17 +92,19 @@ def cmd_lax_check(problem: Problem, args) -> dict:
 
 
 def cmd_linearize(problem: Problem, args) -> dict:
+    t0 = time.monotonic()
     op = linearize_equation(problem.F, problem.space)
     terms = [{"index": list(idx), "coefficient": fmt(c)} for idx, c in op.coeffs]
     return {
         "verdict": "PASS",
         "linearization": terms,
         "applied_to_seed": fmt(op.apply_to("U", problem.space)),
-        "timings": {},
+        "timings": {"total": time.monotonic() - t0},
     }
 
 
 def cmd_verify(problem: Problem, args) -> dict:
+    t0 = time.monotonic()
     results = []
     assumptions: list[str] = []
     for orientation in _orientations(problem, args.orientation):
@@ -125,7 +127,7 @@ def cmd_verify(problem: Problem, args) -> dict:
         "residuals": [r["compatibility_residual"] for r in results]
                      + [r["symmetry_residual"] for r in results],
         "assumptions": assumptions,
-        "timings": {},
+        "timings": {"total": time.monotonic() - t0},
     }
 
 
@@ -173,22 +175,25 @@ def cmd_solve(problem: Problem, args) -> dict:
 
 
 def cmd_hierarchy(problem: Problem, args) -> dict:
+    t0 = time.monotonic()
     levels = engine.hierarchy_relations(problem.lax, args.k, problem.space)
     space = problem.space
+    sides = [(problem.lax.x1[i].apply_to_unknown("Ut", space),
+              problem.lax.x0[i].apply_to_unknown("U", space)) for i in (0, 1)]
+    jets = {s: space.jet_var(s).unknown
+            for lhs, rhs in sides for s in space.jets_in(lhs) + space.jets_in(rhs)}
     rels = []
     for lv in levels:
-        for i in (0, 1):
-            lhs = problem.lax.x1[i].apply_to_unknown("Ut", space)
-            rhs = problem.lax.x0[i].apply_to_unknown("U", space)
-            ren = {}
-            for s in space.jets_in(lhs) + space.jets_in(rhs):
-                jv = space.jet_var(s)
-                if jv.unknown == "Ut":
-                    ren[s] = sp.Symbol(s.name.replace("Ut", lv.target, 1))
-                elif jv.unknown == "U":
-                    ren[s] = sp.Symbol(s.name.replace("U", lv.source, 1))
+        ren = {}
+        for s, unknown in jets.items():
+            if unknown == "Ut":
+                ren[s] = sp.Symbol(s.name.replace("Ut", lv.target, 1))
+            elif unknown == "U":
+                ren[s] = sp.Symbol(s.name.replace("U", lv.source, 1))
+        for lhs, rhs in sides:
             rels.append(f"{fmt(lhs.xreplace(ren))} = {fmt(rhs.xreplace(ren))}")
-    return {"verdict": "PASS", "relations": rels, "levels": args.k, "timings": {}}
+    return {"verdict": "PASS", "relations": rels, "levels": args.k,
+            "timings": {"total": time.monotonic() - t0}}
 
 
 COMMANDS = {

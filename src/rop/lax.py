@@ -110,9 +110,9 @@ def split_lambda(op: FirstOrderOperator, space: JetSpace
     """Split a lambda-linear operator as op = lam*X1 - X0.
 
     Returns (X1, X0, flipped).  After splitting, the sign is normalized
-    so the ranking-greatest directional coefficient of X1 has positive
-    leading numeric coefficient where that is decidable; ``flipped``
-    records whether a global sign flip was applied.
+    so the ranking-greatest directional coefficient of X1 has a positive
+    kernel.leading_coeff; ``flipped`` records whether a global sign flip
+    was applied.
     """
     x1_dirs, x0_dirs = {}, {}
     for v, c in op.dirs + ((None, op.free),):
@@ -126,10 +126,8 @@ def split_lambda(op: FirstOrderOperator, space: JetSpace
     x0 = FirstOrderOperator.make(x0_free, x0_dirs)
     flipped = False
     lead = _greatest_direction(x1, space)
-    if lead is not None:
-        lc = _leading_sign(x1.dir_coeff(lead))
-        if lc is not None and lc < 0:
-            x1, x0, flipped = -x1, -x0, True
+    if lead is not None and kernel.leading_coeff(x1.dir_coeff(lead)) < 0:
+        x1, x0, flipped = -x1, -x0, True
     return x1, x0, flipped
 
 
@@ -150,14 +148,6 @@ def _lambda_parts(c) -> tuple[Expr, Expr]:
 def _greatest_direction(op: FirstOrderOperator, space: JetSpace) -> str | None:
     present = [v for v in space.variables if op.dir_coeff(v) != 0]
     return present[0] if present else None
-
-
-def _leading_sign(c: Expr):
-    num, _den = normalize(c).as_numer_denom()
-    if num.is_Number:
-        return 1 if num > 0 else -1
-    lc = kernel._leading_coeff(num)
-    return 1 if lc > 0 else -1
 
 
 @dataclass(frozen=True)

@@ -261,70 +261,73 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
             return _ExprParser(_tokenize(src, line_no), space, lets, line_no,
                                allow_bare_d)
 
-        if head == "problem":
-            name = rest
-        elif head == "vars":
-            variables = rest.split()
-            for v in variables:
-                if len(v) != 1:
-                    raise ProblemSyntaxError(
-                        f"multi-letter variable name {v!r}", line_no)
-            space = JetSpace(variables, max_order or declared_max_order, params)
-        elif head == "maxorder":
-            declared_max_order = int(rest)
-            if space is not None and max_order is None:
-                space = JetSpace(space.variables, declared_max_order, params)
-        elif head == "param":
-            params.extend(rest.split())
-            if space is not None:
-                space = JetSpace(space.variables, space.max_order, params)
-        elif head == "let":
-            ident, _, src = rest.partition("=")
-            ident = ident.strip()
-            if not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", ident):
-                raise ProblemSyntaxError(f"bad let name {ident!r}", line_no)
-            lets[ident] = normalize(parser(src).parse())
-        elif head == "equation":
-            src, _, zero = rest.rpartition("=")
-            if zero.strip() != "0" or not src:
-                raise ProblemSyntaxError("equation line must end in '= 0'", line_no)
-            e = normalize(parser(src).parse())
-            num, den = e.as_numer_denom()
-            F = sp.expand(num)
-            for factor, _m in sp.factor_list(den)[1]:
-                fa = normalize(factor)
+        try:
+            if head == "problem":
+                name = rest
+            elif head == "vars":
+                variables = rest.split()
+                for v in variables:
+                    if len(v) != 1:
+                        raise ProblemSyntaxError(
+                            f"multi-letter variable name {v!r}", line_no)
+                space = JetSpace(variables, max_order or declared_max_order, params)
+            elif head == "maxorder":
+                declared_max_order = int(rest)
+                if space is not None and max_order is None:
+                    space = JetSpace(space.variables, declared_max_order, params)
+            elif head == "param":
+                params.extend(rest.split())
+                if space is not None:
+                    space = JetSpace(space.variables, space.max_order, params)
+            elif head == "let":
+                ident, _, src = rest.partition("=")
+                ident = ident.strip()
+                if not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", ident):
+                    raise ProblemSyntaxError(f"bad let name {ident!r}", line_no)
+                lets[ident] = normalize(parser(src).parse())
+            elif head == "equation":
+                src, _, zero = rest.rpartition("=")
+                if zero.strip() != "0" or not src:
+                    raise ProblemSyntaxError("equation line must end in '= 0'", line_no)
+                e = normalize(parser(src).parse())
+                num, den = e.as_numer_denom()
+                F = sp.expand(num)
+                for factor, _m in sp.factor_list(den)[1]:
+                    fa = normalize(factor)
+                    if not any(kernel.equal(fa, a) for a in assumptions):
+                        assumptions.append(fa)
+            elif head == "lax":
+                e = sp.expand(parser(rest, allow_bare_d=True).parse())
+                lax_ops.append(_to_operator(e, space, line_no))
+            elif head == "assume":
+                src, _, tail = rest.partition("!=")
+                if tail.strip() != "0":
+                    raise ProblemSyntaxError("assume line must end in '!= 0'", line_no)
+                fa = normalize(parser(src).parse())
                 if not any(kernel.equal(fa, a) for a in assumptions):
                     assumptions.append(fa)
-        elif head == "lax":
-            e = sp.expand(parser(rest, allow_bare_d=True).parse())
-            lax_ops.append(_to_operator(e, space, line_no))
-        elif head == "assume":
-            src, _, tail = rest.partition("!=")
-            if tail.strip() != "0":
-                raise ProblemSyntaxError("assume line must end in '!= 0'", line_no)
-            fa = normalize(parser(src).parse())
-            if not any(kernel.equal(fa, a) for a in assumptions):
-                assumptions.append(fa)
-        elif head == "twist":
-            slot_src, _, src = rest.partition("=")
-            m = _SLOT_RE.fullmatch(slot_src.strip())
-            if not m:
-                raise ProblemSyntaxError(f"bad twist slot {slot_src.strip()!r}", line_no)
-            twist_f[(int(m.group(1)), int(m.group(2)))] = normalize(parser(src).parse())
-        elif head == "orientation":
-            if rest not in ("forward", "swapped", "both"):
-                raise ProblemSyntaxError(f"bad orientation {rest!r}", line_no)
-            orientation = rest
-        elif head == "ansatz":
-            slot_src, _, src = rest.partition("=")
-            m = _SLOT_RE.fullmatch(slot_src.strip())
-            if not m:
-                raise ProblemSyntaxError(f"bad ansatz slot {slot_src.strip()!r}", line_no)
-            terms = [normalize(parser(part).parse())
-                     for part in src.split(",") if part.strip()]
-            ansatz[(int(m.group(1)), int(m.group(2)))] = terms
-        else:
-            raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
+            elif head == "twist":
+                slot_src, _, src = rest.partition("=")
+                m = _SLOT_RE.fullmatch(slot_src.strip())
+                if not m:
+                    raise ProblemSyntaxError(f"bad twist slot {slot_src.strip()!r}", line_no)
+                twist_f[(int(m.group(1)), int(m.group(2)))] = normalize(parser(src).parse())
+            elif head == "orientation":
+                if rest not in ("forward", "swapped", "both"):
+                    raise ProblemSyntaxError(f"bad orientation {rest!r}", line_no)
+                orientation = rest
+            elif head == "ansatz":
+                slot_src, _, src = rest.partition("=")
+                m = _SLOT_RE.fullmatch(slot_src.strip())
+                if not m:
+                    raise ProblemSyntaxError(f"bad ansatz slot {slot_src.strip()!r}", line_no)
+                terms = [normalize(parser(part).parse())
+                         for part in src.split(",") if part.strip()]
+                ansatz[(int(m.group(1)), int(m.group(2)))] = terms
+            else:
+                raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
+        except kernel.DegenerateExpressionError as exc:
+            raise ProblemSyntaxError(str(exc), line_no) from exc
 
     if name is None:
         raise ProblemSyntaxError("missing 'problem' line")

@@ -97,6 +97,19 @@ class TestErrorsAndLimits:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("denominator", [
+        "u_x - u_x", "(u_x+u_y)^2 - u_x^2 - 2*u_x*u_y - u_y^2"])
+    def test_degenerate_twist(self, capsys, tmp_path, denominator):
+        text = Path(DFKN2).read_text().replace(
+            "twist f1_0 = 0", f"twist f1_0 = 1/({denominator})")
+        p = tmp_path / "degenerate.rop"
+        p.write_text(text)
+        code, out, _ = run(capsys, "verify", str(p), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "ERROR"
+        assert "line 10" in doc["error"]
+
     def test_timeout_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ROP_TIMEOUT_SECS", "1")
         code, _, err = run(capsys, "solve", EQ5)

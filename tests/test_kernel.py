@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop import kernel
-from rop.kernel import (DegenerateExpressionError, PoleError, eval_rational,
-                        is_zero, normalize, partial_diff, probably_nonzero)
+from rop.kernel import (DegenerateExpressionError, NotRationalError, PoleError,
+                        eval_rational, is_zero, normalize, partial_diff,
+                        probably_nonzero)
 
-from conftest import random_rational
+from conftest import random_poly, random_rational
 
 u_s, u_z, u_y, u_x, u_t = sp.symbols("u_s u_z u_y u_x u_t")
 u_zt, u_yz, u_xz = sp.symbols("u_zt u_yz u_xz")
@@ -38,6 +39,16 @@ class TestNormalize:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateExpressionError):
             normalize(u_x / (u_y * u_x - u_x * u_y))
+        hidden_zero = (u_x + u_y)**2 - u_x**2 - 2 * u_x * u_y - u_y**2
+        with pytest.raises(DegenerateExpressionError):
+            normalize(1 / hidden_zero)
+
+    @pytest.mark.parametrize("e", [sp.Float(0.5) * u_x, sp.sqrt(u_x) + 1,
+                                   sp.sin(u_x) / u_y, u_x**sp.Rational(1, 3),
+                                   u_x**u_y, sp.I * u_x])
+    def test_non_rational_input_rejected(self, e):
+        with pytest.raises(NotRationalError):
+            normalize(e)
 
 
 class TestPartialDiff:
@@ -124,3 +135,46 @@ def test_zero_iff_zero_at_all_points(e):
             assert v == 0
     else:
         assert probably_nonzero(e, rng, points=16)
+
+
+def reference_pair(e):
+    """The canonical pair computed on the expression tree: together,
+    cancel, expand, and division by the grevlex leading coefficient of
+    the denominator (a Poly over all of its symbols)."""
+    n, d = sp.cancel(sp.together(sp.sympify(e))).as_numer_denom()
+    n, d = sp.expand(n), sp.expand(d)
+    if n == 0:
+        return sp.S.Zero, sp.S.One
+    if d.is_Number:
+        lc = d
+    else:
+        lc = sp.Poly(d, *kernel.symbol_order(d.free_symbols)).LC(order="grevlex")
+    return sp.expand(n / lc), sp.expand(d / lc)
+
+
+JETS_AND_PARAMS = [u_x, u_xz, u_yz, u_zt, alpha, lam]
+
+
+@st.composite
+def sums_of_fractions(draw):
+    """Sums of fractions whose denominators are signed monomials
+    (powers of jets, as in the rewrite rules) or polynomials with
+    several terms and either sign of leading coefficient."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    e = sp.S.Zero
+    for _ in range(rng.randint(1, 3)):
+        num = random_poly(rng, JETS_AND_PARAMS, terms=3, degree=2)
+        if rng.random() < 0.5:
+            den = rng.choice([-3, -1, 1, 2]) * rng.choice(JETS_AND_PARAMS[:4])**rng.randint(1, 3)
+        else:
+            den = random_poly(rng, JETS_AND_PARAMS, terms=2, degree=2)
+            if den.is_Number:
+                den += rng.choice(JETS_AND_PARAMS)
+        e += num / den**rng.randint(1, 2)
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(sums_of_fractions())
+def test_canonical_pair_matches_reference(e):
+    assert kernel.as_fraction(e) == reference_pair(e)

@@ -215,16 +215,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--orientation", choices=["forward", "swapped", "both"],
-                       default=None)
-        p.add_argument("--max-order", type=int, default=None)
-        p.add_argument("--branch-bound", type=int, default=64)
+        p.add_argument("--max-order", type=_order_bound, default=None)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--basis", default="auto",
-                       help="'auto' or a path to a file with ansatz lines")
+        if name in ("verify", "solve"):
+            p.add_argument("--orientation", choices=["forward", "swapped", "both"],
+                           default=None)
+        if name == "solve":
+            p.add_argument("--branch-bound", type=int, default=64)
+            p.add_argument("--basis", default="auto",
+                           help="'auto' or a path to a file with ansatz lines")
         if name == "hierarchy":
             p.add_argument("--k", type=int, default=1)
     return ap
+
+
+def _order_bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def render_human(doc: dict) -> str:

@@ -23,8 +23,9 @@ import time
 from dataclasses import dataclass, field
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyRing
 
-from . import kernel
 from .jets import (JetSpace, RewriteRule, RewriteSystem, solve_for_leading,
                    total_derivative)
 from .kernel import Expr, normalize
@@ -333,61 +334,62 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: linear elimination first, then bounded branching on
     factors of the remaining (at most quadratic) equations.
 
-    Every branch that closes yields one Solution; remaining unconstrained
-    constants are reported free and set to zero.  Exceeding the branch
-    bound raises PartialResultError carrying the solutions found.
+    The equations are polynomials in the unknowns over QQ, or over the
+    field of rational functions in their other symbols.  A pivot is the
+    first unknown, in the first equation that has one, of degree 1 with
+    a coefficient free of unknowns; its value is substituted into the
+    remaining equations and into every solved value, so no solved value
+    holds a solved unknown.  Every branch that closes yields one
+    Solution; remaining unconstrained constants are reported free and
+    set to zero.  Exceeding the branch bound raises PartialResultError
+    carrying the solutions found.
     """
     unknowns = list(ds.unknowns)
+    symbols = set().union(*(sp.sympify(e).free_symbols for e in ds.equations))
+    others = sorted(symbols - set(unknowns), key=str)
+    ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
 
     def emit(solved: dict):
-        assignment = _back_substitute(solved, unknowns)
-        free = tuple(c for c in unknowns if c not in assignment)
-        for c in free:
-            assignment[c] = sp.S.Zero
-        assignment = {c: normalize(v.xreplace({f: sp.S.Zero for f in free}))
-                      for c, v in assignment.items()}
+        free = tuple(c for i, c in enumerate(unknowns) if i not in solved)
+        zero = [(g, ring.zero) for i, g in enumerate(ring.gens) if i not in solved]
+        assignment = {unknowns[i]: normalize(v.compose(zero).as_expr())
+                      for i, v in solved.items()}
+        assignment.update((c, sp.S.Zero) for c in free)
         key = tuple(sp.sstr(assignment[c]) for c in unknowns)
         if key not in seen:
             seen.add(key)
             solutions.append(Solution(assignment, free))
 
     def descend(eqs: list, solved: dict):
-        eqs = [e for e in (normalize(e) for e in eqs) if e != 0]
-        changed = True
-        while changed:
-            changed = False
-            for idx, eq in enumerate(eqs):
-                pivot = _linear_pivot(eq, unknowns)
-                if pivot is None:
-                    continue
-                c, val = pivot
-                solved = {k: normalize(v.xreplace({c: val})) for k, v in solved.items()}
-                solved[c] = val
-                sub = {c: val}
-                eqs = [e for e in
-                       (normalize(sp.sympify(x).xreplace(sub)) for j, x in enumerate(eqs) if j != idx)
-                       if e != 0]
-                changed = True
-                break
+        while (pivot := _pivot(eqs)) is not None:
+            idx, i, val = pivot
+            gen = ring.gens[i]
+            solved = {k: v.compose(gen, val) for k, v in solved.items()}
+            solved[i] = val
+            eqs = [e for e in (x.compose(gen, val)
+                               for j, x in enumerate(eqs) if j != idx) if e]
         if not eqs:
             emit(solved)
             return
-        eq = min(eqs, key=sp.count_ops)
-        factors = [f for f, _m in sp.factor_list(eq)[1]
-                   if sp.sympify(f).free_symbols & set(unknowns)]
+        exprs = [normalize(e.as_expr()) for e in eqs]
+        eq = min(exprs, key=sp.count_ops)
+        # a denominator holds only symbols other than the unknowns
+        factors = [f for f, _m in sp.factor_list(sp.numer(eq))[1]
+                   if f.free_symbols & set(unknowns)]
         if not factors:
             return  # inconsistent: constant nonzero equation
+        rest = [x for e, x in zip(exprs, eqs) if e != eq]
         for f in factors:
             if budget[0] <= 0:
-                unresolved.append(eqs)
+                unresolved.append(exprs)
                 return
             budget[0] -= 1
-            descend([f] + [e for e in eqs if e is not eq], dict(solved))
+            descend([ring.from_expr(f)] + rest, dict(solved))
 
-    descend(list(ds.equations), {})
+    descend([e for e in map(ring.from_expr, ds.equations) if e], {})
     if unresolved:
         raise PartialResultError(
             f"branch bound exhausted with {len(unresolved)} unresolved branches",
@@ -395,37 +397,17 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     return solutions
 
 
-def _linear_pivot(eq, unknowns):
-    present = [c for c in unknowns if eq.has(c)]
-    for c in present:
-        try:
-            p = sp.Poly(eq, c)
-        except sp.PolynomialError:
-            continue
-        if p.degree() != 1:
-            continue
-        a = p.nth(1)
-        if a.free_symbols & set(unknowns):
-            continue
-        if kernel.is_zero(a):
-            continue
-        return c, normalize(-p.nth(0) / a)
+def _pivot(eqs):
+    """(equation index, generator index, value) for the first generator
+    of degree 1 with a coefficient free of generators, in the first
+    equation that has one; None if no equation has one."""
+    for idx, eq in enumerate(eqs):
+        for i in range(eq.ring.ngens):
+            if eq.degree(i) == 1:
+                a = eq.coeff_wrt(i, 1)
+                if a.is_ground:
+                    return idx, i, -eq.coeff_wrt(i, 0).quo_ground(a.LC)
     return None
-
-
-def _back_substitute(solved: dict, unknowns) -> dict:
-    out = dict(solved)
-    for _ in range(len(out) + 1):
-        changed = False
-        for c, v in out.items():
-            if v.free_symbols & set(unknowns):
-                nv = normalize(v.xreplace(out))
-                if nv != v:
-                    out[c] = nv
-                    changed = True
-        if not changed:
-            break
-    return out
 
 
 # -- hierarchy ---------------------------------------------------------

@@ -81,7 +81,8 @@ class JetSpace:
         idx = tuple(sorted(index, key=self._pos.__getitem__))
         if len(idx) > self.max_order:
             raise OrderOverflowError(
-                f"jet of order {len(idx)} exceeds bound {self.max_order}")
+                f"jet of order {len(idx)} exceeds bound {self.max_order}; "
+                "raise the bound with a 'maxorder' line or --max-order")
         name = unknown if not idx else f"{unknown}_{''.join(idx)}"
         self._by_name[name] = JetVar(unknown, idx)
         return sp.Symbol(name)

@@ -272,6 +272,9 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                             f"multi-letter variable name {v!r}", line_no)
                 space = JetSpace(variables, max_order or declared_max_order, params)
             elif head == "maxorder":
+                if not re.fullmatch(r"[0-9]+", rest) or int(rest) < 1:
+                    raise ProblemSyntaxError(
+                        f"maxorder must be an integer >= 1, got {rest!r}", line_no)
                 declared_max_order = int(rest)
                 if space is not None and max_order is None:
                     space = JetSpace(space.variables, declared_max_order, params)

@@ -110,6 +110,28 @@ class TestErrorsAndLimits:
         assert doc["verdict"] == "ERROR"
         assert "line 10" in doc["error"]
 
+    def test_order_overflow_names_remedy(self, capsys):
+        code, _, err = run(capsys, "verify", DFKN2, "--max-order", "2")
+        assert code == 2
+        assert "exceeds bound 2" in err
+        assert "'maxorder' line or --max-order" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_max_order_below_one_rejected(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", DFKN2, "--max-order", value])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["lax-check", DFKN2, "--branch-bound", "3"],
+        ["linearize", DFKN2, "--orientation", "forward"],
+        ["hierarchy", DFKN2, "--basis", "auto"],
+        ["verify", DFKN2, "--branch-bound", "3"]])
+    def test_option_of_another_subcommand_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_timeout_env(self, capsys, monkeypatch):
         monkeypatch.setenv("ROP_TIMEOUT_SECS", "1")
         code, _, err = run(capsys, "solve", EQ5)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rop import engine
+from rop import engine, kernel
 from rop.engine import (SLOTS, AnsatzBasis, DeterminingSystem,
-                        InvalidTwistError, PartialResultError, TwistRelations,
-                        build_relations, default_ansatz,
+                        InvalidTwistError, PartialResultError, Solution,
+                        TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
                         hierarchy_relations, solve_determining, verify)
 from rop.kernel import equal, normalize
@@ -172,6 +176,32 @@ class TestSolveDetermining:
         sols = solve_determining(ds, branch_bound=64)
         assert len(sols) == 6
 
+    def test_parameter_coefficient(self):
+        c1, c2 = sp.symbols("c1 c2")
+        alpha = sp.Symbol("alpha")
+        ds = _synthetic([(alpha + 1) * c1 - alpha, c1 + c2], ["c1", "c2"])
+        sols = solve_determining(ds)
+        assert len(sols) == 1
+        assert sols[0].assignment == {c1: alpha / (alpha + 1),
+                                      c2: -alpha / (alpha + 1)}
+        assert sols[0].free == ()
+
+    def test_branch_on_equation_with_parameter_denominator(self):
+        # c0 = (c1^2 - 1)/alpha leaves (c1^3 - c1)/alpha, which has no pivot
+        c0, c1 = sp.symbols("c0 c1")
+        alpha = sp.Symbol("alpha")
+        ds = _synthetic([alpha * c0 - c1**2 + 1, c0 * c1], ["c0", "c1"])
+        sols = solve_determining(ds)
+        assert sorted((s.assignment[c1], s.assignment[c0]) for s in sols) == \
+            [(-1, 0), (0, -1 / alpha), (1, 0)]
+
+    def test_no_unknowns(self):
+        alpha = sp.Symbol("alpha")
+        sols = solve_determining(_synthetic([], []))
+        assert [(s.assignment, s.free) for s in sols] == [({}, ())]
+        assert solve_determining(_synthetic([sp.Integer(3)], [])) == []
+        assert solve_determining(_synthetic([alpha], [])) == []
+
 
 class TestHierarchy:
     def test_levels_chain(self, dfkn2):
@@ -182,3 +212,153 @@ class TestHierarchy:
     def test_k_must_be_positive(self, dfkn2):
         with pytest.raises(ValueError):
             hierarchy_relations(dfkn2.lax, 0, dfkn2.space)
+
+
+def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solution]:
+    """The solver on expression trees: one pivot at a time, found by a
+    Poly per unknown, then every remaining equation and solved value
+    substituted and normalised again, and a back-substitution pass."""
+    unknowns = list(ds.unknowns)
+    solutions, seen = [], set()
+    unresolved = []
+    budget = [branch_bound]
+
+    def emit(solved: dict):
+        assignment = _reference_back_substitute(solved, unknowns)
+        free = tuple(c for c in unknowns if c not in assignment)
+        for c in free:
+            assignment[c] = sp.S.Zero
+        assignment = {c: normalize(v.xreplace({f: sp.S.Zero for f in free}))
+                      for c, v in assignment.items()}
+        key = tuple(sp.sstr(assignment[c]) for c in unknowns)
+        if key not in seen:
+            seen.add(key)
+            solutions.append(Solution(assignment, free))
+
+    def descend(eqs: list, solved: dict):
+        eqs = [e for e in (normalize(e) for e in eqs) if e != 0]
+        changed = True
+        while changed:
+            changed = False
+            for idx, eq in enumerate(eqs):
+                pivot = _reference_linear_pivot(eq, unknowns)
+                if pivot is None:
+                    continue
+                c, val = pivot
+                solved = {k: normalize(v.xreplace({c: val})) for k, v in solved.items()}
+                solved[c] = val
+                sub = {c: val}
+                eqs = [e for e in
+                       (normalize(sp.sympify(x).xreplace(sub)) for j, x in enumerate(eqs) if j != idx)
+                       if e != 0]
+                changed = True
+                break
+        if not eqs:
+            emit(solved)
+            return
+        eq = min(eqs, key=sp.count_ops)
+        factors = [f for f, _m in sp.factor_list(eq)[1]
+                   if sp.sympify(f).free_symbols & set(unknowns)]
+        if not factors:
+            return  # inconsistent: constant nonzero equation
+        for f in factors:
+            if budget[0] <= 0:
+                unresolved.append(eqs)
+                return
+            budget[0] -= 1
+            descend([f] + [e for e in eqs if e is not eq], dict(solved))
+
+    descend(list(ds.equations), {})
+    if unresolved:
+        raise PartialResultError(
+            f"branch bound exhausted with {len(unresolved)} unresolved branches",
+            solutions, unresolved)
+    return solutions
+
+
+def _reference_linear_pivot(eq, unknowns):
+    present = [c for c in unknowns if eq.has(c)]
+    for c in present:
+        try:
+            p = sp.Poly(eq, c)
+        except sp.PolynomialError:
+            continue
+        if p.degree() != 1:
+            continue
+        a = p.nth(1)
+        if a.free_symbols & set(unknowns):
+            continue
+        if kernel.is_zero(a):
+            continue
+        return c, normalize(-p.nth(0) / a)
+    return None
+
+
+def _reference_back_substitute(solved: dict, unknowns) -> dict:
+    out = dict(solved)
+    for _ in range(len(out) + 1):
+        changed = False
+        for c, v in out.items():
+            if v.free_symbols & set(unknowns):
+                nv = normalize(v.xreplace(out))
+                if nv != v:
+                    out[c] = nv
+                    changed = True
+        if not changed:
+            break
+    return out
+
+
+def _outcome(solve, ds, **kwargs):
+    """Solutions as (constant, srepr) pairs in order with their free
+    tuples, and the unresolved branches if the bound was exhausted."""
+    try:
+        sols, unresolved = solve(ds, **kwargs), None
+    except PartialResultError as exc:
+        sols = exc.solutions
+        unresolved = [[sp.srepr(e) for e in eqs] for eqs in exc.unresolved]
+    return ([([(c, sp.srepr(v)) for c, v in s.assignment.items()], s.free)
+             for s in sols], unresolved)
+
+
+@st.composite
+def determining_systems(draw):
+    """One to three equations in 2-4 unknowns, each a linear form, a
+    product of two or a linear form plus a product of two; the forms
+    have coefficients in -2..2, and about half of the systems also
+    alpha among them."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    unknowns = sp.symbols(f"c0:{rng.randint(2, 4)}")
+    coeffs = [-2, -1, 0, 1, 2] + [sp.Symbol("alpha")] * rng.randint(0, 1)
+
+    def linear():
+        return sum(rng.choice(coeffs) * c for c in unknowns) + rng.choice(coeffs)
+
+    eqs = []
+    for _ in range(rng.randint(1, 3)):
+        e = rng.choice([linear(), linear() * linear(),
+                        linear() + linear() * linear()])
+        eqs.append(sp.expand(e))
+    return _synthetic(eqs, [str(c) for c in unknowns])
+
+
+@settings(max_examples=100, deadline=None)
+@given(determining_systems())
+def test_solver_matches_reference(ds):
+    # an irreducible equation without a pivot branches into itself until
+    # the bound is spent, so a bound of 8 keeps the examples short
+    for bound in (8, 1):
+        try:
+            want = _outcome(reference_solve, ds, branch_bound=bound)
+        except sp.PolynomialError:
+            # the reference cannot branch on an equation with a
+            # denominator in alpha; every solution must still solve ds
+            try:
+                sols = solve_determining(ds, branch_bound=bound)
+            except PartialResultError as exc:
+                sols = exc.solutions
+            for sol in sols:
+                assert all(normalize(e.xreplace(sol.assignment)) == 0
+                           for e in ds.equations)
+            continue
+        assert _outcome(solve_determining, ds, branch_bound=bound) == want

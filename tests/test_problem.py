@@ -125,6 +125,12 @@ class TestErrors:
         with pytest.raises(ProblemSyntaxError, match="orientation"):
             parse_problem(MINIMAL + "orientation backward\n")
 
+    @pytest.mark.parametrize("value", ["two", "0", "-1", "3.5"])
+    def test_bad_maxorder(self, value):
+        with pytest.raises(ProblemSyntaxError, match="maxorder") as exc:
+            parse_problem(MINIMAL + f"maxorder {value}\n")
+        assert exc.value.line == 6
+
     def test_vars_required_before_expressions(self):
         text = "problem p\nequation u_xx = 0\nvars x y z\n"
         with pytest.raises(ProblemSyntaxError, match="vars"):

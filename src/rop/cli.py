@@ -98,7 +98,7 @@ def cmd_linearize(problem: Problem, args) -> dict:
     return {
         "verdict": "PASS",
         "linearization": terms,
-        "applied_to_seed": fmt(op.apply_to("U", problem.space)),
+        "applied_to_seed": fmt(op.apply_to("U", problem.space).as_expr()),
         "timings": {"total": time.monotonic() - t0},
     }
 

@@ -14,21 +14,31 @@ three.  With the twist functions expanded over an ansatz with unknown
 constants, the vanishing of every residual coefficient yields the
 determining system, solved exactly by linear elimination plus bounded
 branching on factored quadratics.
+
+From the relations to the determining equations everything is a
+``kernel.Form`` of one JetRing per computation, whose generators include
+the twist's unknown constants.  Expressions remain only where the twist
+and the Lax operators enter, in the VerifyReport, and in the
+DeterminingSystem handed to the solver: its equations are read off the
+residuals' numerators by regrouping monomials by their jet and lam
+exponents.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.polyutils import expr_from_dict
 from sympy.polys.rings import PolyRing
 
-from .jets import (JetSpace, RewriteRule, RewriteSystem, solve_for_leading,
-                   total_derivative)
-from .kernel import Expr, normalize
+from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
+                   solve_for_leading, total_derivative)
+from .kernel import ONE, Expr, Form, normalize
 from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
 from .linearize import linearize
 
@@ -97,27 +107,30 @@ class TwistRelations:
 
 @dataclass(frozen=True)
 class RelationSet:
-    """The two relations moved to one side, plus their solved forms."""
-    relations: tuple[Expr, Expr]
+    """The two relations moved to one side, plus their solved forms; all
+    Forms of one JetRing."""
+    relations: tuple[Form, Form]
     rules: tuple[RewriteRule, RewriteRule]
     directions: tuple[str, str]
-    assumptions: tuple[Expr, ...]
+    assumptions: tuple[Form, ...]
     orientation: str
 
 
 def build_relations(pair: LaxPair, twist: TwistRelations,
                     space: JetSpace) -> RelationSet:
     """Form E_i = (Ut-side operator)(Ut) + f_i^1 Ut - f_i^0 U - (U-side
-    operator)(U) and solve each for its leading Ut-jet."""
+    operator)(U) and solve each for its leading Ut-jet.  The JetRing of
+    the computation has the twist's unknown constants as generators."""
     twist.validate(space)
+    ring = jet_ring(space, twist.free_constants(space))
     relations, rules, dirs, assumptions = [], [], [], []
     for i in (0, 1):
         ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
         u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
-        e = normalize(ut_op.apply_to_unknown("Ut", space)
-                      + twist.f[(i + 1, 1)] * space.jet("Ut")
-                      - twist.f[(i + 1, 0)] * space.jet("U")
-                      - u_op.apply_to_unknown("U", space))
+        e = ring.from_expr(ut_op.apply_to_unknown("Ut", space)
+                           + twist.f[(i + 1, 1)] * space.jet("Ut")
+                           - twist.f[(i + 1, 0)] * space.jet("U")
+                           - u_op.apply_to_unknown("U", space))
         rule, lead = solve_for_leading(e, "Ut", space)
         jv = space.jet_var(rule.lhs)
         if jv.order != 1:
@@ -126,7 +139,7 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
         relations.append(e)
         rules.append(rule)
         dirs.append(jv.index[0])
-        if not lead.is_Number:
+        if lead.free_symbols:
             assumptions.append(lead)
     if rules[0].lhs == rules[1].lhs:
         raise DegeneratePairError(
@@ -138,9 +151,10 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
 def full_system(F, relset: RelationSet, space: JetSpace) -> RewriteSystem:
     """Three-layer rewrite system: F = 0, the linearized equation for U,
     and the recursion relations for Ut, each solved and reduced against
-    the layers below."""
-    sys_u = equation_system(F, space)
-    lin_u = sys_u.reduce(linearize(F, space).apply_to("U", space))
+    the layers below, in the JetRing of the relations."""
+    ring = relset.rules[0].rhs.ring
+    sys_u = equation_system(ring.from_expr(F), space)
+    lin_u = sys_u.reduce(linearize(F, space).apply_to("U", space, ring))
     u_rule, u_lead = solve_for_leading(lin_u, "U", space)
     sys_uu = sys_u.extended([u_rule], [u_lead])
     ut_rules = [RewriteRule(r.lhs, sys_uu.reduce(r.rhs)) for r in relset.rules]
@@ -148,7 +162,7 @@ def full_system(F, relset: RelationSet, space: JetSpace) -> RewriteSystem:
 
 
 def compatibility_residual(relset: RelationSet, F, space: JetSpace,
-                           sys: RewriteSystem | None = None) -> Expr:
+                           sys: RewriteSystem | None = None) -> Form:
     """Condition a): the cross-derivative of the two solved relations,
     reduced; zero means the system for Ut is compatible whenever U is a
     symmetry."""
@@ -160,11 +174,11 @@ def compatibility_residual(relset: RelationSet, F, space: JetSpace,
 
 
 def symmetry_residual(relset: RelationSet, F, space: JetSpace,
-                      sys: RewriteSystem | None = None) -> Expr:
+                      sys: RewriteSystem | None = None) -> Form:
     """Condition b): the linearized equation applied to Ut, reduced; zero
     means Ut is a symmetry whenever U is."""
     sys = sys or full_system(F, relset, space)
-    return sys.reduce(linearize(F, space).apply_to("Ut", space))
+    return sys.reduce(linearize(F, space).apply_to("Ut", space, sys.ring))
 
 
 @dataclass
@@ -197,7 +211,8 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
     t3 = time.monotonic()
     timings = {"build": t1 - t0, "compatibility": t2 - t1, "symmetry": t3 - t2}
     return VerifyReport(compat == 0 and symm == 0, twist.orientation,
-                        compat, symm, sys.assumptions, timings)
+                        compat.as_expr(), symm.as_expr(), sys.assumptions,
+                        timings)
 
 
 # -- ansatz and determining system ------------------------------------
@@ -299,22 +314,45 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
     equations, seen = [], set()
     for resid in (compatibility_residual(relset, F, space, sys),
                   symmetry_residual(relset, F, space, sys)):
-        if resid == 0:
-            continue
-        num, _den = normalize(resid).as_numer_denom()
-        gens = [s for s in num.free_symbols
-                if space.jet_var(s) is not None or s == LAMBDA]
-        if not gens:
-            gens = [sp.Symbol("_one")]
-        for coeff in sp.Poly(num, *sorted(gens, key=str)).coeffs():
-            eq = normalize(coeff)
-            if eq == 0:
-                continue
-            key = sp.sstr(eq)
+        for key, eq in _coefficients(resid, space):
             if key not in seen:
                 seen.add(key)
                 equations.append(eq)
     return equations
+
+
+def _coefficients(form: Form, space: JetSpace) -> list:
+    """The coefficients of a residual's numerator as a polynomial in its
+    jets and lam, as (hashable key, expression) pairs in the order
+    sympy's Poly over those generators (sorted by name) lists them:
+    descending lex.  The numerator is the one ``as_numer_denom`` gives:
+    it carries the lcm of the denominators of the numerator's
+    coefficients, and of the denominator's when that has several terms."""
+    if not form.terms:
+        return []
+    ring = form.ring
+    jet = [s == LAMBDA or space.jet_var(s) is not None for s in ring.symbols]
+    outer = [i for i, j in enumerate(jet) if not j]
+    outer_symbols = [ring.symbols[i] for i in outer]
+    scale = 1
+    den = ring.den_poly(form.den)
+    for p in list(form.terms.values()) + ([den] if len(den) > 1 else []):
+        for c in p.values():
+            scale = math.lcm(scale, int(c.denominator))
+    gens = sorted((s for s in form.free_symbols
+                   if s not in ring.index or jet[ring.index[s]]), key=str)
+    where = [ring.index.get(g) for g in gens]
+    groups: dict = {}
+    for key, p in form.terms.items():
+        exps = [int(g == key) if i is None else 0 for g, i in zip(gens, where)]
+        for m, c in p.items():
+            for n, i in enumerate(where):
+                if i is not None:
+                    exps[n] = m[i]
+            groups.setdefault(tuple(exps), {})[tuple(m[i] for i in outer)] = \
+                QQ.to_sympy(c * scale)
+    return [(frozenset(g.items()), expr_from_dict(g, *outer_symbols))
+            for g in (groups[k] for k in sorted(groups, reverse=True))]
 
 
 @dataclass
@@ -416,16 +454,16 @@ def _pivot(eqs):
 @dataclass(frozen=True)
 class HierarchyLevel:
     level: int
-    relations: RelationSet
     source: str  # label of the seed function
     target: str  # label of the produced function
 
 
 def hierarchy_relations(pair: LaxPair, k: int, space: JetSpace) -> list[HierarchyLevel]:
-    """The k untwisted relation sets chaining psi_0 -> psi_1 -> ... ->
-    psi_k; each level is the zero-twist instance with the seed in the U
-    role and the image in the Ut role.  No solving is attempted."""
+    """The k levels chaining psi_0 -> psi_1 -> ... -> psi_k; each level is
+    the zero-twist instance with the seed in the U role and the image in
+    the Ut role.  The zero-twist relations are built once, only to check
+    that they solve for two distinct first-order Ut-jets."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = build_relations(pair, TwistRelations.zero(), space)
-    return [HierarchyLevel(j, base, f"psi_{j}", f"psi_{j + 1}") for j in range(k)]
+    build_relations(pair, TwistRelations.zero(), space)
+    return [HierarchyLevel(j, f"psi_{j}", f"psi_{j + 1}") for j in range(k)]

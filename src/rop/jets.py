@@ -5,23 +5,35 @@ symmetry ``U`` and its image ``Ut`` (printed as the twisted symmetry).
 Jet variables are plain sympy symbols named ``u_xy``, ``U_t``, ``Ut_zz``
 with multi-indices kept sorted, so ``u_xy`` and ``u_yx`` are one symbol.
 
+Everything from the relations on is carried as ``kernel.Form`` over a
+JetRing: the polynomial ring of the independent variables, the ``u``-jets
+up to the order bound, the ansatz constants, ``lam`` and the parameters.
+``U``/``Ut`` jets stay out of the ring; every relation is linear in them,
+so they are the keys of a Form.  The total derivative is a derivation of
+the ring (each ``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift
+of each key.  An expression given to ``total_derivative`` or to
+``RewriteSystem.reduce`` is converted at the boundary.
+
 A RewriteSystem holds solved relations (equation, linearized equation,
 recursion relations) oriented by a well-founded ranking, and reduces
-expressions to normal form, generating prolongations of the rules on
-demand.
+Forms to normal form, generating prolongations of the rules on demand:
+a ``U``/``Ut`` rule replaces a key, a ``u`` rule is substituted into the
+numerators.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, compress
 from typing import Iterable, Sequence
 
 import sympy as sp
 
-from . import kernel
-from .kernel import Expr, normalize
+from .kernel import ONE, Expr, Form, FormRing, normalize, symbol_order
 
 UNKNOWNS = ("u", "U", "Ut")
+LAMBDA = sp.Symbol("lam")
 
 
 class OrderOverflowError(ValueError):
@@ -109,9 +121,10 @@ class JetSpace:
             return jv
         return None
 
-    def jets_in(self, e: Expr, unknown: str | None = None) -> list[sp.Symbol]:
+    def jets_in(self, e, unknown: str | None = None) -> list[sp.Symbol]:
         out = []
-        for s in sp.sympify(e).free_symbols:
+        symbols = e.free_symbols if isinstance(e, Form) else sp.sympify(e).free_symbols
+        for s in symbols:
             jv = self.jet_var(s)
             if jv is not None and (unknown is None or jv.unknown == unknown):
                 out.append(s)
@@ -132,16 +145,103 @@ class JetSpace:
         return self.rank_key(jv)
 
 
-def total_derivative(e, x: str, space: JetSpace) -> Expr:
+_TOP = -2  # D_x of a u-jet of the top order would overflow the bound
+
+
+class JetRing(FormRing):
+    """The carrier's ring on a jet space: the independent variables, the
+    u-jets up to the order bound, lam, the parameters and the given
+    symbols (the ansatz constants).  U/Ut jets are the keys."""
+
+    def __init__(self, space: JetSpace, symbols: Sequence[sp.Symbol] = ()):
+        self.space = space
+        u_jets = [space.jet("u", idx) for k in range(space.max_order + 1)
+                  for idx in combinations_with_replacement(space.variables, k)]
+        super().__init__([*space.var_syms.values(), *u_jets, LAMBDA,
+                          *space.params, *symbols])
+        self.u_jets = frozenset(self.index[s] for s in u_jets)
+        self._target_lists: dict[str, list] = {}
+
+    def _targets(self, x: str) -> list:
+        """Per generator, the generator D_x maps it to: an index, -1 for
+        x itself (D_x x = 1), None when D_x kills it, _TOP for a u-jet of
+        the top order."""
+        t = self._target_lists.get(x)
+        if t is None:
+            space = self.space
+            t = [None] * len(self.symbols)
+            t[self.index[space.var_syms[x]]] = -1
+            for i in self.u_jets:
+                jv = space.jet_var(self.symbols[i])
+                t[i] = (self.index[space.jet("u", jv.index + (x,))]
+                        if jv.order < space.max_order else _TOP)
+            self._target_lists[x] = t
+        return t
+
+    def _dpoly(self, p, x: str):
+        """D_x of a polynomial of the ring."""
+        t = self._targets(x)
+        out: dict = {}
+        for m, c in p.items():
+            for i in compress(self._range, m):
+                j = t[i]
+                if j is None:
+                    continue
+                if j == _TOP:
+                    jv = self.space.jet_var(self.symbols[i])
+                    self.space.jet("u", jv.index + (x,))  # raises OrderOverflowError
+                e = m[i]
+                shifted = list(m)
+                shifted[i] = e - 1
+                if j >= 0:
+                    shifted[j] += 1
+                k = tuple(shifted)
+                v = out.get(k)
+                out[k] = c * e if v is None else v + c * e
+        return p.new([(k, v) for k, v in out.items() if v])
+
+    def derivative(self, form: Form, x: str) -> Form:
+        space = self.space
+
+        def dkey(key):
+            jv = space.jet_var(key)
+            return space.jet(jv.unknown, jv.index + (x,))
+
+        return form.derive(lambda p: self._dpoly(p, x), dkey)
+
+
+@functools.lru_cache(maxsize=16)
+def _jet_ring(variables, max_order, params, symbols) -> JetRing:
+    return JetRing(JetSpace(variables, max_order, params), symbols)
+
+
+def jet_ring(space: JetSpace, symbols: Iterable[sp.Symbol] = ()) -> JetRing:
+    """The JetRing of a space with the given extra generators; built once
+    per set of generators and shared."""
+    return _jet_ring(space.variables, space.max_order,
+                     tuple(p.name for p in space.params),
+                     tuple(symbol_order(set(symbols))))
+
+
+def expr_ring(e: Expr, space: JetSpace) -> JetRing:
+    """The JetRing an expression is converted in: the space's, with any
+    symbol of e that is neither a jet, an independent variable, lam nor
+    a parameter as an extra generator."""
+    known = {LAMBDA, *space.params, *space.var_syms.values()}
+    return jet_ring(space, [s for s in e.free_symbols
+                            if s not in known and space.jet_var(s) is None])
+
+
+def total_derivative(e, x: str, space: JetSpace):
     """Total derivative D_x: explicit x-dependence plus the chain rule
-    over every jet variable present."""
+    over every jet variable present.  A Form maps to a Form of its ring;
+    an expression is carried through expr_ring and returned in the form
+    normalize gives."""
+    if isinstance(e, Form):
+        return e.ring.derivative(e, x)
     e = sp.sympify(e)
-    out = sp.diff(e, space.var_syms[x])
-    for s in e.free_symbols:
-        jv = space.jet_var(s)
-        if jv is not None:
-            out += sp.diff(e, s) * space.jet(jv.unknown, jv.index + (x,))
-    return normalize(out)
+    ring = expr_ring(e, space)
+    return ring.derivative(ring.from_expr(e), x).as_expr()
 
 
 def _multiset_leq(small: tuple[str, ...], big: tuple[str, ...]) -> bool:
@@ -161,18 +261,20 @@ def _multiset_diff(big: tuple[str, ...], small: tuple[str, ...]) -> tuple[str, .
     return tuple(rest)
 
 
-def clean_assumptions(assumptions: Iterable[Expr]) -> tuple[Expr, ...]:
+def clean_assumptions(assumptions: Iterable, ring: FormRing) -> tuple[Expr, ...]:
     """Distinct non-constant irreducible factors of the recorded nonzero
-    expressions (a product is nonzero iff each factor is)."""
+    expressions (a product is nonzero iff each factor is), each registered
+    as a localising factor of the ring; associates count once."""
     out: list[Expr] = []
+    seen: set[int] = set()
     for a in assumptions:
-        num, den = normalize(a).as_numer_denom()
-        for part in (num, den):
+        a = a.as_expr() if isinstance(a, Form) else normalize(a)
+        for part in a.as_numer_denom():
             for factor, _mult in sp.factor_list(part)[1]:
                 f = normalize(factor)
-                if f.is_Number:
-                    continue
-                if not any(kernel.equal(f, g) or kernel.equal(f, -g) for g in out):
+                fid = ring.factor_id(ring.polynomial(f))
+                if fid not in seen:
+                    seen.add(fid)
                     out.append(f)
     return tuple(out)
 
@@ -181,7 +283,7 @@ def clean_assumptions(assumptions: Iterable[Expr]) -> tuple[Expr, ...]:
 class RewriteRule:
     """Solved relation lhs -> rhs with every jet in rhs strictly below lhs."""
     lhs: sp.Symbol
-    rhs: Expr
+    rhs: Form
 
     def validate(self, space: JetSpace) -> None:
         top = space.rank_of(self.lhs)
@@ -192,48 +294,70 @@ class RewriteRule:
 
 
 def solve_for_leading(relation, unknown: str, space: JetSpace
-                      ) -> tuple[RewriteRule, Expr]:
+                      ) -> tuple[RewriteRule, Form]:
     """Solve a relation (== 0) for its ranking-greatest jet of ``unknown``.
 
-    Returns the rule and the leading coefficient, which the caller
-    records as a genericity assumption.  Falls through to the next jet
-    when a leading coefficient is identically zero.
+    Returns the rule and the leading coefficient (a polynomial Form),
+    which the caller records as a genericity assumption.  An expression
+    is converted in expr_ring.
     """
-    rel = normalize(relation)
-    num, _den = rel.as_numer_denom()
-    jets = sorted(space.jets_in(num, unknown), key=space.rank_of, reverse=True)
+    rel = (relation if isinstance(relation, Form)
+           else expr_ring(sp.sympify(relation), space).from_expr(relation))
+    ring = rel.ring
+    if unknown == "u":
+        present = set()
+        for p in rel.terms.values():
+            for m in p:
+                present.update(compress(range(len(m)), m))
+        jets = [ring.symbols[i] for i in present & ring.u_jets]
+    else:
+        jets = [k for k in rel.terms
+                if k is not ONE and space.jet_var(k).unknown == unknown]
     if not jets:
         raise NoLeadingJetError(f"relation has no {unknown}-jets: {relation}")
-    for i, v in enumerate(jets):
-        p = sp.Poly(num, v)
-        if p.degree() > 1:
-            raise NonlinearLeadingError(
-                f"relation is nonlinear in its leading jet {v}")
-        a = p.nth(1)
-        b = p.nth(0)
-        if kernel.is_zero(a):
-            continue
-        rule = RewriteRule(v, normalize(-b / a))
-        rule.validate(space)
-        return rule, normalize(a)
-    raise NoLeadingJetError(
-        f"every {unknown}-jet of the relation has an identically zero coefficient")
+    v = max(jets, key=space.rank_of)
+    if unknown == "u":
+        i = ring.index[v]
+        a, b = {}, {}
+        for key, p in rel.terms.items():
+            for m, c in p.items():
+                if m[i] > 1:
+                    raise NonlinearLeadingError(
+                        f"relation is nonlinear in its leading jet {v}")
+                if m[i]:
+                    a.setdefault(key, {})[m[:i] + (0,) + m[i + 1:]] = c
+                else:
+                    b.setdefault(key, {})[m] = c
+        a = Form(ring, {k: ring.poly.dtype(t) for k, t in a.items()}, {})
+        b = Form(ring, {k: ring.poly.dtype(t) for k, t in b.items()}, {})
+    else:
+        a = ring.scalar(rel.terms[v])
+        b = Form(ring, {k: p for k, p in rel.terms.items() if k != v}, {})
+    rule = RewriteRule(v, -b * a.inverse())
+    rule.validate(space)
+    return rule, a
 
 
 class RewriteSystem:
     """Solved rules plus on-demand prolongations; reduction to normal form.
 
-    Reduction is innermost with the highest-ranked applicable rule chosen
-    for each reducible jet; it terminates because every replacement is
-    strictly decreasing under the ranking.  Normal forms of reducible
-    jets are memoized per system.
+    Every replacement is strictly decreasing under the ranking, and the
+    highest-ranked applicable rule is chosen for each reducible jet.
+    Normal forms of reducible jets are memoized per system; a system made
+    by ``extended`` keeps those its new rules cannot change.  All rules
+    share one JetRing (an expression rhs is converted into it).
     """
 
     def __init__(self, space: JetSpace, rules: Iterable[RewriteRule],
-                 assumptions: Iterable[Expr] = ()):
+                 assumptions: Iterable = ()):
+        rules = list(rules)
         self.space = space
+        self.ring = next((r.rhs.ring for r in rules if isinstance(r.rhs, Form)),
+                         None) or jet_ring(space)
         self.rules: dict[sp.Symbol, RewriteRule] = {}
         for r in rules:
+            if not isinstance(r.rhs, Form):
+                r = RewriteRule(r.lhs, self.ring.from_expr(r.rhs))
             if r.lhs in self.rules:
                 raise ValueError(f"duplicate rule for {r.lhs}")
             r.validate(space)
@@ -247,28 +371,34 @@ class RewriteSystem:
                         or _multiset_leq(jb.index, ja.index)):
                     raise ValueError(
                         f"rule lhs {a} and {b} are derivatives of one another")
-        self.assumptions = clean_assumptions(assumptions)
-        self._nf: dict[sp.Symbol, Expr] = {}
+        self.assumptions = clean_assumptions(assumptions, self.ring)
+        self._nf: dict[sp.Symbol, Form] = {}
+        self._match: dict[sp.Symbol, RewriteRule | None] = {}
+        self._reducible: frozenset[int] | None = None
 
     def matching_rule(self, sym: sp.Symbol) -> RewriteRule | None:
+        if sym in self._match:
+            return self._match[sym]
         jv = self.space.jet_var(sym)
-        if jv is None:
-            return None
         best = None
-        for lhs, rule in self.rules.items():
-            jl = self.space.jet_var(lhs)
-            if jl.unknown == jv.unknown and _multiset_leq(jl.index, jv.index):
-                if best is None or self.space.rank_of(lhs) > self.space.rank_of(best.lhs):
-                    best = rule
+        if jv is not None:
+            for lhs, rule in self.rules.items():
+                jl = self.space.jet_var(lhs)
+                if jl.unknown == jv.unknown and _multiset_leq(jl.index, jv.index):
+                    if best is None or self.space.rank_of(lhs) > self.space.rank_of(best.lhs):
+                        best = rule
+        self._match[sym] = best
         return best
 
-    def normal_form(self, sym: sp.Symbol) -> Expr:
+    def normal_form(self, sym: sp.Symbol) -> Form:
         cached = self._nf.get(sym)
         if cached is not None:
             return cached
         rule = self.matching_rule(sym)
+        ring = self.ring
         if rule is None:
-            nf = sym
+            nf = (ring.scalar(ring.poly.gens[ring.index[sym]]) if sym in ring.index
+                  else Form(ring, {sym: ring.poly.one}, {}))
         else:
             jv = self.space.jet_var(sym)
             jl = self.space.jet_var(rule.lhs)
@@ -279,20 +409,88 @@ class RewriteSystem:
         self._nf[sym] = nf
         return nf
 
-    def reduce(self, e) -> Expr:
-        """Fixed-point reduction modulo the rules and their prolongations."""
-        e = sp.sympify(e)
-        while True:
-            repl = {}
-            for s in e.free_symbols:
-                if self.matching_rule(s) is not None:
-                    repl[s] = self.normal_form(s)
-            if not repl:
-                break
-            e = e.xreplace(repl)
-        return normalize(e)
+    def reduce(self, e) -> Form:
+        """Normal form modulo the rules and their prolongations: u-jets
+        in the numerators are substituted, then reducible keys replaced.
+        An expression is converted into the system's ring first."""
+        e = e if isinstance(e, Form) else self.ring.from_expr(e)
+        if e.ring is not self.ring:
+            raise ValueError("Form of another ring")
+        e = self._substitute(e)
+        reducible = [k for k in e.terms
+                     if k is not ONE and self.matching_rule(k) is not None]
+        if not reducible:
+            return e
+        ring = self.ring
+        rest = Form(ring, {k: p for k, p in e.terms.items() if k not in reducible}, {})
+        parts = [(Form(ring, {ONE: ring.poly.one}, e.den), rest)]
+        parts += [(Form(ring, {ONE: e.terms[k]}, e.den), self.normal_form(k))
+                  for k in reducible]
+        return ring.combine(parts)
+
+    def _reducible_gens(self) -> frozenset[int]:
+        if self._reducible is None:
+            ring = self.ring
+            self._reducible = frozenset(
+                i for i in ring.u_jets
+                if self.matching_rule(ring.symbols[i]) is not None)
+        return self._reducible
+
+    def _substitute(self, e: Form) -> Form:
+        """Every reducible u-jet of the numerators replaced by its normal
+        form, over one common denominator."""
+        reducible = self._reducible_gens()
+        ring = self.ring
+        present = set()
+        if reducible:
+            gens = range(len(ring.symbols))
+            for p in e.terms.values():
+                for m in p:
+                    present.update(i for i in compress(gens, m) if i in reducible)
+        if not present:
+            return e
+        idx = sorted(present)
+        values = [self.normal_form(ring.symbols[i]) for i in idx]
+        # group the monomials by key and by their exponents of the
+        # substituted jets, which the group's part then leaves out
+        groups: dict = {}
+        for key, p in e.terms.items():
+            for m, c in p.items():
+                pat = tuple(m[i] for i in idx)
+                if any(pat):
+                    base = list(m)
+                    for i in idx:
+                        base[i] = 0
+                    m = tuple(base)
+                groups.setdefault((key, pat), {})[m] = c
+        products: dict = {}
+        parts = []
+        for (key, pat), base in groups.items():
+            prod = products.get(pat)
+            if prod is None:
+                prod = ring.constant(1)
+                for v, k in zip(values, pat):
+                    for _ in range(k):
+                        prod = prod * v
+                products[pat] = prod
+            if prod.terms:
+                parts.append((Form(ring, {ONE: ring.poly.dtype(base)}, e.den),
+                              Form(ring, {key: prod.terms[ONE]}, prod.den)))
+        return ring.combine(parts)
 
     def extended(self, rules: Iterable[RewriteRule],
-                 assumptions: Iterable[Expr] = ()) -> "RewriteSystem":
-        return RewriteSystem(self.space, list(self.rules.values()) + list(rules),
-                             self.assumptions + tuple(assumptions))
+                 assumptions: Iterable = ()) -> "RewriteSystem":
+        rules = list(rules)
+        out = RewriteSystem(self.space, list(self.rules.values()) + rules,
+                            self.assumptions + tuple(assumptions))
+        # a normal form depends only on the rules of its unknown and of
+        # the unknowns ranked below it
+        low = min((UNKNOWNS.index(self.space.jet_var(r.lhs).unknown) for r in rules),
+                  default=len(UNKNOWNS))
+        kept = {s for s in self._match
+                if UNKNOWNS.index(self.space.jet_var(s).unknown) < low}
+        out._match.update((s, self._match[s]) for s in kept)
+        out._nf.update((s, v) for s, v in self._nf.items() if s in kept)
+        if low > 0:
+            out._reducible = self._reducible
+        return out

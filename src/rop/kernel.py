@@ -1,24 +1,39 @@
 """Exact rational arithmetic and canonical forms.
 
-Everything downstream works with multivariate rational expressions over
-exact rationals.  The carrier type is a plain sympy expression; this module
-pins down one canonical form (coprime numerator/denominator, monic
-denominator under a fixed monomial order) so that zero-testing is
-syntactic and results are reproducible.  Floating point never enters.
+Two representations of rational functions over QQ live here; floating
+point never enters either.
 
-The canonical form is computed by sparse polynomial arithmetic: one walk
-of the expression tree turns every subexpression into a (numerator,
-denominator) pair of polynomials in ``PolyRing(symbol_order(symbols), QQ,
+``Form`` is the carrier from the Lax relations to the determining
+equations.  A Form is linear over symbols kept outside its ring (the
+``U``/``Ut`` jets, in ``rop.jets``): a sparse map from such a symbol, or
+1, to a numerator ``PolyElement`` of ``FormRing.poly`` (QQ, grevlex in
+``symbol_order``), all over one denominator.  The denominator is an
+exponent map over the ring's registry of localising factors: irreducible
+polynomials with grevlex leading coefficient 1, registered as they are
+met (the factors of the recorded assumptions and of every denominator).
+So no gcd is ever taken: the canonical form is trial division by the
+factors of the denominator, and zero is the empty map.  A new
+denominator is split by the registered factors first, and what is left
+is factored once with ``sp.factor_list`` in the ring of its own symbols.
+
+``normalize`` takes a sympy expression to the same canonical form as an
+expression: one walk of the tree turns every subexpression into a
+(numerator, denominator) pair in ``PolyRing(symbol_order(symbols), QQ,
 grevlex)``, one ``cancel`` removes their gcd, and both parts are divided
-by the grevlex leading coefficient of the denominator.  Only symbols,
-rationals, sums, products and integer powers are admitted; any other
-atom (a float, a root, a function) raises NotRationalError.
+by the grevlex leading coefficient of the denominator.  Expressions are
+left only at the boundaries: the parser, the first-order operator
+algebra of ``rop.lax``, printed reports and the determining system
+handed to the solver.  ``Form.as_expr`` gives exactly (``srepr``) what
+``normalize`` gives for the same rational function.
+
+Only symbols, rationals, sums, products and integer powers are admitted;
+any other atom (a float, a root, a function) raises NotRationalError.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Callable, Iterable
 
 import sympy as sp
 from sympy.core.sorting import default_sort_key
@@ -29,6 +44,7 @@ from sympy.polys.rings import PolyElement, PolyRing
 Expr = sp.Expr
 
 _UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
+ONE = sp.S.One
 
 
 class DegenerateExpressionError(ZeroDivisionError):
@@ -39,8 +55,9 @@ class NotRationalError(ValueError):
     """Expression is not a rational function over QQ of its symbols."""
 
 
-class PoleError(ZeroDivisionError):
-    """Denominator vanishes at the requested evaluation point."""
+class NotLinearError(ValueError):
+    """A Form would hold a product of, or divide by, symbols outside
+    its ring."""
 
 
 def symbol_order(symbols: Iterable[sp.Symbol]) -> list[sp.Symbol]:
@@ -143,13 +160,6 @@ def _sum(pairs, ring: PolyRing) -> tuple[PolyElement, PolyElement]:
     return num, den
 
 
-def leading_coeff(e) -> sp.Rational:
-    """Leading coefficient of e's canonical numerator under the global
-    monomial order (grevlex in symbol_order); zero for e = 0."""
-    num, _den = _canonical_pair(e)
-    return QQ.to_sympy(num.LC)
-
-
 def is_zero(e) -> bool:
     """Exact (gcd-based) zero test in canonical form."""
     return normalize(e) == 0
@@ -159,66 +169,395 @@ def equal(a, b) -> bool:
     return is_zero(sp.sympify(a) - sp.sympify(b))
 
 
-def as_fraction(e) -> tuple[sp.Expr, sp.Expr]:
-    """Canonical (numerator, denominator) pair with a monic denominator."""
-    num, den = _canonical_pair(e)
-    return num.as_expr(), den.as_expr()
-
-
 def partial_diff(e, s: sp.Symbol) -> sp.Expr:
     """Formal partial derivative treating every other symbol as constant."""
     return normalize(sp.diff(sp.sympify(e), s))
 
 
-def eval_rational(e, point: Mapping[sp.Symbol, object]) -> sp.Rational:
-    """Exact evaluation at a rational point.
+# -- the carrier -------------------------------------------------------
 
-    Every free symbol must be bound.  Raises PoleError when the
-    denominator vanishes at the point (caller resamples).
+
+def _shift(p: PolyElement, i: int, k: int) -> PolyElement:
+    """p times the i-th generator to the power k (k may be negative when
+    every monomial allows it)."""
+    return p.new([(m[:i] + (m[i] + k,) + m[i + 1:], c) for m, c in p.items()])
+
+
+class FormRing:
+    """The polynomial ring of a family of Forms and its registry of
+    localising factors.
+
+    Symbols not in the ring are the keys a Form is linear over.  The
+    registry only grows; a factor's id is its position in it.
     """
-    e = sp.sympify(e)
-    subs = {s: sp.Rational(v) for s, v in point.items()}
-    missing = e.free_symbols - set(subs)
-    if missing:
-        raise ValueError(f"unbound symbols at evaluation: {sorted(missing, key=str)}")
-    n, d = e.as_numer_denom()
-    dv = d.xreplace(subs)
-    if dv == 0:
-        raise PoleError(f"denominator {d} vanishes at point")
-    nv = n.xreplace(subs)
-    val = sp.Rational(nv) / sp.Rational(dv)
-    return val
+
+    def __init__(self, symbols: Iterable[sp.Symbol]):
+        self.poly = PolyRing(symbol_order(set(symbols)), QQ, grevlex)
+        self.symbols = self.poly.symbols
+        self.index = {s: i for i, s in enumerate(self.symbols)}
+        self._range = range(self.poly.ngens)
+        self.factors: list[PolyElement] = []
+        self._gen_of: list[int | None] = []  # generator index of a one-generator factor
+        self._support: list[tuple[int, ...]] = []
+        self._linear: list[tuple | None] = []  # see _exquo
+        self._ids: dict[PolyElement, int] = {}
+        self.zero = Form(self, {}, {})
+
+    # -- conversion ----------------------------------------------------
+
+    def from_expr(self, e) -> "Form":
+        """The canonical Form of a sympy expression.  The expression must
+        be linear (degree at most one in every term) in its symbols that
+        are not in the ring, and free of them in its denominator."""
+        e = sp.sympify(e)
+        small = PolyRing(symbol_order(e.free_symbols), QQ, grevlex)
+        num, den = _to_pair(e, small, dict(zip(small.symbols, small.gens)))
+        if not den:
+            raise DegenerateExpressionError(f"zero denominator in {e}")
+        where = [self.index.get(s) for s in small.symbols]
+
+        def embed(m):
+            """The ring's monomial and the key of a monomial of small."""
+            big, key = [0] * self.poly.ngens, ONE
+            for j in compress(range(len(m)), m):
+                if where[j] is not None:
+                    big[where[j]] = m[j]
+                elif m[j] > 1 or key is not ONE:
+                    raise NotLinearError(f"{e} is not linear in {small.symbols[j]}")
+                else:
+                    key = small.symbols[j]
+            return tuple(big), key
+
+        terms: dict = {}
+        for m, c in num.items():
+            m, key = embed(m)
+            terms.setdefault(key, {})[m] = c
+        dbig = {}
+        for m, c in den.items():
+            m, key = embed(m)
+            if key is not ONE:
+                raise NotLinearError(f"{key} in a denominator of {e}")
+            dbig[m] = c
+        c, exps = self._factor(self.poly.dtype(dbig))
+        inv = QQ.one / c
+        terms = {k: self.poly.dtype(t).mul_ground(inv) for k, t in terms.items()}
+        return self._reduced(terms, exps)
+
+    def polynomial(self, e) -> PolyElement:
+        """A polynomial expression in the ring's symbols as an element of
+        the ring."""
+        num, den = _to_pair(sp.sympify(e), self.poly, dict(zip(self.symbols, self.poly.gens)))
+        if not den.is_ground:
+            raise NotRationalError(f"{e} is not a polynomial")
+        return num.quo_ground(den.LC)
+
+    def constant(self, c) -> "Form":
+        c = QQ(c.p, c.q) if isinstance(c, sp.Rational) else QQ(c)
+        return Form(self, {ONE: self.poly.ground_new(c)}, {}) if c else self.zero
+
+    def scalar(self, p: PolyElement) -> "Form":
+        """The Form of a polynomial of the ring."""
+        return Form(self, {ONE: p}, {}) if p else self.zero
+
+    def den_poly(self, den: dict) -> PolyElement:
+        """The expanded product of a denominator's factors."""
+        return self._scale(self.poly.one, den)
+
+    # -- factors -------------------------------------------------------
+
+    def factor_id(self, f: PolyElement) -> int:
+        """Id of the registered factor associate to the irreducible f,
+        registering it if it is new."""
+        f = f.quo_ground(f.LC)
+        fid = self._ids.get(f)
+        if fid is None:
+            fid = len(self.factors)
+            self.factors.append(f)
+            self._ids[f] = fid
+            lm = f.LM
+            self._gen_of.append(lm.index(1) if len(f) == 1 and sum(lm) == 1 else None)
+            self._support.append(tuple(i for i in self._range
+                                       if any(m[i] for m in f)))
+            self._linear.append(self._linear_form(f))
+        return fid
+
+    def _linear_form(self, f: PolyElement) -> tuple | None:
+        """(i, a, r) with f = a*x_i + r, a a nonzero rational and r free of
+        x_i; None when f has no such generator."""
+        for i in self._range:
+            if f.degree(i) == 1:
+                a = f.coeff_wrt(i, 1)
+                if a.is_ground:
+                    return i, a.LC, f.coeff_wrt(i, 0)
+        return None
+
+    def _exquo(self, p: PolyElement, fid: int) -> PolyElement | None:
+        """p / factors[fid] if it divides p, else None; a factor that is
+        one generator is handled by the callers.  For f = a*x_i + r this
+        is synthetic division in x_i, linear in the size of p; sympy's
+        general division, which rescans p for its leading term at every
+        step, is left for factors of no such form."""
+        f = self.factors[fid]
+        if not all(p.degree(j) >= f.degree(j) for j in self._support[fid]):
+            return None
+        lin = self._linear[fid]
+        if lin is None:
+            q, rem = p.div(f)
+            return None if rem else q
+        i, a, r = lin
+        parts: dict[int, dict] = {}
+        for m, c in p.items():
+            parts.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
+        new = self.poly.dtype
+        q = self.poly.zero
+        qk = self.poly.zero  # Q_k, from the top degree down
+        for k in range(max(parts), 0, -1):
+            qk = (new(parts.get(k, {})) - r * qk).quo_ground(a)
+            q = q + _shift(qk, i, k - 1)
+        return q if new(parts.get(0, {})) == r * qk else None
+
+    def _factor(self, p: PolyElement) -> tuple:
+        """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.
+        Registered factors are divided out first; the rest is factored
+        in the ring of its own symbols and its factors registered."""
+        exps: dict[int, int] = {}
+        for fid in range(len(self.factors)):
+            k, (p,) = self._cancel((p,), fid, None)
+            if k:
+                exps[fid] = k
+        if p.is_ground:
+            return p.LC, exps
+        c, factors = sp.factor_list(p.as_expr())
+        c = QQ(c.p, c.q)
+        for g, mult in factors:
+            g, mult = self.polynomial(g), int(mult)
+            c *= g.LC**mult
+            fid = self.factor_id(g)
+            exps[fid] = exps.get(fid, 0) + mult
+        return c, exps
+
+    def _cancel(self, polys: tuple, fid: int, limit: int | None) -> tuple:
+        """(k, quotients): f = factors[fid] divided k times out of every
+        polynomial, k the largest number of times (at most limit) that f
+        divides each of them."""
+        g = self._gen_of[fid]
+        if g is not None:  # divisibility by a generator is an exponent check
+            k = min(min(m[g] for m in p) for p in polys)
+            if limit is not None:
+                k = min(k, limit)
+            return k, (tuple(_shift(p, g, -k) for p in polys) if k else polys)
+        k = 0
+        while limit is None or k < limit:
+            quotients = []
+            for p in polys:
+                q = self._exquo(p, fid)
+                if q is None:
+                    return k, polys
+                quotients.append(q)
+            polys, k = tuple(quotients), k + 1
+        return k, polys
+
+    def _scale(self, p: PolyElement, exps: dict) -> PolyElement:
+        """p times prod(factors[f]**exps[f])."""
+        for fid, k in exps.items():
+            if k:
+                g = self._gen_of[fid]
+                p = _shift(p, g, k) if g is not None else p * self.factors[fid]**k
+        return p
+
+    # -- canonical forms ----------------------------------------------
+
+    def _reduced(self, terms: dict, den: dict) -> "Form":
+        """The canonical Form of sum(terms[k] * k) / den: zero entries
+        dropped, then every factor of den divided out of all numerators
+        as often as it divides each of them."""
+        terms = {k: p for k, p in terms.items() if p}
+        if not terms:
+            return self.zero
+        keys, polys = tuple(terms), tuple(terms.values())
+        out = {}
+        for fid, e in den.items():
+            k, polys = self._cancel(polys, fid, e)
+            if e > k:
+                out[fid] = e - k
+        return Form(self, dict(zip(keys, polys)), out)
+
+    def combine(self, parts: list) -> "Form":
+        """The canonical Form of sum(s * f for s, f in parts), each s a
+        scalar Form and each f a Form; one common denominator and one
+        trial division for the whole sum."""
+        parts = [(s, f) for s, f in parts if s.terms and f.terms]
+        if not parts:
+            return self.zero
+        dens = [_add_exps(s.den, f.den) for s, f in parts]
+        common: dict[int, int] = {}
+        for d in dens:
+            for fid, k in d.items():
+                if k > common.get(fid, 0):
+                    common[fid] = k
+        terms: dict = {}
+        for (s, f), d in zip(parts, dens):
+            factor = self._scale(s.terms[ONE], {fid: common[fid] - d.get(fid, 0)
+                                                for fid in common})
+            for key, p in f.terms.items():
+                q = p if factor.is_one else factor * p
+                terms[key] = terms[key] + q if key in terms else q
+        return self._reduced(terms, common)
 
 
-def random_point(symbols: Iterable[sp.Symbol], rng: random.Random,
-                 span: int = 10**6) -> dict[sp.Symbol, sp.Rational]:
-    return {s: sp.Rational(rng.randint(-span, span)) for s in symbols}
+def _add_exps(a: dict, b: dict) -> dict:
+    if not b:
+        return a
+    out = dict(a)
+    for fid, k in b.items():
+        out[fid] = out.get(fid, 0) + k
+    return out
 
 
-def probably_nonzero(e, rng: random.Random | None = None, points: int = 8,
-                     span: int = 10**6) -> bool:
-    """Fast probabilistic nonzero test: evaluate at random rational points.
+class Form:
+    """A canonical rational function linear over the symbols outside its
+    ring: sum(terms[k] * k) / prod(factors[f]**den[f]), with k a symbol
+    outside the ring or 1.  Immutable; build Forms with FormRing."""
 
-    Pre-filter only; the sound verdict is always normalize().  Returns
-    True as soon as one pole-free evaluation is nonzero.
-    """
-    e = sp.sympify(e)
-    if e == 0:
-        return False
-    rng = rng or random.Random(0)
-    syms = list(e.free_symbols)
-    found_value = False
-    for _ in range(points):
-        for _retry in range(20):
-            try:
-                v = eval_rational(e, random_point(syms, rng, span))
-            except PoleError:
-                continue
-            found_value = True
-            if v != 0:
-                return True
-            break
-    if not found_value:
-        # every sampled point was a pole; fall back to the exact test
-        return not is_zero(e)
-    return False
+    __slots__ = ("ring", "terms", "den")
+    __hash__ = None
+
+    def __init__(self, ring: FormRing, terms: dict, den: dict):
+        self.ring = ring
+        self.terms = terms
+        self.den = den
+
+    # -- queries -------------------------------------------------------
+
+    def is_scalar(self) -> bool:
+        return all(k is ONE for k in self.terms)
+
+    @property
+    def free_symbols(self) -> set:
+        ring = self.ring
+        present = set()
+        for p in self.terms.values():
+            for m in p:
+                present.update(compress(ring._range, m))
+        for fid in self.den:
+            present.update(ring._support[fid])
+        return {ring.symbols[i] for i in present} | {k for k in self.terms if k is not ONE}
+
+    def __eq__(self, other):
+        if isinstance(other, Form):
+            return (self.ring is other.ring and self.den == other.den
+                    and self.terms == other.terms)
+        if other == 0:
+            return not self.terms
+        return self.as_expr() == other
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _coerce(self, other):
+        if isinstance(other, Form):
+            if other.ring is not self.ring:
+                raise ValueError("Forms of different rings")
+            return other
+        if isinstance(other, int) or isinstance(other, sp.Rational):
+            return self.ring.constant(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        one = self.ring.constant(1)
+        return self.ring.combine([(one, self), (one, other)])
+
+    def __neg__(self):
+        return Form(self.ring, {k: -p for k, p in self.terms.items()}, self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.is_scalar():
+            return self.ring.combine([(self, other)])
+        if other.is_scalar():
+            return self.ring.combine([(other, self)])
+        raise NotLinearError("product of two Forms with keys")
+
+    def inverse(self) -> "Form":
+        """1/self for a nonzero scalar Form; its numerator is factored
+        into the registry."""
+        if not self.terms:
+            raise DegenerateExpressionError("division by zero")
+        if not self.is_scalar():
+            raise NotLinearError("division by a Form with keys")
+        c, exps = self.ring._factor(self.terms[ONE])
+        num = self.ring.den_poly(self.den).quo_ground(c)
+        return Form(self.ring, {ONE: num}, exps)
+
+    def derive(self, d: Callable[[PolyElement], PolyElement],
+               dkey: Callable[[sp.Symbol], sp.Symbol | None]) -> "Form":
+        """Image under the derivation that is d on the ring and maps a
+        key k to the key dkey(k) (None for the constant 1).  Quotient
+        rule over the factors of the denominator that d does not kill."""
+        ring = self.ring
+        dfs = {}
+        for fid in self.den:
+            df = d(ring.factors[fid])
+            if df:
+                dfs[fid] = df
+        rad = {fid: 1 for fid in dfs}
+        terms: dict = {}
+
+        def put(key, p):
+            if p:
+                terms[key] = terms[key] + p if key in terms else p
+
+        for key, p in self.terms.items():
+            n = ring._scale(d(p), rad)
+            for fid, df in dfs.items():
+                others = {g: 1 for g in dfs if g != fid}
+                n = n - ring._scale(p * df, others).mul_ground(self.den[fid])
+            put(key, n)
+            k2 = dkey(key) if key is not ONE else None
+            if k2 is not None:
+                put(k2, ring._scale(p, rad))
+        return ring._reduced(terms, _add_exps(self.den, rad))
+
+    # -- boundary ------------------------------------------------------
+
+    def as_expr(self) -> sp.Expr:
+        """The expression normalize gives for this rational function."""
+        if not self.terms:
+            return sp.S.Zero
+        syms = self.ring.symbols
+        to_sympy = QQ.to_sympy
+        args = []
+        for key, p in self.terms.items():
+            for m, c in p.items():
+                t = [to_sympy(c)]
+                t.extend(sp.Pow(syms[i], m[i]) for i in compress(self.ring._range, m))
+                if key is not ONE:
+                    t.append(key)
+                args.append(sp.Mul(*t))
+        num = sp.Add(*args)
+        if not self.den:
+            return num
+        return num / self.ring.den_poly(self.den).as_expr()
+
+    def _sympy_(self):
+        """sympify(form) is form.as_expr()."""
+        return self.as_expr()
+
+    def as_numer_denom(self) -> tuple[sp.Expr, sp.Expr]:
+        """Numerator and denominator of as_expr(), as sympy gives them."""
+        return self.as_expr().as_numer_denom()
+
+    def __repr__(self):
+        return f"Form({self.as_expr()})"

@@ -1,8 +1,11 @@
 """First-order scalar operators, lambda splitting, and Lax-pair validation.
 
 An operator here is  free + sum_j coeff_j * D_{x^j}  with rational-function
-coefficients.  Lax operators are linear in the spectral parameter,
-op = lam * X1 - X0, and are stored as the split (X1, X0) pair.
+coefficients, kept as sympy expressions; their total derivatives go
+through ``jets.total_derivative``.  Lax operators are linear in the
+spectral parameter, L = X0 - lam*X1, and are stored as the split
+(X1, X0) pair: X1 is minus the lam-coefficient and X0 the lam-free part,
+whatever the ranking.
 
 Validity of a pair for an equation F = 0 is checked as commutator closure:
 [op1, op2] must lie in the span of op1, op2 with lambda-rational
@@ -18,10 +21,9 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from . import kernel
-from .jets import JetSpace, RewriteSystem, solve_for_leading, total_derivative
+from .jets import (LAMBDA, JetSpace, RewriteSystem, solve_for_leading,
+                   total_derivative)
 from .kernel import Expr, normalize
-
-LAMBDA = sp.Symbol("lam")
 
 
 class NotLambdaLinearError(ValueError):
@@ -105,30 +107,22 @@ def commutator(p: FirstOrderOperator, q: FirstOrderOperator,
     return FirstOrderOperator.make(free, dirs)
 
 
-def split_lambda(op: FirstOrderOperator, space: JetSpace
-                 ) -> tuple[FirstOrderOperator, FirstOrderOperator, bool]:
-    """Split a lambda-linear operator as op = lam*X1 - X0.
+def split_lambda(op: FirstOrderOperator) -> tuple[FirstOrderOperator, FirstOrderOperator]:
+    """Split a lambda-linear operator as op = X0 - lam*X1.
 
-    Returns (X1, X0, flipped).  After splitting, the sign is normalized
-    so the ranking-greatest directional coefficient of X1 has a positive
-    kernel.leading_coeff; ``flipped`` records whether a global sign flip
-    was applied.
+    Returns (X1, X0): X1 is minus the lam-coefficient and X0 the
+    lam-free part, so the split does not depend on the ranking.
     """
     x1_dirs, x0_dirs = {}, {}
     for v, c in op.dirs + ((None, op.free),):
         hi, lo = _lambda_parts(c)
         if v is None:
-            x1_free, x0_free = hi, -lo
+            x1_free, x0_free = -hi, lo
         else:
-            x1_dirs[v] = hi
-            x0_dirs[v] = -lo
-    x1 = FirstOrderOperator.make(x1_free, x1_dirs)
-    x0 = FirstOrderOperator.make(x0_free, x0_dirs)
-    flipped = False
-    lead = _greatest_direction(x1, space)
-    if lead is not None and kernel.leading_coeff(x1.dir_coeff(lead)) < 0:
-        x1, x0, flipped = -x1, -x0, True
-    return x1, x0, flipped
+            x1_dirs[v] = -hi
+            x0_dirs[v] = lo
+    return (FirstOrderOperator.make(x1_free, x1_dirs),
+            FirstOrderOperator.make(x0_free, x0_dirs))
 
 
 def _lambda_parts(c) -> tuple[Expr, Expr]:
@@ -145,24 +139,17 @@ def _lambda_parts(c) -> tuple[Expr, Expr]:
     return normalize(p.nth(1)), normalize(p.nth(0))
 
 
-def _greatest_direction(op: FirstOrderOperator, space: JetSpace) -> str | None:
-    present = [v for v in space.variables if op.dir_coeff(v) != 0]
-    return present[0] if present else None
-
-
 @dataclass(frozen=True)
 class LaxPair:
     """Two lambda-linear operators, stored split as (X1_i, X0_i)."""
     x1: tuple[FirstOrderOperator, FirstOrderOperator]
     x0: tuple[FirstOrderOperator, FirstOrderOperator]
-    flipped: tuple[bool, bool] = (False, False)
 
     @staticmethod
     def from_operators(op1: FirstOrderOperator, op2: FirstOrderOperator,
                        space: JetSpace) -> "LaxPair":
-        splits = [split_lambda(op, space) for op in (op1, op2)]
-        pair = LaxPair(tuple(s[0] for s in splits), tuple(s[1] for s in splits),
-                       tuple(s[2] for s in splits))
+        splits = [split_lambda(op) for op in (op1, op2)]
+        pair = LaxPair(tuple(s[0] for s in splits), tuple(s[1] for s in splits))
         pair.validate(space)
         return pair
 
@@ -196,8 +183,9 @@ class LaxPair:
         return False
 
     def full_operator(self, i: int) -> FirstOrderOperator:
-        """Reconstruct lam*X1_i - X0_i with lambda-polynomial coefficients."""
-        return self.x1[i].scaled(LAMBDA) - self.x0[i]
+        """Reconstruct L_i = X0_i - lam*X1_i with lambda-polynomial
+        coefficients."""
+        return self.x0[i] - self.x1[i].scaled(LAMBDA)
 
 
 @dataclass
@@ -210,7 +198,8 @@ class LaxReport:
 
 
 def equation_system(F, space: JetSpace) -> RewriteSystem:
-    """Rewrite system generated by F = 0 solved for its leading u-jet."""
+    """Rewrite system generated by F = 0 solved for its leading u-jet,
+    in the ring of F (a Form) or of jets.expr_ring (an expression)."""
     rule, lead = solve_for_leading(F, "u", space)
     return RewriteSystem(space, [rule], [lead])
 
@@ -221,10 +210,12 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     Seeks lambda-rational multipliers a, b with [op1, op2] = a*op1 + b*op2
     by matching directional coefficients, reducing every residual modulo
     F and its prolongations.  PASS iff all residuals vanish identically
-    in lambda.
+    in lambda.  The operators are taken as opi = lam*X1_i - X0_i = -L_i:
+    the commutator and the residuals are those of L_i, and the
+    multipliers are reported for this sign.
     """
     sys = equation_system(F, space)
-    op1, op2 = pair.full_operator(0), pair.full_operator(1)
+    op1, op2 = (-pair.full_operator(i) for i in (0, 1))
     comm = commutator(op1, op2, space)
     dirs = sorted(set(comm.directions) | set(op1.directions) | set(op2.directions))
 
@@ -233,7 +224,7 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     for i, v in enumerate(dirs):
         for w in dirs[i + 1:]:
             det = sys.reduce(op1.dir_coeff(v) * op2.dir_coeff(w)
-                             - op1.dir_coeff(w) * op2.dir_coeff(v))
+                             - op1.dir_coeff(w) * op2.dir_coeff(v)).as_expr()
             if det != 0:
                 pivot = (v, w, det)
                 break
@@ -243,8 +234,8 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
         return LaxReport(False, assumptions=sys.assumptions,
                          note="no pair of independent directional coefficients")
     v, w, det = pivot
-    cv = sys.reduce(comm.dir_coeff(v))
-    cw = sys.reduce(comm.dir_coeff(w))
+    cv = sys.reduce(comm.dir_coeff(v)).as_expr()
+    cw = sys.reduce(comm.dir_coeff(w)).as_expr()
     a = normalize((cv * op2.dir_coeff(w) - cw * op2.dir_coeff(v)) / det)
     b = normalize((op1.dir_coeff(v) * cw - op1.dir_coeff(w) * cv) / det)
 
@@ -255,6 +246,6 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
         residuals.append(sys.reduce(
             comm.dir_coeff(d) - a * op1.dir_coeff(d) - b * op2.dir_coeff(d)))
     residuals.append(sys.reduce(comm.free - a * op1.free - b * op2.free))
-    residuals = [r for r in residuals if r != 0]
+    residuals = [r.as_expr() for r in residuals if r != 0]
     return LaxReport(not residuals, residuals, (a, b), sys.assumptions,
                      note=f"pivot directions {v}, {w}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import kernel
-from .jets import JetSpace
-from .kernel import Expr, normalize
+from .jets import JetRing, JetSpace, jet_ring
+from .kernel import Expr, Form
 
 
 class WrongUnknownError(ValueError):
@@ -39,10 +39,16 @@ class LinearDifferentialOperator:
                 return c
         return sp.S.Zero
 
-    def apply_to(self, unknown: str, space: JetSpace) -> Expr:
+    def apply_to(self, unknown: str, space: JetSpace,
+                 ring: JetRing | None = None) -> Form:
         """Apply to the zeroth jet of an unknown: D_alpha becomes the
-        alpha-jet.  Result is linear in the target's jets."""
-        return normalize(sum(c * space.jet(unknown, idx) for idx, c in self.coeffs))
+        alpha-jet.  Result is linear in the target's jets; a Form of
+        ring (by default the space's JetRing)."""
+        ring = ring or jet_ring(space)
+        out = ring.zero
+        for idx, c in self.coeffs:
+            out = out + ring.from_expr(c * space.jet(unknown, idx))
+        return out
 
     @property
     def order(self) -> int:
@@ -65,28 +71,3 @@ def linearize(F, space: JetSpace) -> LinearDifferentialOperator:
             coeffs.append((jv.index, c))
     coeffs.sort(key=lambda pair: (len(pair[0]), pair[0]))
     return LinearDifferentialOperator(tuple(coeffs))
-
-
-def first_variation_defect(F, space: JetSpace, seed: str = "U") -> Expr:
-    """Defect of the first-variation identity through order one in a
-    nilpotent perturbation size:
-
-        F[u -> u + eps*seed] - F - eps * (linearization applied to seed)
-
-    with eps^2 treated as zero.  Identically zero for every F; serves as
-    the independent check of linearize()."""
-    F = sp.sympify(F)
-    eps = sp.Symbol("_eps")
-    shift = {}
-    for s in F.free_symbols:
-        jv = space.jet_var(s)
-        if jv is not None and jv.unknown == "u":
-            shift[s] = s + eps * space.jet(seed, jv.index)
-    shifted = F.xreplace(shift)
-    lin = linearize(F, space).apply_to(seed, space)
-    defect = sp.cancel(sp.together(shifted - F - eps * lin))
-    num, den = defect.as_numer_denom()
-    if den.subs(eps, 0) == 0:
-        raise kernel.DegenerateExpressionError("denominator singular at eps = 0")
-    p = sp.Poly(num, eps)
-    return normalize(p.nth(0) + eps * p.nth(1))

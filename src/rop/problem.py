@@ -232,7 +232,10 @@ _SLOT_RE = re.compile(r"f([12])_([01])")
 
 
 def parse_problem(text: str, max_order: int | None = None) -> Problem:
-    """Parse a problem file into a fully resolved Problem."""
+    """Parse a problem file into a fully resolved Problem.  A max_order
+    given here overrides the file's 'maxorder' line; it must be >= 1."""
+    if max_order is not None and max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     name = None
     variables = None
     params: list[str] = []
@@ -270,7 +273,8 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                     if len(v) != 1:
                         raise ProblemSyntaxError(
                             f"multi-letter variable name {v!r}", line_no)
-                space = JetSpace(variables, max_order or declared_max_order, params)
+                space = JetSpace(variables, declared_max_order if max_order is None
+                                 else max_order, params)
             elif head == "maxorder":
                 if not re.fullmatch(r"[0-9]+", rest) or int(rest) < 1:
                     raise ProblemSyntaxError(
@@ -329,7 +333,7 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                 ansatz[(int(m.group(1)), int(m.group(2)))] = terms
             else:
                 raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
-        except kernel.DegenerateExpressionError as exc:
+        except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
             raise ProblemSyntaxError(str(exc), line_no) from exc
 
     if name is None:

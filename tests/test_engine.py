@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 import sympy as sp
@@ -6,17 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop import engine, kernel
+from rop import jets as jets_module
 from rop.engine import (SLOTS, AnsatzBasis, DeterminingSystem,
                         InvalidTwistError, PartialResultError, Solution,
                         TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
                         hierarchy_relations, solve_determining, verify)
 from rop.kernel import equal, normalize
-from rop.lax import LAMBDA
+from rop.lax import LAMBDA, DegeneratePairError
+from rop.linearize import linearize
+from rop.problem import parse_problem
+
+from conftest import PROBLEM_DIR
 
 
 def _twist(problem):
     return problem.twist.with_orientation(problem.orientation or "forward")
+
+
+@pytest.fixture(scope="module")
+def problems(dfkn2, dfkn3):
+    return {"dfkn2": dfkn2, "dfkn3": dfkn3}
 
 
 class TestTwistRelations:
@@ -362,3 +374,182 @@ def test_solver_matches_reference(ds):
                            for e in ds.equations)
             continue
         assert _outcome(solve_determining, ds, branch_bound=bound) == want
+
+
+# -- reference derivation on expression trees ----------------------------
+#
+# The derivation as it was before the Form carrier: every intermediate is
+# a normalized sympy expression, total derivatives go through sp.diff,
+# reduction substitutes normal forms with xreplace until nothing changes,
+# a relation is solved through a Poly in its leading jet, and the
+# determining equations are the coefficients of a Poly over the residual
+# numerator's jets and lam.
+
+
+def reference_total_derivative(e, x, space):
+    e = sp.sympify(e)
+    out = sp.diff(e, space.var_syms[x])
+    for s in e.free_symbols:
+        jv = space.jet_var(s)
+        if jv is not None:
+            out += sp.diff(e, s) * space.jet(jv.unknown, jv.index + (x,))
+    return normalize(out)
+
+
+def reference_solve_for_leading(relation, unknown, space):
+    rel = normalize(relation)
+    num, _den = rel.as_numer_denom()
+    jets = sorted(space.jets_in(num, unknown), key=space.rank_of, reverse=True)
+    if not jets:
+        raise jets_module.NoLeadingJetError(f"relation has no {unknown}-jets")
+    for v in jets:
+        p = sp.Poly(num, v)
+        if p.degree() > 1:
+            raise jets_module.NonlinearLeadingError(f"nonlinear in {v}")
+        a = p.nth(1)
+        b = p.nth(0)
+        if kernel.is_zero(a):
+            continue
+        return (v, normalize(-b / a)), normalize(a)
+    raise jets_module.NoLeadingJetError("zero coefficients")
+
+
+class ReferenceRewriteSystem:
+    def __init__(self, space, rules):
+        self.space = space
+        self.rules = dict(rules)
+        self._nf = {}
+
+    def matching_rule(self, sym):
+        jv = self.space.jet_var(sym)
+        if jv is None:
+            return None
+        best = None
+        for lhs in self.rules:
+            jl = self.space.jet_var(lhs)
+            if jl.unknown == jv.unknown and jets_module._multiset_leq(jl.index, jv.index):
+                if best is None or self.space.rank_of(lhs) > self.space.rank_of(best):
+                    best = lhs
+        return best
+
+    def normal_form(self, sym):
+        cached = self._nf.get(sym)
+        if cached is not None:
+            return cached
+        lhs = self.matching_rule(sym)
+        if lhs is None:
+            nf = sym
+        else:
+            jv = self.space.jet_var(sym)
+            jl = self.space.jet_var(lhs)
+            e = self.reduce(self.rules[lhs])
+            for x in jets_module._multiset_diff(jv.index, jl.index):
+                e = self.reduce(reference_total_derivative(e, x, self.space))
+            nf = e
+        self._nf[sym] = nf
+        return nf
+
+    def reduce(self, e):
+        e = sp.sympify(e)
+        while True:
+            repl = {}
+            for s in e.free_symbols:
+                if self.matching_rule(s) is not None:
+                    repl[s] = self.normal_form(s)
+            if not repl:
+                break
+            e = e.xreplace(repl)
+        return normalize(e)
+
+    def extended(self, rules):
+        return ReferenceRewriteSystem(self.space, {**self.rules, **dict(rules)})
+
+
+def reference_determining_equations(F, pair, twist, space):
+    rules, dirs = [], []
+    for i in (0, 1):
+        ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
+        u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
+        e = normalize(ut_op.apply_to_unknown("Ut", space)
+                      + twist.f[(i + 1, 1)] * space.jet("Ut")
+                      - twist.f[(i + 1, 0)] * space.jet("U")
+                      - u_op.apply_to_unknown("U", space))
+        rule, _lead = reference_solve_for_leading(e, "Ut", space)
+        rules.append(rule)
+        dirs.append(space.jet_var(rule[0]).index[0])
+    lin = linearize(F, space)
+    sys_u = ReferenceRewriteSystem(space, [reference_solve_for_leading(F, "u", space)[0]])
+    lin_u = sys_u.reduce(normalize(sum(c * space.jet("U", idx) for idx, c in lin.coeffs)))
+    sys_uu = sys_u.extended([reference_solve_for_leading(lin_u, "U", space)[0]])
+    sys = sys_uu.extended([(lhs, sys_uu.reduce(rhs)) for lhs, rhs in rules])
+    (r1, r2), (d1, d2) = rules, dirs
+    cross = (reference_total_derivative(sys.rules[r1[0]], d2, space)
+             - reference_total_derivative(sys.rules[r2[0]], d1, space))
+    equations, seen = [], set()
+    for resid in (sys.reduce(cross),
+                  sys.reduce(normalize(sum(c * space.jet("Ut", idx)
+                                           for idx, c in lin.coeffs)))):
+        if resid == 0:
+            continue
+        num, _den = normalize(resid).as_numer_denom()
+        gens = [s for s in num.free_symbols
+                if space.jet_var(s) is not None or s == LAMBDA]
+        if not gens:
+            gens = [sp.Symbol("_one")]
+        for coeff in sp.Poly(num, *sorted(gens, key=str)).coeffs():
+            eq = normalize(coeff)
+            if eq == 0:
+                continue
+            key = sp.sstr(eq)
+            if key not in seen:
+                seen.add(key)
+                equations.append(eq)
+    return equations
+
+
+@st.composite
+def reduced_ansatz_twists(draw):
+    """dfkn2 or dfkn3, an orientation, and per slot 2-4 terms u_pq/u_x
+    of the default basis with seeded signs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    name = rng.choice(["dfkn2", "dfkn3"])
+    orientation = rng.choice(["forward", "swapped"])
+    return name, orientation, rng
+
+
+@settings(max_examples=12, deadline=None)
+@given(reduced_ansatz_twists())
+def test_determining_equations_match_reference(problems, case):
+    name, orientation, rng = case
+    prob = problems[name]
+    s = prob.space
+    pool = default_ansatz(prob.F, prob.lax, s).slots[(1, 0)]
+    basis = AnsatzBasis({slot: [rng.choice([1, -1]) * t
+                                for t in rng.sample(pool, rng.randint(2, 4))]
+                         for slot in SLOTS})
+    twist, _ = engine.ansatz_twist(basis, orientation)
+    want = reference_determining_equations(prob.F, prob.lax, twist, s)
+    got = determining_equations_for_twist(prob.F, prob.lax, twist, s)
+    assert [sp.srepr(e) for e in got] == [sp.srepr(e) for e in want]
+
+
+def _orders(variables, sample=None):
+    orders = ["".join(p) for p in itertools.permutations(variables)]
+    return orders if sample is None else random.Random(5).sample(orders, sample)
+
+
+@pytest.mark.parametrize("name,order",
+                         [("dfkn2", o) for o in _orders("yztx")]
+                         + [("dfkn3", o) for o in _orders("yztx")]
+                         + [("eq5", o) for o in _orders("tyxzsr", sample=20)])
+def test_verdict_invariant_under_vars_permutation(name, order):
+    # the ranking changes every leading jet and rule; the shipped twist
+    # must still PASS, unless the pair degenerates under that ranking
+    text = (PROBLEM_DIR / f"{name}.rop").read_text()
+    text = re.sub(r"^vars .*$", "vars " + " ".join(order), text, flags=re.M)
+    try:
+        prob = parse_problem(text)
+        rep = verify(prob.F, prob.lax, _twist(prob), prob.space)
+    except DegeneratePairError:
+        return
+    assert rep.passed, (name, order, rep.compatibility, rep.symmetry)

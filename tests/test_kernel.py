@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop import kernel
-from rop.kernel import (DegenerateExpressionError, NotRationalError, PoleError,
-                        eval_rational, is_zero, normalize, partial_diff,
-                        probably_nonzero)
+from rop.kernel import (DegenerateExpressionError, NotRationalError, is_zero,
+                        normalize, partial_diff)
 
 from conftest import random_poly, random_rational
+from pointwise import (PoleError, as_fraction, eval_rational, probably_nonzero,
+                       random_point)
 
 u_s, u_z, u_y, u_x, u_t = sp.symbols("u_s u_z u_y u_x u_t")
 u_zt, u_yz, u_xz = sp.symbols("u_zt u_yz u_xz")
@@ -30,10 +31,10 @@ class TestNormalize:
         assert normalize(bare) == normalize(padded)
 
     def test_monic_denominator(self):
-        n, d = kernel.as_fraction(u_y / (2 * u_x))
+        n, d = as_fraction(u_y / (2 * u_x))
         assert d == u_x
         assert n == u_y / 2
-        n, d = kernel.as_fraction(u_y / (2 * u_x + 4 * u_y))
+        n, d = as_fraction(u_y / (2 * u_x + 4 * u_y))
         assert d == u_x + 2 * u_y
 
     def test_degenerate_denominator(self):
@@ -129,7 +130,7 @@ def test_zero_iff_zero_at_all_points(e):
     if is_zero(e):
         for _ in range(5):
             try:
-                v = eval_rational(e, kernel.random_point(e.free_symbols, rng))
+                v = eval_rational(e, random_point(e.free_symbols, rng))
             except PoleError:
                 continue
             assert v == 0
@@ -177,4 +178,42 @@ def sums_of_fractions(draw):
 @settings(max_examples=80, deadline=None)
 @given(sums_of_fractions())
 def test_canonical_pair_matches_reference(e):
-    assert kernel.as_fraction(e) == reference_pair(e)
+    assert as_fraction(e) == reference_pair(e)
+
+
+U, Ut_x = sp.symbols("U Ut_x")
+LOCALISING = [u_x, u_s, u_y - u_z, alpha + 1]
+MET_LATER = lam * u_x + u_y
+
+
+def _fraction(rng, factors, keys=()):
+    """A sum of one or two fractions over products of the given factors,
+    with numerators over the jets, alpha, lam and the keys (at most
+    linearly).  Kept small: normalize's gcd on larger ones takes seconds."""
+    e = sp.S.Zero
+    for _ in range(rng.randint(1, 2)):
+        num = random_poly(rng, [u_x, u_y, u_z, alpha, lam], terms=2, degree=2)
+        if keys:
+            num += random_poly(rng, [u_x, alpha], terms=1, degree=1) * rng.choice(keys)
+        den = sp.Mul(*[rng.choice(factors)**rng.randint(1, 2)
+                       for _ in range(rng.randint(0, 2))])
+        e += num / (rng.choice([1, -2, 3]) * den)
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_form_matches_normalize(seed):
+    # a fresh ring per example, so lam*u_x + u_y is first met when the
+    # second fraction is converted, after the first one's factors
+    rng = random.Random(seed)
+    ring = kernel.FormRing([u_x, u_s, u_y, u_z, alpha, lam])
+    a = _fraction(rng, LOCALISING, keys=(U, Ut_x))
+    b = _fraction(rng, LOCALISING + [MET_LATER])
+    fa, fb = ring.from_expr(a), ring.from_expr(b)
+    assert sp.srepr(fa.as_expr()) == sp.srepr(normalize(a))
+    assert sp.srepr((fa * fb).as_expr()) == sp.srepr(normalize(a * b))
+    assert sp.srepr((fa - fb).as_expr()) == sp.srepr(normalize(a - b))
+    if fb != 0:
+        assert sp.srepr((fa * fb.inverse()).as_expr()) == sp.srepr(normalize(a / b))
+    assert (fa - fa) == 0 and fa == ring.from_expr(normalize(a))

@@ -96,16 +96,14 @@ class TestSplitLambda:
         s = ex2_space
         j = s.jet
         op1, op2 = _dfkn2_ops(s)
-        x1, x0, flipped = split_lambda(op2, s)
-        # op2 = D_y - lam D_x - (u_y/u_x) D_x  =>  X1 = -D_x, normalized
-        # to +D_x by flipping the whole operator's sign, so
+        x1, x0 = split_lambda(op2)
+        # op2 = D_y - lam D_x - (u_y/u_x) D_x = X0 - lam X1  =>  X1 = D_x,
         # X0 = D_y - (u_y/u_x) D_x
-        assert flipped
         assert equal(x1.dir_coeff("x"), 1)
         assert x1.dir_coeff("y") == 0
         assert equal(x0.dir_coeff("y"), 1)
         assert equal(x0.dir_coeff("x"), -j("u", "y") / j("u", "x"))
-        # reconstruction round-trips up to the recorded flip
+        # lam X1 - X0 is -op2
         recon = x1.scaled(LAMBDA) - x0
         assert normalize(recon.dir_coeff("x") + op2.dir_coeff("x")) == 0
         assert normalize(recon.dir_coeff("y") + op2.dir_coeff("y")) == 0
@@ -113,12 +111,12 @@ class TestSplitLambda:
     def test_lambda_quadratic_rejected(self, space):
         op = FirstOrderOperator.make(0, {"x": LAMBDA**2})
         with pytest.raises(NotLambdaLinearError):
-            split_lambda(op, space)
+            split_lambda(op)
 
     def test_lambda_in_denominator_rejected(self, space):
         op = FirstOrderOperator.make(0, {"x": 1 / (LAMBDA + 1)})
         with pytest.raises(NotLambdaLinearError):
-            split_lambda(op, space)
+            split_lambda(op)
 
 
 class TestLaxPair:
@@ -127,9 +125,8 @@ class TestLaxPair:
         pair = LaxPair.from_operators(op1, op2, ex2_space)
         for i, op in enumerate((op1, op2)):
             recon = pair.full_operator(i)
-            sign = -1 if pair.flipped[i] else 1
             for v in set(op.directions) | set(recon.directions):
-                assert normalize(sign * recon.dir_coeff(v) - op.dir_coeff(v)) == 0
+                assert normalize(recon.dir_coeff(v) - op.dir_coeff(v)) == 0
 
     def test_no_lambda_part_rejected(self, space):
         op1 = FirstOrderOperator.make(0, {"x": 1})

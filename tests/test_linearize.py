@@ -4,9 +4,10 @@ import sympy as sp
 from rop.jets import total_derivative
 from rop.kernel import equal, normalize
 from rop.linearize import (LinearDifferentialOperator, WrongUnknownError,
-                           first_variation_defect, linearize)
+                           linearize)
 
 from conftest import random_rational
+from pointwise import first_variation_defect
 
 
 class TestLinearize:

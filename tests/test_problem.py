@@ -131,6 +131,12 @@ class TestErrors:
             parse_problem(MINIMAL + f"maxorder {value}\n")
         assert exc.value.line == 6
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_order_argument_below_one(self, value):
+        # 0 used to fall back silently to the file's bound
+        with pytest.raises(ValueError, match="max_order"):
+            parse_problem(MINIMAL, max_order=value)
+
     def test_vars_required_before_expressions(self):
         text = "problem p\nequation u_xx = 0\nvars x y z\n"
         with pytest.raises(ProblemSyntaxError, match="vars"):

@@ -168,8 +168,8 @@ def compatibility_residual(relset: RelationSet, F, space: JetSpace,
     symmetry."""
     sys = sys or full_system(F, relset, space)
     (r1, r2), (d1, d2) = relset.rules, relset.directions
-    cross = (total_derivative(sys.rules[r1.lhs].rhs, d2, space)
-             - total_derivative(sys.rules[r2.lhs].rhs, d1, space))
+    cross = (total_derivative(sys.rules[r1.lhs].rhs, d2)
+             - total_derivative(sys.rules[r2.lhs].rhs, d1))
     return sys.reduce(cross)
 
 

@@ -11,14 +11,14 @@ up to the order bound, the ansatz constants, ``lam`` and the parameters.
 ``U``/``Ut`` jets stay out of the ring; every relation is linear in them,
 so they are the keys of a Form.  The total derivative is a derivation of
 the ring (each ``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift
-of each key.  An expression given to ``total_derivative`` or to
-``RewriteSystem.reduce`` is converted at the boundary.
+of each key.  The functions here take and return Forms only; expressions
+are converted where they enter, with ``expr_ring``.
 
 A RewriteSystem holds solved relations (equation, linearized equation,
 recursion relations) oriented by a well-founded ranking, and reduces
 Forms to normal form, generating prolongations of the rules on demand:
 a ``U``/``Ut`` rule replaces a key, a ``u`` rule is substituted into the
-numerators.
+numerators and into the factors of the denominator.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ class JetSpace:
 
     def jets_in(self, e, unknown: str | None = None) -> list[sp.Symbol]:
         out = []
-        symbols = e.free_symbols if isinstance(e, Form) else sp.sympify(e).free_symbols
-        for s in symbols:
+        for s in sp.sympify(e).free_symbols:
             jv = self.jet_var(s)
             if jv is not None and (unknown is None or jv.unknown == unknown):
                 out.append(s)
@@ -178,7 +177,7 @@ class JetRing(FormRing):
             self._target_lists[x] = t
         return t
 
-    def _dpoly(self, p, x: str):
+    def dpoly(self, p, x: str):
         """D_x of a polynomial of the ring."""
         t = self._targets(x)
         out: dict = {}
@@ -199,15 +198,6 @@ class JetRing(FormRing):
                 v = out.get(k)
                 out[k] = c * e if v is None else v + c * e
         return p.new([(k, v) for k, v in out.items() if v])
-
-    def derivative(self, form: Form, x: str) -> Form:
-        space = self.space
-
-        def dkey(key):
-            jv = space.jet_var(key)
-            return space.jet(jv.unknown, jv.index + (x,))
-
-        return form.derive(lambda p: self._dpoly(p, x), dkey)
 
 
 @functools.lru_cache(maxsize=16)
@@ -232,16 +222,17 @@ def expr_ring(e: Expr, space: JetSpace) -> JetRing:
                             if s not in known and space.jet_var(s) is None])
 
 
-def total_derivative(e, x: str, space: JetSpace):
-    """Total derivative D_x: explicit x-dependence plus the chain rule
-    over every jet variable present.  A Form maps to a Form of its ring;
-    an expression is carried through expr_ring and returned in the form
-    normalize gives."""
-    if isinstance(e, Form):
-        return e.ring.derivative(e, x)
-    e = sp.sympify(e)
-    ring = expr_ring(e, space)
-    return ring.derivative(ring.from_expr(e), x).as_expr()
+def total_derivative(form: Form, x: str) -> Form:
+    """Total derivative D_x of a Form of a JetRing: explicit
+    x-dependence plus the chain rule over every jet variable present."""
+    ring = form.ring
+    space = ring.space
+
+    def dkey(key):
+        jv = space.jet_var(key)
+        return space.jet(jv.unknown, jv.index + (x,))
+
+    return form.derive(lambda p: ring.dpoly(p, x), dkey)
 
 
 def _multiset_leq(small: tuple[str, ...], big: tuple[str, ...]) -> bool:
@@ -261,14 +252,13 @@ def _multiset_diff(big: tuple[str, ...], small: tuple[str, ...]) -> tuple[str, .
     return tuple(rest)
 
 
-def clean_assumptions(assumptions: Iterable, ring: FormRing) -> tuple[Expr, ...]:
+def clean_assumptions(assumptions: Iterable[Form], ring: FormRing) -> tuple[Expr, ...]:
     """Distinct non-constant irreducible factors of the recorded nonzero
-    expressions (a product is nonzero iff each factor is), each registered
-    as a localising factor of the ring; associates count once."""
+    Forms (a product is nonzero iff each factor is), each registered as a
+    localising factor of the ring; associates count once."""
     out: list[Expr] = []
     seen: set[int] = set()
     for a in assumptions:
-        a = a.as_expr() if isinstance(a, Form) else normalize(a)
         for part in a.as_numer_denom():
             for factor, _mult in sp.factor_list(part)[1]:
                 f = normalize(factor)
@@ -287,22 +277,19 @@ class RewriteRule:
 
     def validate(self, space: JetSpace) -> None:
         top = space.rank_of(self.lhs)
-        for s in space.jets_in(self.rhs):
-            if not space.rank_of(s) < top:
+        for s in self.rhs.free_symbols:
+            if space.jet_var(s) is not None and not space.rank_of(s) < top:
                 raise ValueError(
                     f"rule {self.lhs} -> ... contains jet {s} not below its lhs")
 
 
-def solve_for_leading(relation, unknown: str, space: JetSpace
+def solve_for_leading(rel: Form, unknown: str, space: JetSpace
                       ) -> tuple[RewriteRule, Form]:
     """Solve a relation (== 0) for its ranking-greatest jet of ``unknown``.
 
     Returns the rule and the leading coefficient (a polynomial Form),
-    which the caller records as a genericity assumption.  An expression
-    is converted in expr_ring.
+    which the caller records as a genericity assumption.
     """
-    rel = (relation if isinstance(relation, Form)
-           else expr_ring(sp.sympify(relation), space).from_expr(relation))
     ring = rel.ring
     if unknown == "u":
         present = set()
@@ -314,7 +301,7 @@ def solve_for_leading(relation, unknown: str, space: JetSpace
         jets = [k for k in rel.terms
                 if k is not ONE and space.jet_var(k).unknown == unknown]
     if not jets:
-        raise NoLeadingJetError(f"relation has no {unknown}-jets: {relation}")
+        raise NoLeadingJetError(f"relation has no {unknown}-jets: {rel}")
     v = max(jets, key=space.rank_of)
     if unknown == "u":
         i = ring.index[v]
@@ -345,19 +332,18 @@ class RewriteSystem:
     highest-ranked applicable rule is chosen for each reducible jet.
     Normal forms of reducible jets are memoized per system; a system made
     by ``extended`` keeps those its new rules cannot change.  All rules
-    share one JetRing (an expression rhs is converted into it).
+    and assumptions are Forms of the first rule's JetRing.
     """
 
     def __init__(self, space: JetSpace, rules: Iterable[RewriteRule],
-                 assumptions: Iterable = ()):
+                 assumptions: Iterable[Form] = ()):
         rules = list(rules)
         self.space = space
-        self.ring = next((r.rhs.ring for r in rules if isinstance(r.rhs, Form)),
-                         None) or jet_ring(space)
+        self.ring = rules[0].rhs.ring
         self.rules: dict[sp.Symbol, RewriteRule] = {}
         for r in rules:
-            if not isinstance(r.rhs, Form):
-                r = RewriteRule(r.lhs, self.ring.from_expr(r.rhs))
+            if r.rhs.ring is not self.ring:
+                raise ValueError(f"rule for {r.lhs} is in another ring")
             if r.lhs in self.rules:
                 raise ValueError(f"duplicate rule for {r.lhs}")
             r.validate(space)
@@ -371,7 +357,8 @@ class RewriteSystem:
                         or _multiset_leq(jb.index, ja.index)):
                     raise ValueError(
                         f"rule lhs {a} and {b} are derivatives of one another")
-        self.assumptions = clean_assumptions(assumptions, self.ring)
+        self._given = tuple(assumptions)
+        self.assumptions = clean_assumptions(self._given, self.ring)
         self._nf: dict[sp.Symbol, Form] = {}
         self._match: dict[sp.Symbol, RewriteRule | None] = {}
         self._reducible: frozenset[int] | None = None
@@ -404,16 +391,14 @@ class RewriteSystem:
             jl = self.space.jet_var(rule.lhs)
             e = self.reduce(rule.rhs)
             for x in _multiset_diff(jv.index, jl.index):
-                e = self.reduce(total_derivative(e, x, self.space))
+                e = self.reduce(total_derivative(e, x))
             nf = e
         self._nf[sym] = nf
         return nf
 
-    def reduce(self, e) -> Form:
+    def reduce(self, e: Form) -> Form:
         """Normal form modulo the rules and their prolongations: u-jets
-        in the numerators are substituted, then reducible keys replaced.
-        An expression is converted into the system's ring first."""
-        e = e if isinstance(e, Form) else self.ring.from_expr(e)
+        are substituted, then reducible keys replaced."""
         if e.ring is not self.ring:
             raise ValueError("Form of another ring")
         e = self._substitute(e)
@@ -437,16 +422,28 @@ class RewriteSystem:
         return self._reducible
 
     def _substitute(self, e: Form) -> Form:
-        """Every reducible u-jet of the numerators replaced by its normal
-        form, over one common denominator."""
+        """Every reducible u-jet replaced by its normal form, over one
+        common denominator.  A factor of the denominator that holds one is
+        reduced and inverted, which factors it anew (and raises
+        DegenerateExpressionError if it reduces to zero)."""
         reducible = self._reducible_gens()
+        if not reducible:
+            return e
         ring = self.ring
+        held = [fid for fid in e.den if reducible.intersection(ring._support[fid])]
+        if held:
+            inverse = ring.constant(1)
+            for fid in held:
+                g = self._substitute(ring.scalar(ring.factors[fid])).inverse()
+                for _ in range(e.den[fid]):
+                    inverse = inverse * g
+            rest = {fid: k for fid, k in e.den.items() if fid not in held}
+            e = ring.combine([(inverse, Form(ring, e.terms, rest))])
         present = set()
-        if reducible:
-            gens = range(len(ring.symbols))
-            for p in e.terms.values():
-                for m in p:
-                    present.update(i for i in compress(gens, m) if i in reducible)
+        gens = range(len(ring.symbols))
+        for p in e.terms.values():
+            for m in p:
+                present.update(i for i in compress(gens, m) if i in reducible)
         if not present:
             return e
         idx = sorted(present)
@@ -482,7 +479,7 @@ class RewriteSystem:
                  assumptions: Iterable = ()) -> "RewriteSystem":
         rules = list(rules)
         out = RewriteSystem(self.space, list(self.rules.values()) + rules,
-                            self.assumptions + tuple(assumptions))
+                            self._given + tuple(assumptions))
         # a normal form depends only on the rules of its unknown and of
         # the unknowns ranked below it
         low = min((UNKNOWNS.index(self.space.jet_var(r.lhs).unknown) for r in rules),

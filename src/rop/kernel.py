@@ -199,7 +199,6 @@ class FormRing:
         self.factors: list[PolyElement] = []
         self._gen_of: list[int | None] = []  # generator index of a one-generator factor
         self._support: list[tuple[int, ...]] = []
-        self._linear: list[tuple | None] = []  # see _exquo
         self._ids: dict[PolyElement, int] = {}
         self.zero = Form(self, {}, {})
 
@@ -278,43 +277,16 @@ class FormRing:
             self._gen_of.append(lm.index(1) if len(f) == 1 and sum(lm) == 1 else None)
             self._support.append(tuple(i for i in self._range
                                        if any(m[i] for m in f)))
-            self._linear.append(self._linear_form(f))
         return fid
-
-    def _linear_form(self, f: PolyElement) -> tuple | None:
-        """(i, a, r) with f = a*x_i + r, a a nonzero rational and r free of
-        x_i; None when f has no such generator."""
-        for i in self._range:
-            if f.degree(i) == 1:
-                a = f.coeff_wrt(i, 1)
-                if a.is_ground:
-                    return i, a.LC, f.coeff_wrt(i, 0)
-        return None
 
     def _exquo(self, p: PolyElement, fid: int) -> PolyElement | None:
         """p / factors[fid] if it divides p, else None; a factor that is
-        one generator is handled by the callers.  For f = a*x_i + r this
-        is synthetic division in x_i, linear in the size of p; sympy's
-        general division, which rescans p for its leading term at every
-        step, is left for factors of no such form."""
+        one generator is handled by the callers."""
         f = self.factors[fid]
         if not all(p.degree(j) >= f.degree(j) for j in self._support[fid]):
             return None
-        lin = self._linear[fid]
-        if lin is None:
-            q, rem = p.div(f)
-            return None if rem else q
-        i, a, r = lin
-        parts: dict[int, dict] = {}
-        for m, c in p.items():
-            parts.setdefault(m[i], {})[m[:i] + (0,) + m[i + 1:]] = c
-        new = self.poly.dtype
-        q = self.poly.zero
-        qk = self.poly.zero  # Q_k, from the top degree down
-        for k in range(max(parts), 0, -1):
-            qk = (new(parts.get(k, {})) - r * qk).quo_ground(a)
-            q = q + _shift(qk, i, k - 1)
-        return q if new(parts.get(0, {})) == r * qk else None
+        q, rem = p.div(f)
+        return None if rem else q
 
     def _factor(self, p: PolyElement) -> tuple:
         """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.

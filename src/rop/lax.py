@@ -1,11 +1,11 @@
 """First-order scalar operators, lambda splitting, and Lax-pair validation.
 
 An operator here is  free + sum_j coeff_j * D_{x^j}  with rational-function
-coefficients, kept as sympy expressions; their total derivatives go
-through ``jets.total_derivative``.  Lax operators are linear in the
-spectral parameter, L = X0 - lam*X1, and are stored as the split
-(X1, X0) pair: X1 is minus the lam-coefficient and X0 the lam-free part,
-whatever the ranking.
+coefficients, kept as sympy expressions; ``expr_derivative`` takes their
+total derivatives (and the parser's) through ``jets.total_derivative``.
+Lax operators are linear in the spectral parameter, L = X0 - lam*X1, and
+are stored as the split (X1, X0) pair: X1 is minus the lam-coefficient
+and X0 the lam-free part, whatever the ranking.
 
 Validity of a pair for an equation F = 0 is checked as commutator closure:
 [op1, op2] must lie in the span of op1, op2 with lambda-rational
@@ -21,9 +21,16 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from . import kernel
-from .jets import (LAMBDA, JetSpace, RewriteSystem, solve_for_leading,
-                   total_derivative)
-from .kernel import Expr, normalize
+from .jets import (LAMBDA, JetSpace, RewriteSystem, expr_ring,
+                   solve_for_leading, total_derivative)
+from .kernel import Expr, Form, normalize
+
+
+def expr_derivative(e, x: str, space: JetSpace) -> Expr:
+    """Total derivative D_x of an expression, in the form normalize
+    gives; carried as a Form of jets.expr_ring."""
+    e = sp.sympify(e)
+    return total_derivative(expr_ring(e, space).from_expr(e), x).as_expr()
 
 
 class NotLambdaLinearError(ValueError):
@@ -69,7 +76,7 @@ class FirstOrderOperator:
 
     def directional_apply(self, e, space: JetSpace) -> Expr:
         """Only the D-part applied to an expression."""
-        return normalize(sum(c * total_derivative(e, v, space)
+        return normalize(sum(c * expr_derivative(e, v, space)
                              for v, c in self.dirs))
 
     def apply(self, e, space: JetSpace) -> Expr:
@@ -197,9 +204,9 @@ class LaxReport:
     note: str = ""
 
 
-def equation_system(F, space: JetSpace) -> RewriteSystem:
+def equation_system(F: Form, space: JetSpace) -> RewriteSystem:
     """Rewrite system generated by F = 0 solved for its leading u-jet,
-    in the ring of F (a Form) or of jets.expr_ring (an expression)."""
+    in the ring of F."""
     rule, lead = solve_for_leading(F, "u", space)
     return RewriteSystem(space, [rule], [lead])
 
@@ -214,7 +221,11 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     the commutator and the residuals are those of L_i, and the
     multipliers are reported for this sign.
     """
-    sys = equation_system(F, space)
+    sys = equation_system(expr_ring(F, space).from_expr(F), space)
+
+    def reduce(e) -> Form:
+        return sys.reduce(sys.ring.from_expr(e))
+
     op1, op2 = (-pair.full_operator(i) for i in (0, 1))
     comm = commutator(op1, op2, space)
     dirs = sorted(set(comm.directions) | set(op1.directions) | set(op2.directions))
@@ -223,8 +234,8 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     pivot = None
     for i, v in enumerate(dirs):
         for w in dirs[i + 1:]:
-            det = sys.reduce(op1.dir_coeff(v) * op2.dir_coeff(w)
-                             - op1.dir_coeff(w) * op2.dir_coeff(v)).as_expr()
+            det = reduce(op1.dir_coeff(v) * op2.dir_coeff(w)
+                         - op1.dir_coeff(w) * op2.dir_coeff(v)).as_expr()
             if det != 0:
                 pivot = (v, w, det)
                 break
@@ -234,8 +245,8 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
         return LaxReport(False, assumptions=sys.assumptions,
                          note="no pair of independent directional coefficients")
     v, w, det = pivot
-    cv = sys.reduce(comm.dir_coeff(v)).as_expr()
-    cw = sys.reduce(comm.dir_coeff(w)).as_expr()
+    cv = reduce(comm.dir_coeff(v)).as_expr()
+    cw = reduce(comm.dir_coeff(w)).as_expr()
     a = normalize((cv * op2.dir_coeff(w) - cw * op2.dir_coeff(v)) / det)
     b = normalize((op1.dir_coeff(v) * cw - op1.dir_coeff(w) * cv) / det)
 
@@ -243,9 +254,9 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     for d in dirs:
         if d in (v, w):
             continue
-        residuals.append(sys.reduce(
+        residuals.append(reduce(
             comm.dir_coeff(d) - a * op1.dir_coeff(d) - b * op2.dir_coeff(d)))
-    residuals.append(sys.reduce(comm.free - a * op1.free - b * op2.free))
+    residuals.append(reduce(comm.free - a * op1.free - b * op2.free))
     residuals = [r.as_expr() for r in residuals if r != 0]
     return LaxReport(not residuals, residuals, (a, b), sys.assumptions,
                      note=f"pivot directions {v}, {w}")

@@ -30,9 +30,9 @@ import sympy as sp
 
 from . import kernel
 from .engine import SLOTS, TwistRelations
-from .jets import JetSpace, total_derivative
+from .jets import JetSpace
 from .kernel import Expr, normalize
-from .lax import LAMBDA, FirstOrderOperator, LaxPair
+from .lax import LAMBDA, FirstOrderOperator, LaxPair, expr_derivative
 
 _TOKEN = re.compile(r"\s*(\*\*|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/^(),=])")
 
@@ -195,7 +195,7 @@ class _ExprParser:
                 self.next()
                 inner = self.expr()
                 self.expect(")")
-                return total_derivative(inner, v, self.space)
+                return expr_derivative(inner, v, self.space)
             if not self.allow_bare_d:
                 raise ProblemSyntaxError(
                     f"bare {tok} is only allowed in lax lines", self.line, col)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from rop.jets import JetSpace
+from rop.jets import JetSpace, expr_ring
 from rop.problem import parse_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -29,6 +29,12 @@ def dfkn3():
 def space():
     """Small three-variable jet space for kernel-level tests."""
     return JetSpace(["x", "y", "z"], max_order=4)
+
+
+def to_form(e, space):
+    """An expression as a Form of its JetRing on space."""
+    e = sp.sympify(e)
+    return expr_ring(e, space).from_expr(e)
 
 
 @pytest.fixture()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rop import engine, kernel
 from rop import jets as jets_module
-from rop.engine import (SLOTS, AnsatzBasis, DeterminingSystem,
+from rop.engine import (ORIENTATIONS, SLOTS, AnsatzBasis, DeterminingSystem,
                         InvalidTwistError, PartialResultError, Solution,
                         TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
@@ -19,7 +19,7 @@ from rop.lax import LAMBDA, DegeneratePairError
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
-from conftest import PROBLEM_DIR
+from conftest import PROBLEM_DIR, random_poly, to_form
 
 
 def _twist(problem):
@@ -530,6 +530,51 @@ def test_determining_equations_match_reference(problems, case):
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(prob.F, prob.lax, twist, s)
     got = determining_equations_for_twist(prob.F, prob.lax, twist, s)
+    assert [sp.srepr(e) for e in got] == [sp.srepr(e) for e in want]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_reduce_matches_reference_on_denominators(dfkn2, seed):
+    # the denominators hold the equation rule's lhs u_yz or one of its
+    # prolongations, which reduction must substitute there too
+    rng = random.Random(seed)
+    s = dfkn2.space
+    j = s.jet
+    rule, lead = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
+    assert rule.lhs == j("u", ("y", "z"))
+    sys = jets_module.RewriteSystem(s, [rule], [lead])
+    ref = ReferenceRewriteSystem(s, [reference_solve_for_leading(dfkn2.F, "u", s)[0]])
+    pool = [j("u", "yz"), j("u", "yz") + j("u", "t"), j("u", "xyz"),
+            j("u", "x") * j("u", "yz") - j("u", "y"), j("u", "x"),
+            j("u", "y") - j("u", "t")]
+    num = random_poly(rng, [j("u", "x"), j("u", "y"), j("u", "t"), j("u", "yz")])
+    e = num / sp.Mul(*(rng.choice(pool) for _ in range(rng.randint(1, 3))))
+    got = sys.reduce(to_form(e, s)).as_expr()
+    assert sp.srepr(got) == sp.srepr(ref.reduce(e))
+
+
+def test_denominator_vanishing_on_the_equation_is_degenerate(dfkn2):
+    s = dfkn2.space
+    rule, lead = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
+    sys = jets_module.RewriteSystem(s, [rule], [lead])
+    e = s.jet("u", "x") / (rule.lhs - rule.rhs.as_expr())
+    with pytest.raises(kernel.DegenerateExpressionError):
+        sys.reduce(to_form(e, s))
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_determining_equations_match_reference_with_rule_lhs_in_denominator(
+        dfkn2, orientation):
+    j = dfkn2.space.jet
+    u_yz = j("u", ("y", "z"))
+    # the parent's gcds make larger twists of this kind take minutes
+    basis = AnsatzBasis({(1, 0): [], (1, 1): [j("u", "y") / u_yz],
+                         (2, 0): [], (2, 1): []})
+    twist, _ = engine.ansatz_twist(basis, orientation)
+    want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
+    got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
+    assert want
     assert [sp.srepr(e) for e in got] == [sp.srepr(e) for e in want]
 
 

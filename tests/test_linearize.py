@@ -6,7 +6,7 @@ from rop.kernel import equal, normalize
 from rop.linearize import (LinearDifferentialOperator, WrongUnknownError,
                            linearize)
 
-from conftest import random_rational
+from conftest import random_rational, to_form
 from pointwise import first_variation_defect
 
 
@@ -84,7 +84,7 @@ class TestFirstVariation:
         # D_x(ell_F(U)) equals ell_{D_x F}(U) modulo no relations, both
         # being the eps-coefficient of D_x F under the same perturbation
         s = dfkn2.space
-        dF = total_derivative(dfkn2.F, "x", s)
+        dF = total_derivative(to_form(dfkn2.F, s), "x").as_expr()
         assert first_variation_defect(dF, s) == 0
 
 

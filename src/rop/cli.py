@@ -20,6 +20,7 @@ from pathlib import Path
 import sympy as sp
 
 from . import engine, lax
+from .jets import jet_ring
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS, AnsatzBasis, PartialResultError, TwistRelations
 from .problem import Problem, ProblemSyntaxError, fmt, fmt_operator, parse_problem
@@ -93,7 +94,7 @@ def cmd_lax_check(problem: Problem, args) -> dict:
 
 def cmd_linearize(problem: Problem, args) -> dict:
     t0 = time.monotonic()
-    op = linearize_equation(problem.F, problem.space)
+    op = linearize_equation(jet_ring(problem.space).from_expr(problem.F), problem.space)
     terms = [{"index": list(idx), "coefficient": fmt(c)} for idx, c in op.coeffs]
     return {
         "verdict": "PASS",
@@ -178,8 +179,8 @@ def cmd_hierarchy(problem: Problem, args) -> dict:
     t0 = time.monotonic()
     levels = engine.hierarchy_relations(problem.lax, args.k, problem.space)
     space = problem.space
-    sides = [(problem.lax.x1[i].apply_to_unknown("Ut", space),
-              problem.lax.x0[i].apply_to_unknown("U", space)) for i in (0, 1)]
+    sides = [(problem.lax.x1[i].apply_to_unknown("Ut", space).as_expr(),
+              problem.lax.x0[i].apply_to_unknown("U", space).as_expr()) for i in (0, 1)]
     jets = {s: space.jet_var(s).unknown
             for lhs, rhs in sides for s in space.jets_in(lhs) + space.jets_in(rhs)}
     rels = []
@@ -215,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--max-order", type=_order_bound, default=None)
+        p.add_argument("--max-order", type=_at_least(1), default=None)
         p.add_argument("--json", action="store_true")
         if name in ("verify", "solve"):
             p.add_argument("--orientation", choices=["forward", "swapped", "both"],
                            default=None)
         if name == "solve":
-            p.add_argument("--branch-bound", type=int, default=64)
+            p.add_argument("--branch-bound", type=_at_least(0), default=64)
             p.add_argument("--basis", default="auto",
                            help="'auto' or a path to a file with ansatz lines")
         if name == "hierarchy":
@@ -229,11 +230,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _order_bound(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """Validator of an integer argument of at least minimum."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _timeout_secs() -> int:
+    """ROP_TIMEOUT_SECS, a non-negative integer; unset or 0 is no limit."""
+    text = os.environ.get("ROP_TIMEOUT_SECS") or "0"
+    if not text.isdecimal():
+        raise CliError(f"ROP_TIMEOUT_SECS must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def render_human(doc: dict) -> str:
@@ -272,8 +284,8 @@ def render_human(doc: dict) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    timeout = int(os.environ.get("ROP_TIMEOUT_SECS", "0") or 0)
     try:
+        timeout = _timeout_secs()
         problem = _load(args.file, args.max_order)
         with _time_limit(timeout):
             doc = COMMANDS[args.command](problem, args)

@@ -17,8 +17,9 @@ branching on factored quadratics.
 
 From the relations to the determining equations everything is a
 ``kernel.Form`` of one JetRing per computation, whose generators include
-the twist's unknown constants.  Expressions remain only where the twist
-and the Lax operators enter, in the VerifyReport, and in the
+the twist's unknown constants; the Lax operators are Forms of the
+space's JetRing and enter it, with the twist, as one expression.
+Expressions remain only in the twist, the VerifyReport and the
 DeterminingSystem handed to the solver: its equations are read off the
 residuals' numerators by regrouping monomials by their jet and lam
 exponents.
@@ -127,10 +128,10 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
     for i in (0, 1):
         ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
         u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
-        e = ring.from_expr(ut_op.apply_to_unknown("Ut", space)
+        e = ring.from_expr(ut_op.apply_to_unknown("Ut", space).as_expr()
                            + twist.f[(i + 1, 1)] * space.jet("Ut")
                            - twist.f[(i + 1, 0)] * space.jet("U")
-                           - u_op.apply_to_unknown("U", space))
+                           - u_op.apply_to_unknown("U", space).as_expr())
         rule, lead = solve_for_leading(e, "Ut", space)
         jv = space.jet_var(rule.lhs)
         if jv.order != 1:
@@ -152,9 +153,9 @@ def full_system(F, relset: RelationSet, space: JetSpace) -> RewriteSystem:
     """Three-layer rewrite system: F = 0, the linearized equation for U,
     and the recursion relations for Ut, each solved and reduced against
     the layers below, in the JetRing of the relations."""
-    ring = relset.rules[0].rhs.ring
-    sys_u = equation_system(ring.from_expr(F), space)
-    lin_u = sys_u.reduce(linearize(F, space).apply_to("U", space, ring))
+    F = relset.rules[0].rhs.ring.from_expr(F)
+    sys_u = equation_system(F, space)
+    lin_u = sys_u.reduce(linearize(F, space).apply_to("U", space))
     u_rule, u_lead = solve_for_leading(lin_u, "U", space)
     sys_uu = sys_u.extended([u_rule], [u_lead])
     ut_rules = [RewriteRule(r.lhs, sys_uu.reduce(r.rhs)) for r in relset.rules]
@@ -178,7 +179,7 @@ def symmetry_residual(relset: RelationSet, F, space: JetSpace,
     """Condition b): the linearized equation applied to Ut, reduced; zero
     means Ut is a symmetry whenever U is."""
     sys = sys or full_system(F, relset, space)
-    return sys.reduce(linearize(F, space).apply_to("Ut", space, sys.ring))
+    return sys.reduce(linearize(sys.ring.from_expr(F), space).apply_to("Ut", space))
 
 
 @dataclass
@@ -232,24 +233,22 @@ class AnsatzBasis:
 def default_ansatz(F, pair: LaxPair, space: JetSpace) -> AnsatzBasis:
     """Ratios (second derivative)/(first derivative): u_pq/u_r with p, q
     over the variables occurring in F or the Lax coefficients and u_r
-    over first derivatives found in Lax-coefficient denominators."""
-    coeffs = [sp.sympify(F)]
-    for op in pair.x1 + pair.x0:
-        coeffs.append(sp.sympify(op.free))
-        coeffs.extend(sp.sympify(c) for _, c in op.dirs)
+    over first derivatives found in Lax-coefficient denominators, read
+    off their registered factors."""
+    coeffs = [c for op in pair.x1 + pair.x0 for c in op.coefficients()]
     used = set()
     denom_firsts = set()
-    for c in coeffs:
-        for s in c.free_symbols:
+    for symbols in [sp.sympify(F).free_symbols] + [c.free_symbols for c in coeffs]:
+        for s in symbols:
             jv = space.jet_var(s)
             if jv is not None:
                 used.update(jv.index)
             elif s.name in space.var_syms:
                 used.add(s.name)
-    for c in coeffs[1:]:
-        _num, den = normalize(c).as_numer_denom()
-        for factor, _mult in sp.factor_list(den)[1]:
-            jv = space.jet_var(factor) if factor.is_Symbol else None
+    for c in coeffs:
+        for fid in c.den:
+            factor = c.ring.factors[fid]
+            jv = space.jet_var(factor.as_expr()) if factor.is_generator else None
             if jv is not None and jv.unknown == "u" and jv.order == 1:
                 denom_firsts.add(jv.index[0])
     used_vars = [v for v in space.variables if v in used]

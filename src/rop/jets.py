@@ -5,14 +5,15 @@ symmetry ``U`` and its image ``Ut`` (printed as the twisted symmetry).
 Jet variables are plain sympy symbols named ``u_xy``, ``U_t``, ``Ut_zz``
 with multi-indices kept sorted, so ``u_xy`` and ``u_yx`` are one symbol.
 
-Everything from the relations on is carried as ``kernel.Form`` over a
-JetRing: the polynomial ring of the independent variables, the ``u``-jets
-up to the order bound, the ansatz constants, ``lam`` and the parameters.
-``U``/``Ut`` jets stay out of the ring; every relation is linear in them,
-so they are the keys of a Form.  The total derivative is a derivation of
-the ring (each ``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift
-of each key.  The functions here take and return Forms only; expressions
-are converted where they enter, with ``expr_ring``.
+Everything from the Lax operators and the relations on is carried as
+``kernel.Form``, the one canonical form, over a JetRing: the polynomial
+ring of the independent variables, the ``u``-jets up to the order bound,
+the ansatz constants, ``lam`` and the parameters.  ``U``/``Ut`` jets stay
+out of the ring; every relation is linear in them, so they are the keys
+of a Form.  The total derivative is a derivation of the ring (each
+``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift of each key.
+The functions here take and return Forms only; expressions are converted
+where they enter, with ``expr_ring``.
 
 A RewriteSystem holds solved relations (equation, linearized equation,
 recursion relations) oriented by a well-founded ranking, and reduces
@@ -200,14 +201,15 @@ class JetRing(FormRing):
         return p.new([(k, v) for k, v in out.items() if v])
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _jet_ring(variables, max_order, params, symbols) -> JetRing:
     return JetRing(JetSpace(variables, max_order, params), symbols)
 
 
 def jet_ring(space: JetSpace, symbols: Iterable[sp.Symbol] = ()) -> JetRing:
     """The JetRing of a space with the given extra generators; built once
-    per set of generators and shared."""
+    per set of generators and kept, so that the Forms a parsed problem
+    holds and those made later on an equal space share one ring."""
     return _jet_ring(space.variables, space.max_order,
                      tuple(p.name for p in space.params),
                      tuple(symbol_order(set(symbols))))

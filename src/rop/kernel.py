@@ -1,10 +1,7 @@
-"""Exact rational arithmetic and canonical forms.
+"""Exact rational arithmetic and its one canonical form.
 
-Two representations of rational functions over QQ live here; floating
-point never enters either.
-
-``Form`` is the carrier from the Lax relations to the determining
-equations.  A Form is linear over symbols kept outside its ring (the
+Rational functions over QQ are carried as ``Form``s; floating point
+never enters.  A Form is linear over symbols kept outside its ring (the
 ``U``/``Ut`` jets, in ``rop.jets``): a sparse map from such a symbol, or
 1, to a numerator ``PolyElement`` of ``FormRing.poly`` (QQ, grevlex in
 ``symbol_order``), all over one denominator.  The denominator is an
@@ -13,18 +10,15 @@ polynomials with grevlex leading coefficient 1, registered as they are
 met (the factors of the recorded assumptions and of every denominator).
 So no gcd is ever taken: the canonical form is trial division by the
 factors of the denominator, and zero is the empty map.  A new
-denominator is split by the registered factors first, and what is left
-is factored once with ``sp.factor_list`` in the ring of its own symbols.
+denominator is split by the registered factors first; what is left is a
+product of generators if it is a monomial, and is otherwise factored
+once with ``sp.factor_list`` in the ring of its own symbols.
 
-``normalize`` takes a sympy expression to the same canonical form as an
-expression: one walk of the tree turns every subexpression into a
-(numerator, denominator) pair in ``PolyRing(symbol_order(symbols), QQ,
-grevlex)``, one ``cancel`` removes their gcd, and both parts are divided
-by the grevlex leading coefficient of the denominator.  Expressions are
-left only at the boundaries: the parser, the first-order operator
-algebra of ``rop.lax``, printed reports and the determining system
-handed to the solver.  ``Form.as_expr`` gives exactly (``srepr``) what
-``normalize`` gives for the same rational function.
+``normalize`` gives a sympy expression the same canonical form, as an
+expression: it converts it to a Form of the ring of its symbols and
+back.  Expressions are left only at the boundaries: the parser, the
+twist functions, printed reports and the determining system handed to
+the solver.
 
 Only symbols, rationals, sums, products and integer powers are admitted;
 any other atom (a float, a root, a function) raises NotRationalError.
@@ -66,37 +60,18 @@ def symbol_order(symbols: Iterable[sp.Symbol]) -> list[sp.Symbol]:
 
 
 def normalize(e) -> sp.Expr:
-    """Unique canonical form n/d: gcd(n, d) = 1, d expanded and monic
-    under the global monomial order, n expanded.
+    """Unique canonical form n/d of a rational function: n and d
+    expanded and coprime, d with grevlex leading coefficient 1 in the
+    ring of e's symbols ordered by symbol_order.
 
-    The form is computed over QQ in the sparse polynomial ring of e's
-    symbols, ordered by symbol_order under grevlex, with one gcd
-    cancellation.  Idempotent; agrees with the input at every point
-    where both are defined.  Raises DegenerateExpressionError if the
-    denominator simplifies to zero, and NotRationalError if e holds an
-    atom other than a symbol or a rational number, or a power with a
-    non-integer exponent.
+    Idempotent; agrees with the input at every point where both are
+    defined.  Raises DegenerateExpressionError if the denominator
+    simplifies to zero, and NotRationalError if e holds an atom other
+    than a symbol or a rational number, or a power with a non-integer
+    exponent.
     """
-    num, den = _canonical_pair(e)
-    if den.is_one:
-        return num.as_expr()
-    return num.as_expr() / den.as_expr()
-
-
-def _canonical_pair(e) -> tuple[PolyElement, PolyElement]:
     e = sp.sympify(e)
-    ring = PolyRing(symbol_order(e.free_symbols), QQ, grevlex)
-    num, den = _to_pair(e, ring, dict(zip(ring.symbols, ring.gens)))
-    if not den:
-        raise DegenerateExpressionError(f"zero denominator in {e}")
-    if not num:
-        return ring.zero, ring.one
-    num, den = num.cancel(den)
-    lc = den.LC
-    if lc != 1:
-        num = num.quo_ground(lc)
-        den = den.quo_ground(lc)
-    return num, den
+    return FormRing(e.free_symbols).from_expr(e).as_expr()
 
 
 def _to_pair(e, ring: PolyRing, gens: dict) -> tuple[PolyElement, PolyElement]:
@@ -160,20 +135,6 @@ def _sum(pairs, ring: PolyRing) -> tuple[PolyElement, PolyElement]:
     return num, den
 
 
-def is_zero(e) -> bool:
-    """Exact (gcd-based) zero test in canonical form."""
-    return normalize(e) == 0
-
-
-def equal(a, b) -> bool:
-    return is_zero(sp.sympify(a) - sp.sympify(b))
-
-
-def partial_diff(e, s: sp.Symbol) -> sp.Expr:
-    """Formal partial derivative treating every other symbol as constant."""
-    return normalize(sp.diff(sp.sympify(e), s))
-
-
 # -- the carrier -------------------------------------------------------
 
 
@@ -209,7 +170,8 @@ class FormRing:
         be linear (degree at most one in every term) in its symbols that
         are not in the ring, and free of them in its denominator."""
         e = sp.sympify(e)
-        small = PolyRing(symbol_order(e.free_symbols), QQ, grevlex)
+        symbols = tuple(symbol_order(e.free_symbols))
+        small = self.poly if symbols == self.symbols else PolyRing(symbols, QQ, grevlex)
         num, den = _to_pair(e, small, dict(zip(small.symbols, small.gens)))
         if not den:
             raise DegenerateExpressionError(f"zero denominator in {e}")
@@ -291,7 +253,8 @@ class FormRing:
     def _factor(self, p: PolyElement) -> tuple:
         """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.
         Registered factors are divided out first; the rest is factored
-        in the ring of its own symbols and its factors registered."""
+        (a monomial by its exponents, anything else in the ring of its
+        own symbols) and its factors registered."""
         exps: dict[int, int] = {}
         for fid in range(len(self.factors)):
             k, (p,) = self._cancel((p,), fid, None)
@@ -299,6 +262,11 @@ class FormRing:
                 exps[fid] = k
         if p.is_ground:
             return p.LC, exps
+        if len(p) == 1:
+            (m, c), = p.items()
+            for i in compress(self._range, m):
+                exps[self.factor_id(self.poly.gens[i])] = m[i]
+            return c, exps
         c, factors = sp.factor_list(p.as_expr())
         c = QQ(c.p, c.q)
         for g, mult in factors:
@@ -462,6 +430,8 @@ class Form:
             return self.ring.combine([(other, self)])
         raise NotLinearError("product of two Forms with keys")
 
+    __rmul__ = __mul__
+
     def inverse(self) -> "Form":
         """1/self for a nonzero scalar Form; its numerator is factored
         into the registry."""
@@ -505,7 +475,8 @@ class Form:
     # -- boundary ------------------------------------------------------
 
     def as_expr(self) -> sp.Expr:
-        """The expression normalize gives for this rational function."""
+        """The canonical expression: the expanded numerator over the
+        expanded product of the denominator's factors."""
         if not self.terms:
             return sp.S.Zero
         syms = self.ring.symbols

@@ -1,11 +1,11 @@
 """First-order scalar operators, lambda splitting, and Lax-pair validation.
 
-An operator here is  free + sum_j coeff_j * D_{x^j}  with rational-function
-coefficients, kept as sympy expressions; ``expr_derivative`` takes their
-total derivatives (and the parser's) through ``jets.total_derivative``.
-Lax operators are linear in the spectral parameter, L = X0 - lam*X1, and
-are stored as the split (X1, X0) pair: X1 is minus the lam-coefficient
-and X0 the lam-free part, whatever the ranking.
+An operator here is  free + sum_j coeff_j * D_{x^j}  with coefficients
+that are Forms of the space's JetRing (``jets.jet_ring``), converted once
+by the parser; its total derivatives are ``jets.total_derivative``.  Lax
+operators are linear in the spectral parameter, L = X0 - lam*X1, and are
+stored as the split (X1, X0) pair: X1 is minus the lam-coefficient and X0
+the lam-free part, whatever the ranking.
 
 Validity of a pair for an equation F = 0 is checked as commutator closure:
 [op1, op2] must lie in the span of op1, op2 with lambda-rational
@@ -20,15 +20,14 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from . import kernel
 from .jets import (LAMBDA, JetSpace, RewriteSystem, expr_ring,
                    solve_for_leading, total_derivative)
-from .kernel import Expr, Form, normalize
+from .kernel import Expr, Form, FormRing
 
 
 def expr_derivative(e, x: str, space: JetSpace) -> Expr:
     """Total derivative D_x of an expression, in the form normalize
-    gives; carried as a Form of jets.expr_ring."""
+    gives; the parser's D_x(...) application."""
     e = sp.sympify(e)
     return total_derivative(expr_ring(e, space).from_expr(e), x).as_expr()
 
@@ -47,45 +46,48 @@ class DegeneratePairError(ValueError):
 
 @dataclass(frozen=True)
 class FirstOrderOperator:
-    """free + sum_j dirs[j] * D_j with Expr coefficients."""
-    free: Expr
-    dirs: tuple[tuple[str, Expr], ...]
+    """free + sum_j dirs[j] * D_j with coefficients Forms of one ring."""
+    free: Form
+    dirs: tuple[tuple[str, Form], ...]
 
     @staticmethod
-    def make(free, dirs: dict) -> "FirstOrderOperator":
-        free = normalize(free)
-        items = []
-        for v, c in dirs.items():
-            c = normalize(c)
-            if c != 0:
-                items.append((v, c))
-        return FirstOrderOperator(free, tuple(sorted(items)))
+    def make(free: Form, dirs: dict) -> "FirstOrderOperator":
+        items = [(v, c) for v, c in dirs.items() if c != 0]
+        return FirstOrderOperator(free, tuple(sorted(items, key=lambda vc: vc[0])))
 
-    def dir_coeff(self, v: str) -> Expr:
+    @property
+    def ring(self) -> FormRing:
+        return self.free.ring
+
+    def dir_coeff(self, v: str) -> Form:
         for w, c in self.dirs:
             if w == v:
                 return c
-        return sp.S.Zero
+        return self.ring.zero
 
     @property
     def directions(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.dirs)
 
+    def coefficients(self) -> list[Form]:
+        return [self.free] + [c for _, c in self.dirs]
+
     def is_zero(self) -> bool:
         return self.free == 0 and not self.dirs
 
-    def directional_apply(self, e, space: JetSpace) -> Expr:
-        """Only the D-part applied to an expression."""
-        return normalize(sum(c * expr_derivative(e, v, space)
-                             for v, c in self.dirs))
+    def directional_apply(self, e: Form) -> Form:
+        """Only the D-part applied to a Form."""
+        return self.ring.combine([(c, total_derivative(e, v)) for v, c in self.dirs])
 
-    def apply(self, e, space: JetSpace) -> Expr:
-        return normalize(self.free * e + self.directional_apply(e, space))
+    def apply(self, e: Form) -> Form:
+        return self.free * e + self.directional_apply(e)
 
-    def apply_to_unknown(self, unknown: str, space: JetSpace) -> Expr:
+    def apply_to_unknown(self, unknown: str, space: JetSpace) -> Form:
         """Apply to the zeroth jet of an unknown symbolically."""
-        return normalize(self.free * space.jet(unknown)
-                         + sum(c * space.jet(unknown, (v,)) for v, c in self.dirs))
+        ring = self.ring
+        jets = [(self.free, space.jet(unknown))]
+        jets += [(c, space.jet(unknown, (v,))) for v, c in self.dirs]
+        return ring.combine([(c, ring.from_expr(j)) for c, j in jets])
 
     def scaled(self, factor) -> "FirstOrderOperator":
         return FirstOrderOperator.make(self.free * factor,
@@ -103,14 +105,13 @@ class FirstOrderOperator:
         return self.scaled(-1)
 
 
-def commutator(p: FirstOrderOperator, q: FirstOrderOperator,
-               space: JetSpace) -> FirstOrderOperator:
+def commutator(p: FirstOrderOperator, q: FirstOrderOperator) -> FirstOrderOperator:
     """[p, q] as a first-order operator (second-order parts cancel)."""
     dirs = {}
     for v in set(p.directions) | set(q.directions):
-        dirs[v] = (p.directional_apply(q.dir_coeff(v), space)
-                   - q.directional_apply(p.dir_coeff(v), space))
-    free = p.directional_apply(q.free, space) - q.directional_apply(p.free, space)
+        dirs[v] = (p.directional_apply(q.dir_coeff(v))
+                   - q.directional_apply(p.dir_coeff(v)))
+    free = p.directional_apply(q.free) - q.directional_apply(p.free)
     return FirstOrderOperator.make(free, dirs)
 
 
@@ -132,18 +133,22 @@ def split_lambda(op: FirstOrderOperator) -> tuple[FirstOrderOperator, FirstOrder
             FirstOrderOperator.make(x0_free, x0_dirs))
 
 
-def _lambda_parts(c) -> tuple[Expr, Expr]:
-    c = normalize(c)
-    _num, den = c.as_numer_denom()
-    if den.has(LAMBDA):
+def _lambda_parts(c: Form) -> tuple[Form, Form]:
+    """(lam-coefficient, lam-free part) of c, read off the lam exponents
+    of its numerators."""
+    ring = c.ring
+    k = ring.index[LAMBDA]
+    if any(ring.factors[fid].degree(k) for fid in c.den):
         raise NotLambdaLinearError(
-            f"coefficient {c} is not polynomial in the spectral parameter")
-    p = sp.Poly(c, LAMBDA)
-    if p.degree() > 1:
+            f"coefficient {c.as_expr()} is not polynomial in the spectral parameter")
+    degree = max((p.degree(k) for p in c.terms.values()), default=0)
+    if degree > 1:
         raise NotLambdaLinearError(
-            f"coefficient {c} has spectral-parameter degree {p.degree()}; "
+            f"coefficient {c.as_expr()} has spectral-parameter degree {degree}; "
             "try rewriting the pair in a lambda-linear form first")
-    return normalize(p.nth(1)), normalize(p.nth(0))
+    lam = ring.poly.gens[k]
+    hi = c.derive(lambda p: p.diff(lam), lambda _key: None)
+    return hi, c - hi * ring.scalar(lam)
 
 
 @dataclass(frozen=True)
@@ -166,33 +171,34 @@ class LaxPair:
                 raise NotLambdaLinearError(
                     f"operator {i + 1} has no spectral-parameter part")
             for part in (x1, x0):
-                for _, c in part.dirs + ((None, part.free),):
-                    c = sp.sympify(c)
-                    if c.has(LAMBDA):
+                for c in part.coefficients():
+                    symbols = c.free_symbols
+                    if LAMBDA in symbols:
                         raise ValueError("split coefficients must be lambda-free")
-                    for s in space.jets_in(c):
-                        if space.jet_var(s).unknown != "u":
+                    for s in symbols:
+                        jv = space.jet_var(s)
+                        if jv is not None and jv.unknown != "u":
                             raise ValueError(
                                 f"Lax coefficients must be free of {s}")
-        if not self._independent_directions(space):
+        if not self._independent_directions():
             raise DegeneratePairError(
                 "the directional parts of the two lambda-coefficient operators "
                 "are proportional")
 
-    def _independent_directions(self, space: JetSpace) -> bool:
+    def _independent_directions(self) -> bool:
         a, b = self.x1
         vs = sorted(set(a.directions) | set(b.directions))
         for i, v in enumerate(vs):
             for w in vs[i + 1:]:
-                cross = a.dir_coeff(v) * b.dir_coeff(w) - a.dir_coeff(w) * b.dir_coeff(v)
-                if not kernel.is_zero(cross):
+                if a.dir_coeff(v) * b.dir_coeff(w) - a.dir_coeff(w) * b.dir_coeff(v) != 0:
                     return True
         return False
 
     def full_operator(self, i: int) -> FirstOrderOperator:
         """Reconstruct L_i = X0_i - lam*X1_i with lambda-polynomial
         coefficients."""
-        return self.x0[i] - self.x1[i].scaled(LAMBDA)
+        lam = self.x1[i].ring.from_expr(LAMBDA)
+        return self.x0[i] - self.x1[i].scaled(lam)
 
 
 @dataclass
@@ -212,7 +218,8 @@ def equation_system(F: Form, space: JetSpace) -> RewriteSystem:
 
 
 def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
-    """Commutator-closure check of a pair against F = 0.
+    """Commutator-closure check of a pair against F = 0, F an expression
+    taken into the ring of the pair's coefficients.
 
     Seeks lambda-rational multipliers a, b with [op1, op2] = a*op1 + b*op2
     by matching directional coefficients, reducing every residual modulo
@@ -221,21 +228,17 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     the commutator and the residuals are those of L_i, and the
     multipliers are reported for this sign.
     """
-    sys = equation_system(expr_ring(F, space).from_expr(F), space)
-
-    def reduce(e) -> Form:
-        return sys.reduce(sys.ring.from_expr(e))
-
     op1, op2 = (-pair.full_operator(i) for i in (0, 1))
-    comm = commutator(op1, op2, space)
+    sys = equation_system(op1.ring.from_expr(F), space)
+    comm = commutator(op1, op2)
     dirs = sorted(set(comm.directions) | set(op1.directions) | set(op2.directions))
 
     # pick two pivot directions with generically invertible 2x2 matrix
     pivot = None
     for i, v in enumerate(dirs):
         for w in dirs[i + 1:]:
-            det = reduce(op1.dir_coeff(v) * op2.dir_coeff(w)
-                         - op1.dir_coeff(w) * op2.dir_coeff(v)).as_expr()
+            det = sys.reduce(op1.dir_coeff(v) * op2.dir_coeff(w)
+                             - op1.dir_coeff(w) * op2.dir_coeff(v))
             if det != 0:
                 pivot = (v, w, det)
                 break
@@ -245,18 +248,19 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
         return LaxReport(False, assumptions=sys.assumptions,
                          note="no pair of independent directional coefficients")
     v, w, det = pivot
-    cv = reduce(comm.dir_coeff(v)).as_expr()
-    cw = reduce(comm.dir_coeff(w)).as_expr()
-    a = normalize((cv * op2.dir_coeff(w) - cw * op2.dir_coeff(v)) / det)
-    b = normalize((op1.dir_coeff(v) * cw - op1.dir_coeff(w) * cv) / det)
+    cv = sys.reduce(comm.dir_coeff(v))
+    cw = sys.reduce(comm.dir_coeff(w))
+    inv = det.inverse()
+    a = (cv * op2.dir_coeff(w) - cw * op2.dir_coeff(v)) * inv
+    b = (op1.dir_coeff(v) * cw - op1.dir_coeff(w) * cv) * inv
 
     residuals = []
     for d in dirs:
         if d in (v, w):
             continue
-        residuals.append(reduce(
+        residuals.append(sys.reduce(
             comm.dir_coeff(d) - a * op1.dir_coeff(d) - b * op2.dir_coeff(d)))
-    residuals.append(reduce(comm.free - a * op1.free - b * op2.free))
+    residuals.append(sys.reduce(comm.free - a * op1.free - b * op2.free))
     residuals = [r.as_expr() for r in residuals if r != 0]
-    return LaxReport(not residuals, residuals, (a, b), sys.assumptions,
-                     note=f"pivot directions {v}, {w}")
+    return LaxReport(not residuals, residuals, (a.as_expr(), b.as_expr()),
+                     sys.assumptions, note=f"pivot directions {v}, {w}")

@@ -6,7 +6,10 @@ differential operator
     sum over jets u_alpha present in F of  (dF/du_alpha) * D_alpha
 
 whose application to a perturbation replaces D_alpha by the alpha-jet of
-the perturbation.  Works for any k; nothing here is tied to order 2.
+the perturbation.  F is a Form, and each partial derivative is
+``Form.derive`` with the partial derivative of the polynomial ring, so
+the coefficients are Forms of F's ring.  Works for any k; nothing here
+is tied to order 2.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from . import kernel
-from .jets import JetRing, JetSpace, jet_ring
+from .jets import JetSpace, jet_ring
 from .kernel import Expr, Form
 
 
@@ -31,34 +33,33 @@ class LinearDifferentialOperator:
     The empty index is the zeroth-order term; applying the operator to
     the constant 1 returns exactly that coefficient.
     """
-    coeffs: tuple[tuple[tuple[str, ...], Expr], ...]
+    coeffs: tuple[tuple[tuple[str, ...], Form], ...]
 
-    def coeff(self, index: tuple[str, ...]) -> Expr:
+    def coeff(self, index: tuple[str, ...]) -> Form | Expr:
         for idx, c in self.coeffs:
             if idx == index:
                 return c
         return sp.S.Zero
 
-    def apply_to(self, unknown: str, space: JetSpace,
-                 ring: JetRing | None = None) -> Form:
+    def apply_to(self, unknown: str, space: JetSpace) -> Form:
         """Apply to the zeroth jet of an unknown: D_alpha becomes the
-        alpha-jet.  Result is linear in the target's jets; a Form of
-        ring (by default the space's JetRing)."""
-        ring = ring or jet_ring(space)
-        out = ring.zero
-        for idx, c in self.coeffs:
-            out = out + ring.from_expr(c * space.jet(unknown, idx))
-        return out
+        alpha-jet.  Result is linear in the target's jets; a Form of the
+        coefficients' ring."""
+        if not self.coeffs:
+            return jet_ring(space).zero
+        ring = self.coeffs[0][1].ring
+        return ring.combine([(c, ring.from_expr(space.jet(unknown, idx)))
+                             for idx, c in self.coeffs])
 
     @property
     def order(self) -> int:
         return max((len(idx) for idx, _ in self.coeffs), default=0)
 
 
-def linearize(F, space: JetSpace) -> LinearDifferentialOperator:
+def linearize(F: Form, space: JetSpace) -> LinearDifferentialOperator:
     """Linearization operator of F; coefficients are the partial
     derivatives of F with respect to each jet variable present."""
-    F = sp.sympify(F)
+    ring = F.ring
     coeffs = []
     for s in sorted(F.free_symbols, key=str):
         jv = space.jet_var(s)
@@ -66,7 +67,8 @@ def linearize(F, space: JetSpace) -> LinearDifferentialOperator:
             continue
         if jv.unknown != "u":
             raise WrongUnknownError(f"F depends on {s}, not a u-jet")
-        c = kernel.partial_diff(F, s)
+        gen = ring.poly.gens[ring.index[s]]
+        c = F.derive(lambda p: p.diff(gen), lambda _key: None)
         if c != 0:
             coeffs.append((jv.index, c))
     coeffs.sort(key=lambda pair: (len(pair[0]), pair[0]))

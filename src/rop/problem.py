@@ -30,7 +30,7 @@ import sympy as sp
 
 from . import kernel
 from .engine import SLOTS, TwistRelations
-from .jets import JetSpace
+from .jets import JetRing, JetSpace, jet_ring
 from .kernel import Expr, normalize
 from .lax import LAMBDA, FirstOrderOperator, LaxPair, expr_derivative
 
@@ -242,7 +242,7 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
     lets: dict[str, Expr] = {}
     space: JetSpace | None = None
     F = None
-    lax_ops: list[FirstOrderOperator] = []
+    lax_lines: list[tuple[int, Expr]] = []
     assumptions: list[Expr] = []
     twist_f: dict = {}
     orientation = None
@@ -301,17 +301,16 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                 F = sp.expand(num)
                 for factor, _m in sp.factor_list(den)[1]:
                     fa = normalize(factor)
-                    if not any(kernel.equal(fa, a) for a in assumptions):
+                    if fa not in assumptions:
                         assumptions.append(fa)
             elif head == "lax":
-                e = sp.expand(parser(rest, allow_bare_d=True).parse())
-                lax_ops.append(_to_operator(e, space, line_no))
+                lax_lines.append((line_no, sp.expand(parser(rest, allow_bare_d=True).parse())))
             elif head == "assume":
                 src, _, tail = rest.partition("!=")
                 if tail.strip() != "0":
                     raise ProblemSyntaxError("assume line must end in '!= 0'", line_no)
                 fa = normalize(parser(src).parse())
-                if not any(kernel.equal(fa, a) for a in assumptions):
+                if fa not in assumptions:
                     assumptions.append(fa)
             elif head == "twist":
                 slot_src, _, src = rest.partition("=")
@@ -342,8 +341,8 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
         raise ProblemSyntaxError("missing 'vars' line")
     if F is None:
         raise ProblemSyntaxError("missing 'equation' line")
-    if len(lax_ops) != 2:
-        raise ProblemSyntaxError(f"expected exactly 2 lax lines, got {len(lax_ops)}")
+    if len(lax_lines) != 2:
+        raise ProblemSyntaxError(f"expected exactly 2 lax lines, got {len(lax_lines)}")
 
     if len(space.variables) < 3:
         warnings.append(
@@ -353,7 +352,9 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                for s in F.free_symbols):
         raise ProblemSyntaxError("equation has no second-order jet of u")
 
-    pair = LaxPair.from_operators(lax_ops[0], lax_ops[1], space)
+    ring = jet_ring(space)
+    pair = LaxPair.from_operators(*(_to_operator(e, ring, line_no)
+                                    for line_no, e in lax_lines), space)
 
     twist = None
     if twist_f:
@@ -366,7 +367,8 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                    orientation, ansatz or None, warnings)
 
 
-def _to_operator(e: Expr, space: JetSpace, line_no: int) -> FirstOrderOperator:
+def _to_operator(e: Expr, ring: JetRing, line_no: int) -> FirstOrderOperator:
+    """The operator of a lax line, its coefficients Forms of ring."""
     d_syms = sorted((s for s in e.free_symbols if s.name.startswith("_D_")),
                     key=str)
     if not d_syms:
@@ -379,11 +381,13 @@ def _to_operator(e: Expr, space: JetSpace, line_no: int) -> FirstOrderOperator:
     if poly.total_degree() > 1:
         raise ProblemSyntaxError("lax operator must be first order", line_no)
     dirs = {}
-    free = sp.S.Zero
-    for monom, coeff in poly.terms():
-        if sum(monom) == 0:
-            free = coeff
-        else:
-            v = d_syms[monom.index(1)].name[3:]
-            dirs[v] = coeff
+    free = ring.zero
+    try:
+        for monom, coeff in poly.terms():
+            if sum(monom) == 0:
+                free = ring.from_expr(coeff)
+            else:
+                dirs[d_syms[monom.index(1)].name[3:]] = ring.from_expr(coeff)
+    except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
+        raise ProblemSyntaxError(str(exc), line_no) from exc
     return FirstOrderOperator.make(free, dirs)

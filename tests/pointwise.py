@@ -1,6 +1,6 @@
 """Test helpers that check exact results independently: evaluation at
-random rational points, the canonical pair of an expression, and the
-first-variation identity of a linearisation."""
+random rational points, a gcd canonicaliser that shares no code with
+``kernel.Form``, and the first-variation identity of a linearisation."""
 
 from __future__ import annotations
 
@@ -8,21 +8,143 @@ import random
 from typing import Iterable, Mapping
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import PolyElement, PolyRing
 
 from rop import kernel
 from rop.jets import JetSpace
-from rop.kernel import normalize
 from rop.linearize import linearize
+
+from conftest import to_form
 
 
 class PoleError(ZeroDivisionError):
     """Denominator vanishes at the requested evaluation point."""
 
 
+# -- the gcd canonicaliser ------------------------------------------------
+#
+# The reference canonical form: one walk of the expression tree turns
+# every subexpression into a (numerator, denominator) pair in the sparse
+# polynomial ring of the expression's symbols (QQ, grevlex in
+# kernel.symbol_order), one gcd cancellation makes the pair coprime, and
+# both parts are divided by the leading coefficient of the denominator.
+
+
 def as_fraction(e) -> tuple[sp.Expr, sp.Expr]:
     """Canonical (numerator, denominator) pair with a monic denominator."""
-    num, den = kernel._canonical_pair(e)
+    num, den = _canonical_pair(e)
     return num.as_expr(), den.as_expr()
+
+
+def normalize(e) -> sp.Expr:
+    """The canonical form n/d of e through a gcd; kernel.normalize must
+    give exactly (srepr) this expression."""
+    num, den = _canonical_pair(e)
+    if den.is_one:
+        return num.as_expr()
+    return num.as_expr() / den.as_expr()
+
+
+def is_zero(e) -> bool:
+    return normalize(e) == 0
+
+
+def equal(a, b) -> bool:
+    return is_zero(sp.sympify(a) - sp.sympify(b))
+
+
+def _canonical_pair(e) -> tuple[PolyElement, PolyElement]:
+    e = sp.sympify(e)
+    ring = PolyRing(kernel.symbol_order(e.free_symbols), QQ, grevlex)
+    num, den = _to_pair(e, ring, dict(zip(ring.symbols, ring.gens)))
+    if not den:
+        raise kernel.DegenerateExpressionError(f"zero denominator in {e}")
+    if not num:
+        return ring.zero, ring.one
+    num, den = num.cancel(den)
+    lc = den.LC
+    if lc != 1:
+        num = num.quo_ground(lc)
+        den = den.quo_ground(lc)
+    return num, den
+
+
+def _to_pair(e, ring: PolyRing, gens: dict) -> tuple[PolyElement, PolyElement]:
+    """(numerator, denominator) polynomials with quotient e; not reduced."""
+    if e.is_Symbol:
+        return gens[e], ring.one
+    if e.is_Rational:
+        return ring.ground_new(QQ(e.p, e.q)), ring.one
+    if e.is_Add:
+        return _sum([_to_pair(a, ring, gens) for a in e.args], ring)
+    if e.is_Mul:
+        num, den = ring.one, ring.one
+        for a in e.args:
+            n, d = _to_pair(a, ring, gens)
+            num, den = num * n, den * d
+        return num, den
+    if e.is_Pow and e.exp.is_Integer:
+        num, den = _to_pair(e.base, ring, gens)
+        k = int(e.exp)
+        if k < 0:
+            if not num:
+                raise kernel.DegenerateExpressionError(f"zero denominator in {e}")
+            num, den, k = den, num, -k
+        return num**k, den**k
+    if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
+        raise kernel.DegenerateExpressionError(f"undefined value in {e}")
+    raise kernel.NotRationalError(f"{e} is not a rational function over QQ")
+
+
+def _sum(pairs, ring: PolyRing) -> tuple[PolyElement, PolyElement]:
+    """Sum of fractions over a common denominator: numerators of equal
+    denominators are added first; monomial denominators combine by
+    their monomial lcm, any others by their product."""
+    by_den: dict[PolyElement, PolyElement] = {}
+    for n, d in pairs:
+        by_den[d] = by_den[d] + n if d in by_den else n
+    by_den = {d: n for d, n in by_den.items() if n}
+    if not by_den:
+        return ring.zero, ring.one
+    if len(by_den) == 1:
+        (den, num), = by_den.items()
+        return num, den
+    lcm = ring.zero_monom
+    general = []
+    for d in by_den:
+        if len(d) == 1:
+            lcm = ring.monomial_lcm(lcm, d.LM)
+        else:
+            general.append(d)
+    mono = ring.term_new(lcm, QQ.one)
+    num = ring.zero
+    for d, n in by_den.items():
+        factor = mono.quo_term(d.LT) if len(d) == 1 else mono
+        for g in general:
+            if g is not d:
+                factor = factor * g
+        num = num + n * factor
+    den = mono
+    for g in general:
+        den = den * g
+    return num, den
+
+
+def reference_total_derivative(e, x: str, space: JetSpace) -> sp.Expr:
+    """D_x of an expression through sp.diff: explicit x-dependence plus
+    the chain rule over every jet present."""
+    e = sp.sympify(e)
+    out = sp.diff(e, space.var_syms[x])
+    for s in e.free_symbols:
+        jv = space.jet_var(s)
+        if jv is not None:
+            out += sp.diff(e, s) * space.jet(jv.unknown, jv.index + (x,))
+    return normalize(out)
+
+
+# -- evaluation -------------------------------------------------------------
 
 
 def eval_rational(e, point: Mapping[sp.Symbol, object]) -> sp.Rational:
@@ -73,7 +195,7 @@ def probably_nonzero(e, rng: random.Random | None = None, points: int = 8,
                 return True
             break
     if not found_value:
-        return not kernel.is_zero(e)
+        return not is_zero(e)
     return False
 
 
@@ -93,7 +215,7 @@ def first_variation_defect(F, space: JetSpace, seed: str = "U") -> sp.Expr:
         if jv is not None and jv.unknown == "u":
             shift[s] = s + eps * space.jet(seed, jv.index)
     shifted = F.xreplace(shift)
-    lin = linearize(F, space).apply_to(seed, space).as_expr()
+    lin = linearize(to_form(F, space), space).apply_to(seed, space).as_expr()
     defect = sp.cancel(sp.together(shifted - F - eps * lin))
     num, den = defect.as_numer_denom()
     if den.subs(eps, 0) == 0:

@@ -126,7 +126,8 @@ class TestErrorsAndLimits:
         ["lax-check", DFKN2, "--branch-bound", "3"],
         ["linearize", DFKN2, "--orientation", "forward"],
         ["hierarchy", DFKN2, "--basis", "auto"],
-        ["verify", DFKN2, "--branch-bound", "3"]])
+        ["verify", DFKN2, "--branch-bound", "3"],
+        ["solve", DFKN2, "--branch-bound", "-4"]])
     def test_option_of_another_subcommand_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -137,6 +138,15 @@ class TestErrorsAndLimits:
         code, _, err = run(capsys, "solve", EQ5)
         assert code == 2
         assert "exceeded" in err
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-3"])
+    def test_bad_timeout_env_is_an_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ROP_TIMEOUT_SECS", value)
+        code, out, _ = run(capsys, "verify", DFKN2, "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "ERROR"
+        assert "ROP_TIMEOUT_SECS" in doc["error"]
 
     def test_bad_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -14,12 +14,12 @@ from rop.engine import (ORIENTATIONS, SLOTS, AnsatzBasis, DeterminingSystem,
                         TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
                         hierarchy_relations, solve_determining, verify)
-from rop.kernel import equal, normalize
 from rop.lax import LAMBDA, DegeneratePairError
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
 from conftest import PROBLEM_DIR, random_poly, to_form
+from pointwise import equal, is_zero, normalize, reference_total_derivative
 
 
 def _twist(problem):
@@ -300,7 +300,7 @@ def _reference_linear_pivot(eq, unknowns):
         a = p.nth(1)
         if a.free_symbols & set(unknowns):
             continue
-        if kernel.is_zero(a):
+        if is_zero(a):
             continue
         return c, normalize(-p.nth(0) / a)
     return None
@@ -379,21 +379,11 @@ def test_solver_matches_reference(ds):
 # -- reference derivation on expression trees ----------------------------
 #
 # The derivation as it was before the Form carrier: every intermediate is
-# a normalized sympy expression, total derivatives go through sp.diff,
-# reduction substitutes normal forms with xreplace until nothing changes,
-# a relation is solved through a Poly in its leading jet, and the
-# determining equations are the coefficients of a Poly over the residual
-# numerator's jets and lam.
-
-
-def reference_total_derivative(e, x, space):
-    e = sp.sympify(e)
-    out = sp.diff(e, space.var_syms[x])
-    for s in e.free_symbols:
-        jv = space.jet_var(s)
-        if jv is not None:
-            out += sp.diff(e, s) * space.jet(jv.unknown, jv.index + (x,))
-    return normalize(out)
+# a sympy expression normalized by the gcd canonicaliser of pointwise.py,
+# total derivatives go through sp.diff, reduction substitutes normal
+# forms with xreplace until nothing changes, a relation is solved through
+# a Poly in its leading jet, and the determining equations are the
+# coefficients of a Poly over the residual numerator's jets and lam.
 
 
 def reference_solve_for_leading(relation, unknown, space):
@@ -408,7 +398,7 @@ def reference_solve_for_leading(relation, unknown, space):
             raise jets_module.NonlinearLeadingError(f"nonlinear in {v}")
         a = p.nth(1)
         b = p.nth(0)
-        if kernel.is_zero(a):
+        if is_zero(a):
             continue
         return (v, normalize(-b / a)), normalize(a)
     raise jets_module.NoLeadingJetError("zero coefficients")
@@ -477,7 +467,7 @@ def reference_determining_equations(F, pair, twist, space):
         rule, _lead = reference_solve_for_leading(e, "Ut", space)
         rules.append(rule)
         dirs.append(space.jet_var(rule[0]).index[0])
-    lin = linearize(F, space)
+    lin = linearize(to_form(F, space), space)
     sys_u = ReferenceRewriteSystem(space, [reference_solve_for_leading(F, "u", space)[0]])
     lin_u = sys_u.reduce(normalize(sum(c * space.jet("U", idx) for idx, c in lin.coeffs)))
     sys_uu = sys_u.extended([reference_solve_for_leading(lin_u, "U", space)[0]])

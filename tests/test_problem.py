@@ -1,9 +1,11 @@
 import pytest
 import sympy as sp
 
-from rop.kernel import equal, normalize
+from rop.kernel import normalize
 from rop.lax import LAMBDA
 from rop.problem import ProblemSyntaxError, fmt, parse_problem
+
+from pointwise import equal
 
 MINIMAL = """\
 problem demo

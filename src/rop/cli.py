@@ -80,7 +80,8 @@ def _basis_for(problem: Problem, basis_arg: str) -> AnsatzBasis:
 
 def cmd_lax_check(problem: Problem, args) -> dict:
     t0 = time.monotonic()
-    report = lax.check_lax(problem.lax, problem.F, problem.space)
+    F = jet_ring(problem.space).from_expr(problem.F)
+    report = lax.check_lax(problem.lax, F, problem.space)
     doc = {
         "verdict": "PASS" if report.passed else "FAIL",
         "residuals": [fmt(r) for r in report.residuals],
@@ -241,10 +242,12 @@ def _at_least(minimum: int):
 
 
 def _timeout_secs() -> int:
-    """ROP_TIMEOUT_SECS, a non-negative integer; unset or 0 is no limit."""
+    """ROP_TIMEOUT_SECS, an integer from 0 to what signal.alarm takes
+    (2**31 - 1); unset or 0 is no limit."""
     text = os.environ.get("ROP_TIMEOUT_SECS") or "0"
-    if not text.isdecimal():
-        raise CliError(f"ROP_TIMEOUT_SECS must be a non-negative integer, got {text!r}")
+    if not text.isdecimal() or int(text) > 2**31 - 1:
+        raise CliError("ROP_TIMEOUT_SECS must be an integer from 0 to 2147483647, "
+                       f"got {text!r}")
     return int(text)
 
 

@@ -18,7 +18,9 @@ branching on factored quadratics.
 From the relations to the determining equations everything is a
 ``kernel.Form`` of one JetRing per computation, whose generators include
 the twist's unknown constants; the Lax operators are Forms of the
-space's JetRing and enter it, with the twist, as one expression.
+space's JetRing and enter it, with the twist, as one expression.  The
+entry points take F as the problem's expression: ``full_system``
+converts it once into that ring and returns its linearization too.
 Expressions remain only in the twist, the VerifyReport and the
 DeterminingSystem handed to the solver: its equations are read off the
 residuals' numerators by regrouping monomials by their jet and lam
@@ -41,7 +43,7 @@ from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
                    solve_for_leading, total_derivative)
 from .kernel import ONE, Expr, Form, normalize
 from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
-from .linearize import linearize
+from .linearize import LinearDifferentialOperator, linearize
 
 ORIENTATIONS = ("forward", "swapped")
 SLOTS = ((1, 0), (1, 1), (2, 0), (2, 1))
@@ -149,37 +151,36 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
                        tuple(assumptions), twist.orientation)
 
 
-def full_system(F, relset: RelationSet, space: JetSpace) -> RewriteSystem:
+def full_system(F, relset: RelationSet,
+                space: JetSpace) -> tuple[RewriteSystem, LinearDifferentialOperator]:
     """Three-layer rewrite system: F = 0, the linearized equation for U,
     and the recursion relations for Ut, each solved and reduced against
-    the layers below, in the JetRing of the relations."""
-    F = relset.rules[0].rhs.ring.from_expr(F)
+    the layers below, in the JetRing of the relations; and the
+    linearization of F in that ring.  F is the equation's expression,
+    converted here once."""
+    F = relset.relations[0].ring.from_expr(F)
     sys_u = equation_system(F, space)
-    lin_u = sys_u.reduce(linearize(F, space).apply_to("U", space))
-    u_rule, u_lead = solve_for_leading(lin_u, "U", space)
+    lin = linearize(F, space)
+    u_rule, u_lead = solve_for_leading(sys_u.reduce(lin.apply_to("U", space)), "U", space)
     sys_uu = sys_u.extended([u_rule], [u_lead])
     ut_rules = [RewriteRule(r.lhs, sys_uu.reduce(r.rhs)) for r in relset.rules]
-    return sys_uu.extended(ut_rules, relset.assumptions)
+    return sys_uu.extended(ut_rules, relset.assumptions), lin
 
 
-def compatibility_residual(relset: RelationSet, F, space: JetSpace,
-                           sys: RewriteSystem | None = None) -> Form:
+def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
     """Condition a): the cross-derivative of the two solved relations,
-    reduced; zero means the system for Ut is compatible whenever U is a
-    symmetry."""
-    sys = sys or full_system(F, relset, space)
+    reduced in their full system; zero means the system for Ut is
+    compatible whenever U is a symmetry."""
     (r1, r2), (d1, d2) = relset.rules, relset.directions
     cross = (total_derivative(sys.rules[r1.lhs].rhs, d2)
              - total_derivative(sys.rules[r2.lhs].rhs, d1))
     return sys.reduce(cross)
 
 
-def symmetry_residual(relset: RelationSet, F, space: JetSpace,
-                      sys: RewriteSystem | None = None) -> Form:
-    """Condition b): the linearized equation applied to Ut, reduced; zero
-    means Ut is a symmetry whenever U is."""
-    sys = sys or full_system(F, relset, space)
-    return sys.reduce(linearize(sys.ring.from_expr(F), space).apply_to("Ut", space))
+def symmetry_residual(lin: LinearDifferentialOperator, sys: RewriteSystem) -> Form:
+    """Condition b): the linearized equation applied to Ut, reduced in the
+    full system; zero means Ut is a symmetry whenever U is."""
+    return sys.reduce(lin.apply_to("Ut", sys.space))
 
 
 @dataclass
@@ -204,11 +205,11 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
         raise InvalidTwistError("verify requires a twist without unknown constants")
     t0 = time.monotonic()
     relset = build_relations(pair, twist, space)
-    sys = full_system(F, relset, space)
+    sys, lin = full_system(F, relset, space)
     t1 = time.monotonic()
-    compat = compatibility_residual(relset, F, space, sys)
+    compat = compatibility_residual(relset, sys)
     t2 = time.monotonic()
-    symm = symmetry_residual(relset, F, space, sys)
+    symm = symmetry_residual(lin, sys)
     t3 = time.monotonic()
     timings = {"build": t1 - t0, "compatibility": t2 - t1, "symmetry": t3 - t2}
     return VerifyReport(compat == 0 and symm == 0, twist.orientation,
@@ -309,10 +310,9 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
     twist satisfies both conditions; with an ansatz twist these are the
     determining equations for its constants."""
     relset = build_relations(pair, twist, space)
-    sys = full_system(F, relset, space)
+    sys, lin = full_system(F, relset, space)
     equations, seen = [], set()
-    for resid in (compatibility_residual(relset, F, space, sys),
-                  symmetry_residual(relset, F, space, sys)):
+    for resid in (compatibility_residual(relset, sys), symmetry_residual(lin, sys)):
         for key, eq in _coefficients(resid, space):
             if key not in seen:
                 seen.add(key)

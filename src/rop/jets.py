@@ -25,6 +25,7 @@ numerators and into the factors of the denominator.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 from typing import Iterable, Sequence
@@ -201,15 +202,23 @@ class JetRing(FormRing):
         return p.new([(k, v) for k, v in out.items() if v])
 
 
-@functools.cache
-def _jet_ring(variables, max_order, params, symbols) -> JetRing:
-    return JetRing(JetSpace(variables, max_order, params), symbols)
+_live_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@functools.lru_cache(maxsize=16)
+def _jet_ring(*key) -> JetRing:
+    ring = _live_rings.get(key)
+    if ring is None:  # key: variables, max_order, params, extra symbols
+        ring = _live_rings[key] = JetRing(JetSpace(*key[:3]), key[3])
+    return ring
 
 
 def jet_ring(space: JetSpace, symbols: Iterable[sp.Symbol] = ()) -> JetRing:
-    """The JetRing of a space with the given extra generators; built once
-    per set of generators and kept, so that the Forms a parsed problem
-    holds and those made later on an equal space share one ring."""
+    """The JetRing of a space with the given extra generators.  The 16
+    rings asked for last are kept; any other is found again for as long
+    as it is alive (a Form refers to it), so that the Forms a parsed
+    problem holds and those made later on an equal space share one
+    ring."""
     return _jet_ring(space.variables, space.max_order,
                      tuple(p.name for p in space.params),
                      tuple(symbol_order(set(symbols))))

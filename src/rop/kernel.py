@@ -170,8 +170,7 @@ class FormRing:
         be linear (degree at most one in every term) in its symbols that
         are not in the ring, and free of them in its denominator."""
         e = sp.sympify(e)
-        symbols = tuple(symbol_order(e.free_symbols))
-        small = self.poly if symbols == self.symbols else PolyRing(symbols, QQ, grevlex)
+        small = PolyRing(symbol_order(e.free_symbols), QQ, grevlex)
         num, den = _to_pair(e, small, dict(zip(small.symbols, small.gens)))
         if not den:
             raise DegenerateExpressionError(f"zero denominator in {e}")
@@ -253,8 +252,7 @@ class FormRing:
     def _factor(self, p: PolyElement) -> tuple:
         """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.
         Registered factors are divided out first; the rest is factored
-        (a monomial by its exponents, anything else in the ring of its
-        own symbols) and its factors registered."""
+        in the ring of its own symbols and its factors registered."""
         exps: dict[int, int] = {}
         for fid in range(len(self.factors)):
             k, (p,) = self._cancel((p,), fid, None)
@@ -262,11 +260,6 @@ class FormRing:
                 exps[fid] = k
         if p.is_ground:
             return p.LC, exps
-        if len(p) == 1:
-            (m, c), = p.items()
-            for i in compress(self._range, m):
-                exps[self.factor_id(self.poly.gens[i])] = m[i]
-            return c, exps
         c, factors = sp.factor_list(p.as_expr())
         c = QQ(c.p, c.q)
         for g, mult in factors:

@@ -217,9 +217,9 @@ def equation_system(F: Form, space: JetSpace) -> RewriteSystem:
     return RewriteSystem(space, [rule], [lead])
 
 
-def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
-    """Commutator-closure check of a pair against F = 0, F an expression
-    taken into the ring of the pair's coefficients.
+def check_lax(pair: LaxPair, F: Form, space: JetSpace) -> LaxReport:
+    """Commutator-closure check of a pair against F = 0, F a Form of the
+    ring of the pair's coefficients (as for ``linearize``).
 
     Seeks lambda-rational multipliers a, b with [op1, op2] = a*op1 + b*op2
     by matching directional coefficients, reducing every residual modulo
@@ -229,7 +229,7 @@ def check_lax(pair: LaxPair, F, space: JetSpace) -> LaxReport:
     multipliers are reported for this sign.
     """
     op1, op2 = (-pair.full_operator(i) for i in (0, 1))
-    sys = equation_system(op1.ring.from_expr(F), space)
+    sys = equation_system(F, space)
     comm = commutator(op1, op2)
     dirs = sorted(set(comm.directions) | set(op1.directions) | set(op2.directions))
 

@@ -166,9 +166,9 @@ def test_criterion_6_lax_validation(eq5, dfkn2, dfkn3):
     details = []
     ok = True
     for prob in (eq5, dfkn2, dfkn3):
-        good = check_lax(prob.lax, prob.F, prob.space)
-        bad = check_lax(_perturbed_pair(prob.lax, prob.space), prob.F,
-                        prob.space)
+        F = to_form(prob.F, prob.space)
+        good = check_lax(prob.lax, F, prob.space)
+        bad = check_lax(_perturbed_pair(prob.lax, prob.space), F, prob.space)
         ok = ok and good.passed and not bad.passed
         details.append(f"{prob.name}: pair {'PASS' if good.passed else 'FAIL'}"
                        f", perturbed {'FAIL' if not bad.passed else 'PASS'}")

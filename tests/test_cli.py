@@ -139,7 +139,7 @@ class TestErrorsAndLimits:
         assert code == 2
         assert "exceeded" in err
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "-3"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-3", "99999999999"])
     def test_bad_timeout_env_is_an_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("ROP_TIMEOUT_SECS", value)
         code, out, _ = run(capsys, "verify", DFKN2, "--json")

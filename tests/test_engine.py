@@ -69,7 +69,7 @@ class TestBuildRelations:
     def test_relations_reduce_to_zero_in_full_system(self, dfkn2):
         s = dfkn2.space
         relset = build_relations(dfkn2.lax, _twist(dfkn2), s)
-        sys = full_system(dfkn2.F, relset, s)
+        sys, _ = full_system(dfkn2.F, relset, s)
         for e in relset.relations:
             assert sys.reduce(e) == 0
 

@@ -44,6 +44,14 @@ class TestJetSpace:
         assert space.jet_var(sp.Symbol("u_q")) is None
         assert space.jet_var(sp.Symbol("x")) is None
 
+    def test_ring_shared_while_its_forms_live(self):
+        # more rings than the cache keeps are asked for in between
+        space = JetSpace(["x", "y"], 2)
+        form = jet_ring(space).from_expr(space.jet("u", ("x",)))
+        for k in range(20):
+            jet_ring(space, [sp.Symbol(f"c{k}")])
+        assert jet_ring(JetSpace(["x", "y"], 2)) is form.ring
+
 
 class TestTotalDerivative:
     def test_quotient_chain_rule(self, ex2_space):

@@ -161,12 +161,12 @@ class TestLaxPair:
 class TestCheckLax:
     def test_examples_pass(self, eq5, dfkn2, dfkn3):
         for prob in (eq5, dfkn2, dfkn3):
-            report = check_lax(prob.lax, prob.F, prob.space)
+            report = check_lax(prob.lax, to_form(prob.F, prob.space), prob.space)
             assert report.passed, (prob.name, report.residuals)
             assert all(r == 0 for r in report.residuals)
 
     def test_multipliers_vanish_on_examples(self, dfkn2):
-        report = check_lax(dfkn2.lax, dfkn2.F, dfkn2.space)
+        report = check_lax(dfkn2.lax, to_form(dfkn2.F, dfkn2.space), dfkn2.space)
         assert report.multipliers == (0, 0)
 
     def test_perturbed_pair_fails(self, dfkn2):
@@ -175,7 +175,7 @@ class TestCheckLax:
         op1 = _make(s, 0, {"t": 1, "z": -LAMBDA, "x": -j("u", "t") / j("u", "y")})
         op2 = _make(s, 0, {"y": 1, "x": -LAMBDA - j("u", "y") / j("u", "x")})
         bad = LaxPair.from_operators(op1, op2, s)
-        report = check_lax(bad, dfkn2.F, s)
+        report = check_lax(bad, to_form(dfkn2.F, s), s)
         assert not report.passed
         assert report.residuals
 
@@ -183,7 +183,7 @@ class TestCheckLax:
         s = dfkn2.space
         j = s.jet
         other_F = j("u", "x") * j("u", "yz") - j("u", "y") * j("u", "xz")
-        report = check_lax(dfkn2.lax, other_F, s)
+        report = check_lax(dfkn2.lax, to_form(other_F, s), s)
         assert not report.passed
 
 
@@ -354,7 +354,7 @@ def _corpus_and_doubled_lax():
 @pytest.mark.parametrize("name,text", _corpus_and_doubled_lax())
 def test_check_lax_matches_reference(name, text):
     prob = parse_problem(text)
-    report = check_lax(prob.lax, prob.F, prob.space)
+    report = check_lax(prob.lax, to_form(prob.F, prob.space), prob.space)
 
     def reference(op):
         return op.free.as_expr(), {v: c.as_expr() for v, c in op.dirs}

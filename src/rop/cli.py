@@ -23,7 +23,7 @@ from . import engine, lax
 from .jets import jet_ring
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS, AnsatzBasis, PartialResultError, TwistRelations
-from .problem import Problem, ProblemSyntaxError, fmt, fmt_operator, parse_problem
+from .problem import Problem, ProblemSyntaxError, fmt, parse_problem
 
 
 class CliError(Exception):

@@ -29,6 +29,7 @@ exponents.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -55,7 +56,8 @@ class InvalidTwistError(ValueError):
 
 
 class PartialResultError(RuntimeError):
-    """Branch bound exhausted; carries the solutions found so far."""
+    """Some branches were left unresolved; carries the solutions found
+    and the equations of each unresolved branch."""
 
     def __init__(self, msg, solutions, unresolved):
         super().__init__(msg)
@@ -110,12 +112,12 @@ class TwistRelations:
 
 @dataclass(frozen=True)
 class RelationSet:
-    """The two relations moved to one side, plus their solved forms; all
-    Forms of one JetRing."""
+    """The two relations moved to one side, plus their solved forms, each
+    rule with its leading Ut-coefficient as its lead; all Forms of one
+    JetRing."""
     relations: tuple[Form, Form]
     rules: tuple[RewriteRule, RewriteRule]
     directions: tuple[str, str]
-    assumptions: tuple[Form, ...]
     orientation: str
 
 
@@ -126,7 +128,7 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
     the computation has the twist's unknown constants as generators."""
     twist.validate(space)
     ring = jet_ring(space, twist.free_constants(space))
-    relations, rules, dirs, assumptions = [], [], [], []
+    relations, rules, dirs = [], [], []
     for i in (0, 1):
         ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
         u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
@@ -134,7 +136,7 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
                            + twist.f[(i + 1, 1)] * space.jet("Ut")
                            - twist.f[(i + 1, 0)] * space.jet("U")
                            - u_op.apply_to_unknown("U", space).as_expr())
-        rule, lead = solve_for_leading(e, "Ut", space)
+        rule = solve_for_leading(e, "Ut", space)
         jv = space.jet_var(rule.lhs)
         if jv.order != 1:
             raise DegeneratePairError(
@@ -142,13 +144,11 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
         relations.append(e)
         rules.append(rule)
         dirs.append(jv.index[0])
-        if lead.free_symbols:
-            assumptions.append(lead)
     if rules[0].lhs == rules[1].lhs:
         raise DegeneratePairError(
             f"both relations solve for the same leading Ut-jet {rules[0].lhs}")
     return RelationSet(tuple(relations), tuple(rules), tuple(dirs),
-                       tuple(assumptions), twist.orientation)
+                       twist.orientation)
 
 
 def full_system(F, relset: RelationSet,
@@ -157,14 +157,16 @@ def full_system(F, relset: RelationSet,
     and the recursion relations for Ut, each solved and reduced against
     the layers below, in the JetRing of the relations; and the
     linearization of F in that ring.  F is the equation's expression,
-    converted here once."""
+    converted here once.  The reduced Ut rules keep their leads, so the
+    system's assumptions are the factors of the leading coefficients of
+    F, of its linearization and of the relations."""
     F = relset.relations[0].ring.from_expr(F)
     sys_u = equation_system(F, space)
     lin = linearize(F, space)
-    u_rule, u_lead = solve_for_leading(sys_u.reduce(lin.apply_to("U", space)), "U", space)
-    sys_uu = sys_u.extended([u_rule], [u_lead])
-    ut_rules = [RewriteRule(r.lhs, sys_uu.reduce(r.rhs)) for r in relset.rules]
-    return sys_uu.extended(ut_rules, relset.assumptions), lin
+    u_rule = solve_for_leading(sys_u.reduce(lin.apply_to("U", space)), "U", space)
+    sys_uu = sys_u.extended([u_rule])
+    ut_rules = [dataclasses.replace(r, rhs=sys_uu.reduce(r.rhs)) for r in relset.rules]
+    return sys_uu.extended(ut_rules), lin
 
 
 def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
@@ -378,8 +380,10 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     remaining equations and into every solved value, so no solved value
     holds a solved unknown.  Every branch that closes yields one
     Solution; remaining unconstrained constants are reported free and
-    set to zero.  Exceeding the branch bound raises PartialResultError
-    carrying the solutions found.
+    set to zero.  A branch is left unresolved when the branch bound is
+    spent, or when its equation is irreducible in the unknowns and has
+    no pivot, so that branching would only give it back; any unresolved
+    branch raises PartialResultError carrying the solutions found.
     """
     unknowns = list(ds.unknowns)
     symbols = set().union(*(sp.sympify(e).free_symbols for e in ds.equations))
@@ -414,12 +418,15 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         exprs = [normalize(e.as_expr()) for e in eqs]
         eq = min(exprs, key=sp.count_ops)
         # a denominator holds only symbols other than the unknowns
-        factors = [f for f, _m in sp.factor_list(sp.numer(eq))[1]
+        factors = [(f, m) for f, m in sp.factor_list(sp.numer(eq))[1]
                    if f.free_symbols & set(unknowns)]
         if not factors:
             return  # inconsistent: constant nonzero equation
+        if len(factors) == 1 and factors[0][1] == 1:
+            unresolved.append(exprs)  # branching would give eq back
+            return
         rest = [x for e, x in zip(exprs, eqs) if e != eq]
-        for f in factors:
+        for f, _m in factors:
             if budget[0] <= 0:
                 unresolved.append(exprs)
                 return
@@ -429,7 +436,8 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     descend([e for e in map(ring.from_expr, ds.equations) if e], {})
     if unresolved:
         raise PartialResultError(
-            f"branch bound exhausted with {len(unresolved)} unresolved branches",
+            f"{len(unresolved)} unresolved branch(es): the branch bound was "
+            "spent, or an equation without a pivot was irreducible",
             solutions, unresolved)
     return solutions
 

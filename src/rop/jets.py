@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import sympy as sp
 
-from .kernel import ONE, Expr, Form, FormRing, normalize, symbol_order
+from .kernel import ONE, Expr, Form, FormRing, symbol_order
 
 UNKNOWNS = ("u", "U", "Ut")
 LAMBDA = sp.Symbol("lam")
@@ -263,28 +263,14 @@ def _multiset_diff(big: tuple[str, ...], small: tuple[str, ...]) -> tuple[str, .
     return tuple(rest)
 
 
-def clean_assumptions(assumptions: Iterable[Form], ring: FormRing) -> tuple[Expr, ...]:
-    """Distinct non-constant irreducible factors of the recorded nonzero
-    Forms (a product is nonzero iff each factor is), each registered as a
-    localising factor of the ring; associates count once."""
-    out: list[Expr] = []
-    seen: set[int] = set()
-    for a in assumptions:
-        for part in a.as_numer_denom():
-            for factor, _mult in sp.factor_list(part)[1]:
-                f = normalize(factor)
-                fid = ring.factor_id(ring.polynomial(f))
-                if fid not in seen:
-                    seen.add(fid)
-                    out.append(f)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class RewriteRule:
-    """Solved relation lhs -> rhs with every jet in rhs strictly below lhs."""
+    """Solved relation lhs -> rhs with every jet in rhs strictly below
+    lhs.  lead is the coefficient of lhs in the relation it was solved
+    from, a polynomial Form: the rule holds where lead is nonzero."""
     lhs: sp.Symbol
     rhs: Form
+    lead: Form
 
     def validate(self, space: JetSpace) -> None:
         top = space.rank_of(self.lhs)
@@ -294,12 +280,12 @@ class RewriteRule:
                     f"rule {self.lhs} -> ... contains jet {s} not below its lhs")
 
 
-def solve_for_leading(rel: Form, unknown: str, space: JetSpace
-                      ) -> tuple[RewriteRule, Form]:
+def solve_for_leading(rel: Form, unknown: str, space: JetSpace) -> RewriteRule:
     """Solve a relation (== 0) for its ranking-greatest jet of ``unknown``.
 
-    Returns the rule and the leading coefficient (a polynomial Form),
-    which the caller records as a genericity assumption.
+    The rule's lead is that jet's coefficient, a polynomial Form;
+    inverting it registers its irreducible factors in the ring, where a
+    RewriteSystem reads them back as its assumptions.
     """
     ring = rel.ring
     if unknown == "u":
@@ -331,9 +317,9 @@ def solve_for_leading(rel: Form, unknown: str, space: JetSpace
     else:
         a = ring.scalar(rel.terms[v])
         b = Form(ring, {k: p for k, p in rel.terms.items() if k != v}, {})
-    rule = RewriteRule(v, -b * a.inverse())
+    rule = RewriteRule(v, -b * a.inverse(), a)
     rule.validate(space)
-    return rule, a
+    return rule
 
 
 class RewriteSystem:
@@ -343,17 +329,20 @@ class RewriteSystem:
     highest-ranked applicable rule is chosen for each reducible jet.
     Normal forms of reducible jets are memoized per system; a system made
     by ``extended`` keeps those its new rules cannot change.  All rules
-    and assumptions are Forms of the first rule's JetRing.
+    are Forms of the first rule's JetRing.
+
+    ``assumptions`` are what the rules hold under: the distinct
+    irreducible factors of their leads, in rule order, as the ring's
+    registry divides them out of each lead.
     """
 
-    def __init__(self, space: JetSpace, rules: Iterable[RewriteRule],
-                 assumptions: Iterable[Form] = ()):
+    def __init__(self, space: JetSpace, rules: Iterable[RewriteRule]):
         rules = list(rules)
         self.space = space
         self.ring = rules[0].rhs.ring
         self.rules: dict[sp.Symbol, RewriteRule] = {}
         for r in rules:
-            if r.rhs.ring is not self.ring:
+            if r.rhs.ring is not self.ring or r.lead.ring is not self.ring:
                 raise ValueError(f"rule for {r.lhs} is in another ring")
             if r.lhs in self.rules:
                 raise ValueError(f"duplicate rule for {r.lhs}")
@@ -368,8 +357,10 @@ class RewriteSystem:
                         or _multiset_leq(jb.index, ja.index)):
                     raise ValueError(
                         f"rule lhs {a} and {b} are derivatives of one another")
-        self._given = tuple(assumptions)
-        self.assumptions = clean_assumptions(self._given, self.ring)
+        factors: dict[int, None] = {}
+        for r in self.rules.values():
+            factors.update(dict.fromkeys(r.lead.inverse().den))
+        self.assumptions = tuple(self.ring.factors[fid].as_expr() for fid in factors)
         self._nf: dict[sp.Symbol, Form] = {}
         self._match: dict[sp.Symbol, RewriteRule | None] = {}
         self._reducible: frozenset[int] | None = None
@@ -486,11 +477,9 @@ class RewriteSystem:
                               Form(ring, {key: prod.terms[ONE]}, prod.den)))
         return ring.combine(parts)
 
-    def extended(self, rules: Iterable[RewriteRule],
-                 assumptions: Iterable = ()) -> "RewriteSystem":
+    def extended(self, rules: Iterable[RewriteRule]) -> "RewriteSystem":
         rules = list(rules)
-        out = RewriteSystem(self.space, list(self.rules.values()) + rules,
-                            self._given + tuple(assumptions))
+        out = RewriteSystem(self.space, list(self.rules.values()) + rules)
         # a normal form depends only on the rules of its unknown and of
         # the unknowns ranked below it
         low = min((UNKNOWNS.index(self.space.jet_var(r.lhs).unknown) for r in rules),

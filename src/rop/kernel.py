@@ -7,7 +7,8 @@ never enters.  A Form is linear over symbols kept outside its ring (the
 ``symbol_order``), all over one denominator.  The denominator is an
 exponent map over the ring's registry of localising factors: irreducible
 polynomials with grevlex leading coefficient 1, registered as they are
-met (the factors of the recorded assumptions and of every denominator).
+met (the factors of every denominator and of every inverted Form, such
+as the leading coefficients that ``rop.jets`` rules are solved with).
 So no gcd is ever taken: the canonical form is trial division by the
 factors of the denominator, and zero is the empty map.  A new
 denominator is split by the registered factors first; what is left is a

@@ -212,9 +212,9 @@ class LaxReport:
 
 def equation_system(F: Form, space: JetSpace) -> RewriteSystem:
     """Rewrite system generated by F = 0 solved for its leading u-jet,
-    in the ring of F."""
-    rule, lead = solve_for_leading(F, "u", space)
-    return RewriteSystem(space, [rule], [lead])
+    in the ring of F; its assumptions are the factors of that jet's
+    coefficient."""
+    return RewriteSystem(space, [solve_for_leading(F, "u", space)])
 
 
 def check_lax(pair: LaxPair, F: Form, space: JetSpace) -> LaxReport:

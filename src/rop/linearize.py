@@ -16,10 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy as sp
-
 from .jets import JetSpace, jet_ring
-from .kernel import Expr, Form
+from .kernel import Form
 
 
 class WrongUnknownError(ValueError):
@@ -34,12 +32,6 @@ class LinearDifferentialOperator:
     the constant 1 returns exactly that coefficient.
     """
     coeffs: tuple[tuple[tuple[str, ...], Form], ...]
-
-    def coeff(self, index: tuple[str, ...]) -> Form | Expr:
-        for idx, c in self.coeffs:
-            if idx == index:
-                return c
-        return sp.S.Zero
 
     def apply_to(self, unknown: str, space: JetSpace) -> Form:
         """Apply to the zeroth jet of an unknown: D_alpha becomes the

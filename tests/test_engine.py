@@ -14,7 +14,7 @@ from rop.engine import (ORIENTATIONS, SLOTS, AnsatzBasis, DeterminingSystem,
                         TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
                         hierarchy_relations, solve_determining, verify)
-from rop.lax import LAMBDA, DegeneratePairError
+from rop.lax import LAMBDA, DegeneratePairError, equation_system
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
@@ -188,6 +188,18 @@ class TestSolveDetermining:
         sols = solve_determining(ds, branch_bound=64)
         assert len(sols) == 6
 
+    def test_irreducible_equation_without_pivot_is_unresolved(self):
+        # branching on c0^2 + c1^2 + 1 would give it back: it is left
+        # unresolved at once, so the c2 = 1 branch is still reached
+        c0, c1, c2 = sp.symbols("c0 c1 c2")
+        ds = _synthetic([sp.expand(c2 * (c2 - 1)),
+                         sp.expand(c0 * c2 + (c2 - 1) * (c0**2 + c1**2 + 1))],
+                        ["c0", "c1", "c2"])
+        with pytest.raises(PartialResultError) as exc:
+            solve_determining(ds, branch_bound=1000)
+        assert [s.assignment for s in exc.value.solutions] == [{c0: 0, c1: 0, c2: 1}]
+        assert len(exc.value.unresolved) == 1
+
     def test_parameter_coefficient(self):
         c1, c2 = sp.symbols("c1 c2")
         alpha = sp.Symbol("alpha")
@@ -269,11 +281,14 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
             emit(solved)
             return
         eq = min(eqs, key=sp.count_ops)
-        factors = [f for f, _m in sp.factor_list(eq)[1]
+        factors = [(f, m) for f, m in sp.factor_list(eq)[1]
                    if sp.sympify(f).free_symbols & set(unknowns)]
         if not factors:
             return  # inconsistent: constant nonzero equation
-        for f in factors:
+        if len(factors) == 1 and factors[0][1] == 1:
+            unresolved.append(eqs)  # branching would give eq back
+            return
+        for f, _m in factors:
             if budget[0] <= 0:
                 unresolved.append(eqs)
                 return
@@ -282,9 +297,8 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
 
     descend(list(ds.equations), {})
     if unresolved:
-        raise PartialResultError(
-            f"branch bound exhausted with {len(unresolved)} unresolved branches",
-            solutions, unresolved)
+        raise PartialResultError(f"{len(unresolved)} unresolved branch(es)",
+                                 solutions, unresolved)
     return solutions
 
 
@@ -357,8 +371,9 @@ def determining_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(determining_systems())
 def test_solver_matches_reference(ds):
-    # an irreducible equation without a pivot branches into itself until
-    # the bound is spent, so a bound of 8 keeps the examples short
+    # a bound of 1 cuts the branching short and 8 lets it finish; an
+    # irreducible equation without a pivot is left unresolved at once
+    # under either
     for bound in (8, 1):
         try:
             want = _outcome(reference_solve, ds, branch_bound=bound)
@@ -531,9 +546,9 @@ def test_reduce_matches_reference_on_denominators(dfkn2, seed):
     rng = random.Random(seed)
     s = dfkn2.space
     j = s.jet
-    rule, lead = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
+    rule = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
     assert rule.lhs == j("u", ("y", "z"))
-    sys = jets_module.RewriteSystem(s, [rule], [lead])
+    sys = jets_module.RewriteSystem(s, [rule])
     ref = ReferenceRewriteSystem(s, [reference_solve_for_leading(dfkn2.F, "u", s)[0]])
     pool = [j("u", "yz"), j("u", "yz") + j("u", "t"), j("u", "xyz"),
             j("u", "x") * j("u", "yz") - j("u", "y"), j("u", "x"),
@@ -546,8 +561,8 @@ def test_reduce_matches_reference_on_denominators(dfkn2, seed):
 
 def test_denominator_vanishing_on_the_equation_is_degenerate(dfkn2):
     s = dfkn2.space
-    rule, lead = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
-    sys = jets_module.RewriteSystem(s, [rule], [lead])
+    rule = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
+    sys = jets_module.RewriteSystem(s, [rule])
     e = s.jet("u", "x") / (rule.lhs - rule.rhs.as_expr())
     with pytest.raises(kernel.DegenerateExpressionError):
         sys.reduce(to_form(e, s))
@@ -588,3 +603,27 @@ def test_verdict_invariant_under_vars_permutation(name, order):
     except DegeneratePairError:
         return
     assert rep.passed, (name, order, rep.compatibility, rep.symmetry)
+    # the assumptions read from the registry are those the leads factor into
+    relset = build_relations(prob.lax, _twist(prob), prob.space)
+    systems = [full_system(prob.F, relset, prob.space)[0],
+               equation_system(to_form(prob.F, prob.space), prob.space)]
+    for sys in systems:
+        want = reference_assumptions([r.lead for r in sys.rules.values()])
+        assert sys.assumptions == want, (name, order)
+    assert rep.assumptions == systems[0].assumptions
+
+
+def reference_assumptions(leads):
+    """The distinct irreducible factors of the leads, in order, found by
+    factoring each one with sympy; associates count once."""
+    out, seen = [], set()
+    for lead in leads:
+        ring = lead.ring
+        for part in lead.as_numer_denom():
+            for factor, _mult in sp.factor_list(part)[1]:
+                f = kernel.normalize(factor)
+                fid = ring.factor_id(ring.polynomial(f))
+                if fid not in seen:
+                    seen.add(fid)
+                    out.append(f)
+    return tuple(out)

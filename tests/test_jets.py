@@ -88,7 +88,7 @@ class TestSolveForLeading:
     def test_eq5_solved_for_uzt(self, eq5):
         s = eq5.space
         j = s.jet
-        rule, lead = solve_for_leading(to_form(eq5.F, s), "u", s)
+        rule = solve_for_leading(to_form(eq5.F, s), "u", s)
         assert rule.lhs == j("u", ("z", "t"))
         expected = normalize((j("u", "z") * j("u", ("s", "t"))
                               + j("u", "s") * j("u", ("x", "y"))
@@ -96,21 +96,21 @@ class TestSolveForLeading:
                               + j("u", "y") * j("u", ("r", "z"))
                               - j("u", "z") * j("u", ("r", "y"))) / j("u", "s"))
         assert normalize(rule.rhs - expected) == 0
-        assert equal(lead, j("u", "s")) or equal(lead, -j("u", "s"))
+        assert equal(rule.lead, j("u", "s")) or equal(rule.lead, -j("u", "s"))
 
     def test_recursion_relation_solved_for_leading_ut(self, ex2_space):
         s = ex2_space
         j = s.jet
         rel = (j("Ut", "z") - (j("u", "xz") / j("u", "x")) * j("Ut")
                - j("U", "t") + (j("u", "t") / j("u", "x")) * j("U", "x"))
-        rule, _lead = solve_for_leading(to_form(rel, s), "Ut", s)
+        rule = solve_for_leading(to_form(rel, s), "Ut", s)
         assert rule.lhs == j("Ut", ("z",))
         expected = ((j("u", "xz") / j("u", "x")) * j("Ut") + j("U", "t")
                     - (j("u", "t") / j("u", "x")) * j("U", "x"))
         assert normalize(rule.rhs - expected) == 0
 
     def test_monomial_relation(self, space):
-        rule, _ = solve_for_leading(to_form(space.jet("u", "x"), space), "u", space)
+        rule = solve_for_leading(to_form(space.jet("u", "x"), space), "u", space)
         assert rule.lhs == space.jet("u", ("x",))
         assert rule.rhs == 0
 
@@ -126,9 +126,9 @@ class TestSolveForLeading:
 
 class TestRewriteSystem:
     def _f_system(self, problem):
-        rule, lead = solve_for_leading(to_form(problem.F, problem.space), "u",
-                                       problem.space)
-        return RewriteSystem(problem.space, [rule], [lead])
+        rule = solve_for_leading(to_form(problem.F, problem.space), "u",
+                                 problem.space)
+        return RewriteSystem(problem.space, [rule])
 
     def test_relation_reduces_by_own_rule(self, dfkn2):
         sys = self._f_system(dfkn2)
@@ -147,8 +147,8 @@ class TestRewriteSystem:
 
     def test_prolongation_order_irrelevant(self, dfkn2):
         s = dfkn2.space
-        rule, lead = solve_for_leading(to_form(dfkn2.F, s), "u", s)
-        sys = RewriteSystem(s, [rule], [lead])
+        rule = solve_for_leading(to_form(dfkn2.F, s), "u", s)
+        sys = RewriteSystem(s, [rule])
         via_yz = sys.reduce(total_derivative(
             sys.reduce(total_derivative(rule.rhs, "y")), "z"))
         via_zy = sys.reduce(total_derivative(
@@ -156,7 +156,8 @@ class TestRewriteSystem:
         assert via_yz == via_zy
 
     def test_prolong_constant_rhs(self, space):
-        rule = RewriteRule(space.jet("u", "xy"), jet_ring(space).constant(3))
+        ring = jet_ring(space)
+        rule = RewriteRule(space.jet("u", "xy"), ring.constant(3), ring.constant(1))
         sys = RewriteSystem(space, [rule])
         assert sys.normal_form(space.jet("u", "xyz")) == 0
 
@@ -191,12 +192,13 @@ class TestRewriteSystem:
 
     def test_overlapping_lhs_rejected(self, space):
         ring = jet_ring(space)
-        r1 = RewriteRule(space.jet("u", "xy"), ring.zero)
-        r2 = RewriteRule(space.jet("u", ("x", "y", "z")), ring.constant(1))
+        r1 = RewriteRule(space.jet("u", "xy"), ring.zero, ring.constant(1))
+        r2 = RewriteRule(space.jet("u", ("x", "y", "z")), ring.constant(1),
+                         ring.constant(1))
         with pytest.raises(ValueError):
             RewriteSystem(space, [r1, r2])
 
     def test_rule_above_its_lhs_rejected(self, space):
+        rhs = to_form(space.jet("u", "xy"), space)
         with pytest.raises(ValueError):
-            RewriteRule(space.jet("u", "x"),
-                        to_form(space.jet("u", "xy"), space)).validate(space)
+            RewriteRule(space.jet("u", "x"), rhs, rhs.ring.constant(1)).validate(space)

@@ -23,7 +23,7 @@ from . import engine, lax
 from .jets import jet_ring
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS, AnsatzBasis, PartialResultError, TwistRelations
-from .problem import Problem, ProblemSyntaxError, fmt, parse_problem
+from .problem import Problem, ProblemSyntaxError, fmt, parse_basis, parse_problem
 
 
 class CliError(Exception):
@@ -71,7 +71,7 @@ def _basis_for(problem: Problem, basis_arg: str) -> AnsatzBasis:
     slots = dict(default.slots)
     explicit = problem.ansatz
     if basis_arg not in (None, "auto"):
-        explicit = parse_problem(Path(basis_arg).read_text()).ansatz
+        explicit = parse_basis(Path(basis_arg).read_text(), problem)
     if explicit:
         for slot, terms in explicit.items():
             slots[slot] = terms
@@ -225,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "solve":
             p.add_argument("--branch-bound", type=_at_least(0), default=64)
             p.add_argument("--basis", default="auto",
-                           help="'auto' or a path to a file with ansatz lines")
+                           help="'auto' or a path to a file of ansatz lines, "
+                                "read with the problem's vars, param and let lines")
         if name == "hierarchy":
             p.add_argument("--k", type=int, default=1)
     return ap

@@ -21,10 +21,10 @@ the twist's unknown constants; the Lax operators are Forms of the
 space's JetRing and enter it, with the twist, as one expression.  The
 entry points take F as the problem's expression: ``full_system``
 converts it once into that ring and returns its linearization too.
-Expressions remain only in the twist, the VerifyReport and the
-DeterminingSystem handed to the solver: its equations are read off the
+Expressions remain only in the twist and the VerifyReport.  The
+determining equations are polynomials of that ring, read off the
 residuals' numerators by regrouping monomials by their jet and lam
-exponents.
+exponents, and the solver takes them as they are.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 import sympy as sp
 from sympy.polys.domains import QQ
-from sympy.polys.polyutils import expr_from_dict
 from sympy.polys.rings import PolyRing
 
 from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
@@ -229,9 +229,6 @@ class AnsatzBasis:
     slots: dict
     fallback: bool = False
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.slots.values())
-
 
 def default_ansatz(F, pair: LaxPair, space: JetSpace) -> AnsatzBasis:
     """Ratios (second derivative)/(first derivative): u_pq/u_r with p, q
@@ -268,6 +265,9 @@ def default_ansatz(F, pair: LaxPair, space: JetSpace) -> AnsatzBasis:
 
 @dataclass
 class DeterminingSystem:
+    """Equations for the ansatz constants (the unknowns): PolyElements of
+    one ring over QQ, which may also hold parameters and independent
+    variables; their common zeros give the twists of the ansatz that pass."""
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
@@ -308,33 +308,30 @@ def derive_determining_system(F, pair: LaxPair, basis: AnsatzBasis,
 def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
                                     space: JetSpace) -> list:
     """Coefficient of every monomial in the parametric jets (and the
-    spectral parameter, if present) across both residuals.  Empty iff the
-    twist satisfies both conditions; with an ansatz twist these are the
-    determining equations for its constants."""
+    spectral parameter, if present) across both residuals, each once, as
+    polynomials of the relations' ring over QQ with no jet or lam in
+    them.  Empty iff the twist satisfies both conditions; with an ansatz
+    twist these are the determining equations for its constants."""
     relset = build_relations(pair, twist, space)
     sys, lin = full_system(F, relset, space)
-    equations, seen = [], set()
-    for resid in (compatibility_residual(relset, sys), symmetry_residual(lin, sys)):
-        for key, eq in _coefficients(resid, space):
-            if key not in seen:
-                seen.add(key)
-                equations.append(eq)
-    return equations
+    equations = [eq for resid in (compatibility_residual(relset, sys),
+                                  symmetry_residual(lin, sys))
+                 for eq in _coefficients(resid, space)]
+    return list(dict.fromkeys(equations))
 
 
 def _coefficients(form: Form, space: JetSpace) -> list:
     """The coefficients of a residual's numerator as a polynomial in its
-    jets and lam, as (hashable key, expression) pairs in the order
-    sympy's Poly over those generators (sorted by name) lists them:
-    descending lex.  The numerator is the one ``as_numer_denom`` gives:
-    it carries the lcm of the denominators of the numerator's
-    coefficients, and of the denominator's when that has several terms."""
+    jets and lam, in the order sympy's Poly over those generators (sorted
+    by name) lists them: descending lex.  Each is an element of the
+    form's ``FormRing.poly`` whose jet and lam exponents are zero.  The
+    numerator is the one ``as_numer_denom`` gives: it carries the lcm of
+    the denominators of the numerator's coefficients, and of the
+    denominator's when that has several terms."""
     if not form.terms:
         return []
     ring = form.ring
     jet = [s == LAMBDA or space.jet_var(s) is not None for s in ring.symbols]
-    outer = [i for i, j in enumerate(jet) if not j]
-    outer_symbols = [ring.symbols[i] for i in outer]
     scale = 1
     den = ring.den_poly(form.den)
     for p in list(form.terms.values()) + ([den] if len(den) > 1 else []):
@@ -343,6 +340,8 @@ def _coefficients(form: Form, space: JetSpace) -> list:
     gens = sorted((s for s in form.free_symbols
                    if s not in ring.index or jet[ring.index[s]]), key=str)
     where = [ring.index.get(g) for g in gens]
+    keep = [int(not j) for j in jet]  # zeroes the jet and lam exponents
+    monomials: dict = {}  # one tuple for each monomial the equations share
     groups: dict = {}
     for key, p in form.terms.items():
         exps = [int(g == key) if i is None else 0 for g, i in zip(gens, where)]
@@ -350,10 +349,9 @@ def _coefficients(form: Form, space: JetSpace) -> list:
             for n, i in enumerate(where):
                 if i is not None:
                     exps[n] = m[i]
-            groups.setdefault(tuple(exps), {})[tuple(m[i] for i in outer)] = \
-                QQ.to_sympy(c * scale)
-    return [(frozenset(g.items()), expr_from_dict(g, *outer_symbols))
-            for g in (groups[k] for k in sorted(groups, reverse=True))]
+            m = tuple(map(mul, m, keep))
+            groups.setdefault(tuple(exps), {})[monomials.setdefault(m, m)] = c * scale
+    return [ring.poly.dtype(groups[k]) for k in sorted(groups, reverse=True)]
 
 
 @dataclass
@@ -373,8 +371,9 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: linear elimination first, then bounded branching on
     factors of the remaining (at most quadratic) equations.
 
-    The equations are polynomials in the unknowns over QQ, or over the
-    field of rational functions in their other symbols.  A pivot is the
+    The equations, polynomials of one ring over QQ, are taken into the
+    ring of the unknowns over QQ, or over the field of rational functions
+    in the other symbols of their monomials.  A pivot is the
     first unknown, in the first equation that has one, of degree 1 with
     a coefficient free of unknowns; its value is substituted into the
     remaining equations and into every solved value, so no solved value
@@ -386,9 +385,23 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     branch raises PartialResultError carrying the solutions found.
     """
     unknowns = list(ds.unknowns)
-    symbols = set().union(*(sp.sympify(e).free_symbols for e in ds.equations))
-    others = sorted(symbols - set(unknowns), key=str)
+    eqs = [e for e in ds.equations if e]
+    symbols = eqs[0].ring.symbols if eqs else ()
+    present = set().union(*(itertools.compress(symbols, m) for e in eqs for m in e.itermonoms()))
+    others = sorted(present - set(unknowns), key=str)
     ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
+    at = [symbols.index(s) if s in symbols else None for s in unknowns + others]
+    frac = ring.domain.field if others else None
+
+    def split(e):
+        """e in ring: each monomial split into the exponents of the
+        unknowns and those of the others, which go to its coefficient."""
+        parts: dict = {}
+        for m, c in e.items():
+            m = tuple(0 if i is None else m[i] for i in at)
+            parts.setdefault(m[:len(unknowns)], {})[m[len(unknowns):]] = c
+        return ring({u: frac(frac.ring(d)) if frac else d[()] for u, d in parts.items()})
+
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
@@ -433,7 +446,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
             budget[0] -= 1
             descend([ring.from_expr(f)] + rest, dict(solved))
 
-    descend([e for e in map(ring.from_expr, ds.equations) if e], {})
+    descend([split(e) for e in eqs], {})
     if unresolved:
         raise PartialResultError(
             f"{len(unresolved)} unresolved branch(es): the branch bound was "

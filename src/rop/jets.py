@@ -123,13 +123,8 @@ class JetSpace:
             return jv
         return None
 
-    def jets_in(self, e, unknown: str | None = None) -> list[sp.Symbol]:
-        out = []
-        for s in sp.sympify(e).free_symbols:
-            jv = self.jet_var(s)
-            if jv is not None and (unknown is None or jv.unknown == unknown):
-                out.append(s)
-        return out
+    def jets_in(self, e) -> list[sp.Symbol]:
+        return [s for s in sp.sympify(e).free_symbols if self.jet_var(s) is not None]
 
     # -- ranking -------------------------------------------------------
 

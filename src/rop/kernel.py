@@ -18,8 +18,7 @@ once with ``sp.factor_list`` in the ring of its own symbols.
 ``normalize`` gives a sympy expression the same canonical form, as an
 expression: it converts it to a Form of the ring of its symbols and
 back.  Expressions are left only at the boundaries: the parser, the
-twist functions, printed reports and the determining system handed to
-the solver.
+twist functions and printed reports.
 
 Only symbols, rationals, sums, products and integer powers are admitted;
 any other atom (a float, a root, a function) raises NotRationalError.

@@ -79,9 +79,6 @@ class FirstOrderOperator:
         """Only the D-part applied to a Form."""
         return self.ring.combine([(c, total_derivative(e, v)) for v, c in self.dirs])
 
-    def apply(self, e: Form) -> Form:
-        return self.free * e + self.directional_apply(e)
-
     def apply_to_unknown(self, unknown: str, space: JetSpace) -> Form:
         """Apply to the zeroth jet of an unknown symbolically."""
         ring = self.ring

@@ -54,6 +54,7 @@ class Problem:
     F: Expr
     lax: LaxPair
     assumptions: tuple
+    lets: dict  # the let shorthands, for parsing a basis file
     twist: TwistRelations | None = None
     orientation: str | None = None
     ansatz: dict | None = None
@@ -323,13 +324,8 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                     raise ProblemSyntaxError(f"bad orientation {rest!r}", line_no)
                 orientation = rest
             elif head == "ansatz":
-                slot_src, _, src = rest.partition("=")
-                m = _SLOT_RE.fullmatch(slot_src.strip())
-                if not m:
-                    raise ProblemSyntaxError(f"bad ansatz slot {slot_src.strip()!r}", line_no)
-                terms = [normalize(parser(part).parse())
-                         for part in src.split(",") if part.strip()]
-                ansatz[(int(m.group(1)), int(m.group(2)))] = terms
+                slot, terms = _ansatz_line(rest, parser, line_no)
+                ansatz[slot] = terms
             else:
                 raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
         except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
@@ -363,8 +359,42 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                                else "forward")
         twist.validate(space)
 
-    return Problem(name, space, normalize(F), pair, tuple(assumptions), twist,
-                   orientation, ansatz or None, warnings)
+    return Problem(name, space, normalize(F), pair, tuple(assumptions), lets,
+                   twist, orientation, ansatz or None, warnings)
+
+
+def _ansatz_line(rest: str, parser, line_no: int) -> tuple:
+    """The slot and the terms, each read by parser, of an ansatz line."""
+    slot_src, _, src = rest.partition("=")
+    m = _SLOT_RE.fullmatch(slot_src.strip())
+    if not m:
+        raise ProblemSyntaxError(f"bad ansatz slot {slot_src.strip()!r}", line_no)
+    terms = [normalize(parser(part).parse()) for part in src.split(",") if part.strip()]
+    return (int(m.group(1)), int(m.group(2))), terms
+
+
+def parse_basis(text: str, problem: Problem) -> dict:
+    """Slot -> terms of the ansatz lines of a basis file, read with the
+    problem's variables, parameters and lets; blank and comment lines
+    aside, any other directive is an error."""
+    ansatz = {}
+    for line_no, raw in enumerate(text.splitlines(), 1):
+        head, _, rest = raw.split("#", 1)[0].strip().partition(" ")
+        if not head:
+            continue
+        if head != "ansatz":
+            raise ProblemSyntaxError(f"a basis file holds only ansatz lines, got {head!r}",
+                                     line_no)
+
+        def parser(src):
+            return _ExprParser(_tokenize(src, line_no), problem.space, problem.lets, line_no)
+
+        try:
+            slot, terms = _ansatz_line(rest, parser, line_no)
+        except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
+            raise ProblemSyntaxError(str(exc), line_no) from exc
+        ansatz[slot] = terms
+    return ansatz
 
 
 def _to_operator(e: Expr, ring: JetRing, line_no: int) -> FirstOrderOperator:

@@ -1,11 +1,15 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import sympy as sp
 
 from rop.cli import main
+
+from pointwise import equal
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 DFKN2 = str(PROBLEM_DIR / "dfkn2.rop")
@@ -76,6 +80,27 @@ class TestOtherCommands:
         assert "yz" in idx and "xx" in idx
         assert "U_yz" in doc["applied_to_seed"]
 
+    def test_solve_json_with_basis(self, capsys, tmp_path, dfkn2):
+        # the paper's terms and one distractor per slot
+        p = tmp_path / "basis.rop"
+        p.write_text("ansatz f1_0 = u_xy/u_x\n"
+                     "ansatz f1_1 = u_xz/u_x, u_xy/u_x  # paper's term first\n"
+                     "ansatz f2_0 = u_xt/u_x\n"
+                     "ansatz f2_1 = u_xx/u_x, u_xt/u_x\n")
+        code, out, _ = run(capsys, "solve", DFKN2, "--basis", str(p), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS"
+        [sol] = doc["solutions"]
+        assert sol["reverified"] is True
+        j = dfkn2.space.jet
+        twist = {k: sp.sympify(v.replace("^", "**")) for k, v in sol["twist"].items()}
+        assert equal(twist["f1_1"], -j("u", "xz") / j("u", "x"))
+        assert equal(twist["f2_1"], -j("u", "xx") / j("u", "x"))
+        assert any(re.fullmatch(r"orientation forward: \d+ determining equations, "
+                                r"6 unknowns, 1 branch\(es\), 1 reverified", w)
+                   for w in doc["warnings"])
+
     def test_hierarchy(self, capsys):
         code, out, _ = run(capsys, "hierarchy", DFKN2, "--k", "2")
         assert code == 0
@@ -96,6 +121,18 @@ class TestErrorsAndLimits:
         code, _, err = run(capsys, "verify", str(p))
         assert code == 2
         assert "line 3" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("ansatz f1_1 = u_xz/u_x\n\nansatz f2_1 = u_xx/u_q\n", "unknown symbol 'u_q'"),
+        ("# basis\nansatz f1_1 = u_xz/u_x\nvars y z t x\n", "only ansatz lines")])
+    def test_basis_syntax_error(self, capsys, tmp_path, text, message):
+        p = tmp_path / "basis.rop"
+        p.write_text(text)
+        code, out, _ = run(capsys, "solve", DFKN2, "--basis", str(p), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "ERROR"
+        assert message in doc["error"] and "(line 3" in doc["error"]
 
     @pytest.mark.parametrize("denominator", [
         "u_x - u_x", "(u_x+u_y)^2 - u_x^2 - 2*u_x*u_y - u_y^2"])

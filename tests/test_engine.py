@@ -6,6 +6,8 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyRing
 
 from rop import engine, kernel
 from rop import jets as jets_module
@@ -144,7 +146,7 @@ class TestDeterminingSystem:
         s = dfkn2.space
         basis = default_ansatz(dfkn2.F, dfkn2.lax, s)
         assert not basis.fallback
-        assert basis.size() == 40  # 10 ratios u_pq/u_x per slot
+        assert sum(len(v) for v in basis.slots.values()) == 40  # 10 ratios u_pq/u_x per slot
         terms = basis.slots[(1, 1)]
         assert any(equal(t, s.jet("u", ("z", "x")) / s.jet("u", "x"))
                    for t in terms)
@@ -153,8 +155,13 @@ class TestDeterminingSystem:
 
 
 def _synthetic(eqs, names):
+    """The expression equations as polynomials of one PolyRing over QQ
+    in their symbols and the unknowns."""
     unknowns = [sp.Symbol(n) for n in names]
-    return DeterminingSystem(list(eqs), unknowns,
+    eqs = [sp.sympify(e) for e in eqs]
+    ring = PolyRing(sorted(set(unknowns).union(*(e.free_symbols for e in eqs)),
+                           key=str), QQ)
+    return DeterminingSystem([ring.from_expr(e) for e in eqs], unknowns,
                              {slot: [] for slot in SLOTS}, "forward")
 
 
@@ -295,7 +302,7 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
             budget[0] -= 1
             descend([f] + [e for e in eqs if e is not eq], dict(solved))
 
-    descend(list(ds.equations), {})
+    descend([e.as_expr() for e in ds.equations], {})
     if unresolved:
         raise PartialResultError(f"{len(unresolved)} unresolved branch(es)",
                                  solutions, unresolved)
@@ -385,7 +392,7 @@ def test_solver_matches_reference(ds):
             except PartialResultError as exc:
                 sols = exc.solutions
             for sol in sols:
-                assert all(normalize(e.xreplace(sol.assignment)) == 0
+                assert all(normalize(e.as_expr().xreplace(sol.assignment)) == 0
                            for e in ds.equations)
             continue
         assert _outcome(solve_determining, ds, branch_bound=bound) == want
@@ -404,7 +411,8 @@ def test_solver_matches_reference(ds):
 def reference_solve_for_leading(relation, unknown, space):
     rel = normalize(relation)
     num, _den = rel.as_numer_denom()
-    jets = sorted(space.jets_in(num, unknown), key=space.rank_of, reverse=True)
+    jets = sorted((s for s in space.jets_in(num) if space.jet_var(s).unknown == unknown),
+                  key=space.rank_of, reverse=True)
     if not jets:
         raise jets_module.NoLeadingJetError(f"relation has no {unknown}-jets")
     for v in jets:
@@ -535,7 +543,27 @@ def test_determining_equations_match_reference(problems, case):
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(prob.F, prob.lax, twist, s)
     got = determining_equations_for_twist(prob.F, prob.lax, twist, s)
-    assert [sp.srepr(e) for e in got] == [sp.srepr(e) for e in want]
+    assert [sp.srepr(e.as_expr()) for e in got] == [sp.srepr(e) for e in want]
+
+
+@settings(max_examples=6, deadline=None)
+@given(reduced_ansatz_twists())
+def test_solver_matches_reference_on_derived_systems(problems, case):
+    # the shipped twist's terms u_pq/u_x join 1-3 seeded terms per slot,
+    # so the system has a nonzero solution; the reference solver reads
+    # the same equations as expressions
+    name, orientation, rng = case
+    prob = problems[name]
+    pool = default_ansatz(prob.F, prob.lax, prob.space).slots[(1, 0)]
+    slots = {}
+    for slot in SLOTS:
+        paper = [t for t in pool if t.as_numer_denom()[0]
+                 in sp.sympify(prob.twist.f[slot]).free_symbols]
+        terms = paper + [rng.choice([1, -1]) * t for t in rng.sample(pool, rng.randint(1, 3))]
+        slots[slot] = rng.sample(terms, len(terms))
+    ds = engine.derive_determining_system(prob.F, prob.lax, AnsatzBasis(slots),
+                                          orientation, prob.space)
+    assert _outcome(solve_determining, ds) == _outcome(reference_solve, ds)
 
 
 @settings(max_examples=30, deadline=None)
@@ -580,7 +608,7 @@ def test_determining_equations_match_reference_with_rule_lhs_in_denominator(
     want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
     got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
     assert want
-    assert [sp.srepr(e) for e in got] == [sp.srepr(e) for e in want]
+    assert [sp.srepr(e.as_expr()) for e in got] == [sp.srepr(e) for e in want]
 
 
 def _orders(variables, sample=None):

@@ -3,7 +3,7 @@ import sympy as sp
 
 from rop.kernel import normalize
 from rop.lax import LAMBDA
-from rop.problem import ProblemSyntaxError, fmt, parse_problem
+from rop.problem import ProblemSyntaxError, fmt, parse_basis, parse_problem
 
 from pointwise import equal
 
@@ -70,6 +70,15 @@ class TestParsing:
     def test_max_order_override(self):
         prob = parse_problem(MINIMAL, max_order=3)
         assert prob.space.max_order == 3
+
+    def test_basis_uses_the_problems_lets_and_params(self, dfkn3):
+        j = dfkn3.space.jet
+        alpha = dfkn3.space.params[0]
+        basis = parse_basis("# a basis file\nansatz f2_1 = m, alpha*u_xx/u_x\n", dfkn3)
+        assert list(basis) == [(2, 1)]
+        m, second = basis[(2, 1)]
+        assert equal(m, (j("u", "y") - j("u", "z")) / j("u", "x"))
+        assert equal(second, alpha * j("u", "xx") / j("u", "x"))
 
     def test_pretty_round_trip(self, dfkn2):
         again = parse_problem(dfkn2.pretty())

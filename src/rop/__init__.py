@@ -1,14 +1,24 @@
 """Recursion operators of twisted Lax-pair form for second-order
 multidimensional PDEs: exact symbolic derivation and verification."""
 
-from .engine import (AnsatzBasis, RelationSet, TwistRelations, VerifyReport,
-                     build_relations, compatibility_residual, default_ansatz,
-                     derive_determining_system, hierarchy_relations,
-                     solve_determining, symmetry_residual, verify)
-from .jets import JetSpace, RewriteRule, RewriteSystem, total_derivative
-from .lax import FirstOrderOperator, LaxPair, check_lax, split_lambda
-from .linearize import linearize
-from .problem import Problem, parse_problem
+import gc as _gc
+
+# sympy's import leaves ~50k objects and frees almost none of them, so
+# the collections it would trigger are pure cost.
+_gc_enabled = _gc.isenabled()
+_gc.disable()
+try:
+    from .engine import (AnsatzBasis, RelationSet, TwistRelations, VerifyReport,
+                         build_relations, compatibility_residual, default_ansatz,
+                         derive_determining_system, hierarchy_relations,
+                         solve_determining, symmetry_residual, verify)
+    from .jets import JetSpace, RewriteRule, RewriteSystem, total_derivative
+    from .lax import FirstOrderOperator, LaxPair, check_lax, split_lambda
+    from .linearize import linearize
+    from .problem import Problem, parse_problem
+finally:
+    if _gc_enabled:
+        _gc.enable()
 
 __all__ = [
     "AnsatzBasis", "FirstOrderOperator", "JetSpace", "LaxPair", "Problem",

@@ -9,6 +9,7 @@ human rendering; both carry the same data.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import signal
@@ -287,6 +288,9 @@ def render_human(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
+    # Keep the import heap (mostly sympy's) out of this run's collections
+    # and out of the collector's pass at interpreter exit.
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         timeout = _timeout_secs()

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -134,6 +135,18 @@ class TestErrorsAndLimits:
         assert doc["verdict"] == "ERROR"
         assert message in doc["error"] and "(line 3" in doc["error"]
 
+    @pytest.mark.parametrize("term,message", [
+        ("U_x", "f1_0 depends on U_x"),
+        ("lam*u_xy/u_x", "f1_0 depends on the spectral parameter")])
+    def test_basis_term_outside_the_u_jets(self, capsys, tmp_path, term, message):
+        p = tmp_path / "basis.rop"
+        p.write_text(f"ansatz f1_0 = {term}\n")
+        code, out, _ = run(capsys, "solve", DFKN2, "--basis", str(p), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "ERROR"
+        assert doc["error"] == message
+
     @pytest.mark.parametrize("denominator", [
         "u_x - u_x", "(u_x+u_y)^2 - u_x^2 - 2*u_x*u_y - u_y^2"])
     def test_degenerate_twist(self, capsys, tmp_path, denominator):
@@ -190,8 +203,30 @@ class TestErrorsAndLimits:
             main(["frobnicate", DFKN2])
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(tmp_path):
+    # stdout is a block-buffered pipe, so output not flushed at exit is lost
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run([sys.executable, "-m", "rop.cli", "verify", DFKN2,
-                           "--json"], capture_output=True, text=True)
+                           "--json"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "PASS"
+    # a FAIL prints the longest document
+    zero = tmp_path / "zero.rop"
+    zero.write_text(re.sub(r"^(twist f\d_\d) = .*$", r"\1 = 0",
+                           Path(DFKN2).read_text(), flags=re.M))
+    proc = subprocess.run([sys.executable, "-m", "rop.cli", "verify", str(zero),
+                           "--json"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "FAIL"
+    assert all(r != "0" for r in doc["residuals"])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_import_leaves_the_collector_as_found(enabled):
+    # a fresh interpreter each time: the import is cached in-process
+    code = ("import gc\n" + ("" if enabled else "gc.disable()\n")
+            + "import rop\nprint(gc.isenabled())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == f"{enabled}\n"

@@ -8,10 +8,10 @@ import gc as _gc
 _gc_enabled = _gc.isenabled()
 _gc.disable()
 try:
-    from .engine import (AnsatzBasis, RelationSet, TwistRelations, VerifyReport,
+    from .engine import (RelationSet, TwistRelations, VerifyReport,
                          build_relations, compatibility_residual, default_ansatz,
-                         derive_determining_system, hierarchy_relations,
-                         solve_determining, symmetry_residual, verify)
+                         derive_determining_system, solve_determining,
+                         symmetry_residual, verify)
     from .jets import JetSpace, RewriteRule, RewriteSystem, total_derivative
     from .lax import FirstOrderOperator, LaxPair, check_lax, split_lambda
     from .linearize import linearize
@@ -21,10 +21,10 @@ finally:
         _gc.enable()
 
 __all__ = [
-    "AnsatzBasis", "FirstOrderOperator", "JetSpace", "LaxPair", "Problem",
-    "RelationSet", "RewriteRule", "RewriteSystem", "TwistRelations",
-    "VerifyReport", "build_relations", "check_lax", "compatibility_residual",
-    "default_ansatz", "derive_determining_system", "hierarchy_relations",
-    "linearize", "parse_problem", "solve_determining", "split_lambda",
+    "FirstOrderOperator", "JetSpace", "LaxPair", "Problem", "RelationSet",
+    "RewriteRule", "RewriteSystem", "TwistRelations", "VerifyReport",
+    "build_relations", "check_lax", "compatibility_residual",
+    "default_ansatz", "derive_determining_system", "linearize",
+    "parse_problem", "solve_determining", "split_lambda",
     "symmetry_residual", "total_derivative", "verify",
 ]

@@ -23,7 +23,7 @@ import sympy as sp
 from . import engine, lax
 from .jets import jet_ring
 from .linearize import linearize as linearize_equation
-from .engine import SLOTS, AnsatzBasis, PartialResultError, TwistRelations
+from .engine import SLOTS, PartialResultError, TwistRelations
 from .problem import Problem, ProblemSyntaxError, fmt, parse_basis, parse_problem
 
 
@@ -63,20 +63,18 @@ def _orientations(problem: Problem, flag: str | None) -> list[str]:
 
 def _twist_for(problem: Problem, orientation: str) -> TwistRelations:
     if problem.twist is None:
-        raise CliError("problem file has no twist block; 'verify' needs one")
+        raise CliError("problem file has no twist block; 'verify' and "
+                       "'hierarchy' need one")
     return problem.twist.with_orientation(orientation)
 
 
-def _basis_for(problem: Problem, basis_arg: str) -> AnsatzBasis:
-    default = engine.default_ansatz(problem.F, problem.lax, problem.space)
-    slots = dict(default.slots)
+def _basis_for(problem: Problem, basis_arg: str) -> dict:
+    basis = engine.default_ansatz(problem.F, problem.lax, problem.space)
     explicit = problem.ansatz
     if basis_arg not in (None, "auto"):
         explicit = parse_basis(Path(basis_arg).read_text(), problem)
-    if explicit:
-        for slot, terms in explicit.items():
-            slots[slot] = terms
-    return AnsatzBasis(slots, default.fallback)
+    basis.update(explicit or {})
+    return basis
 
 
 def cmd_lax_check(problem: Problem, args) -> dict:
@@ -107,10 +105,14 @@ def cmd_linearize(problem: Problem, args) -> dict:
 
 
 def cmd_verify(problem: Problem, args) -> dict:
+    return _verify(problem, _orientations(problem, args.orientation))
+
+
+def _verify(problem: Problem, orientations: list[str]) -> dict:
     t0 = time.monotonic()
     results = []
     assumptions: list[str] = []
-    for orientation in _orientations(problem, args.orientation):
+    for orientation in orientations:
         twist = _twist_for(problem, orientation)
         rep = engine.verify(problem.F, problem.lax, twist, problem.space)
         for a in rep.assumptions:
@@ -140,9 +142,6 @@ def cmd_solve(problem: Problem, args) -> dict:
     t0 = time.monotonic()
     space = problem.space
     basis = _basis_for(problem, args.basis)
-    if basis.fallback:
-        warnings.append("no first-derivative denominators in the Lax "
-                        "coefficients; using the fallback ansatz basis")
     for orientation in _orientations(problem, args.orientation):
         ds = engine.derive_determining_system(problem.F, problem.lax, basis,
                                               orientation, space)
@@ -178,24 +177,24 @@ def cmd_solve(problem: Problem, args) -> dict:
 
 
 def cmd_hierarchy(problem: Problem, args) -> dict:
+    """The problem's relations in the first orientation whose twist
+    passes verify, chained k times: level j maps psi_j (U) to psi_{j+1}
+    (Ut).  No orientation passing is a FAIL with no relations."""
     t0 = time.monotonic()
-    levels = engine.hierarchy_relations(problem.lax, args.k, problem.space)
-    space = problem.space
-    sides = [(problem.lax.x1[i].apply_to_unknown("Ut", space).as_expr(),
-              problem.lax.x0[i].apply_to_unknown("U", space).as_expr()) for i in (0, 1)]
-    jets = {s: space.jet_var(s).unknown
-            for lhs, rhs in sides for s in space.jets_in(lhs) + space.jets_in(rhs)}
+    doc = _verify(problem, _orientations(problem, None))
+    passed = [r["orientation"] for r in doc["results"] if r["verdict"] == "PASS"]
     rels = []
-    for lv in levels:
-        ren = {}
-        for s, unknown in jets.items():
-            if unknown == "Ut":
-                ren[s] = sp.Symbol(s.name.replace("Ut", lv.target, 1))
-            elif unknown == "U":
-                ren[s] = sp.Symbol(s.name.replace("U", lv.source, 1))
-        for lhs, rhs in sides:
-            rels.append(f"{fmt(lhs.xreplace(ren))} = {fmt(rhs.xreplace(ren))}")
-    return {"verdict": "PASS", "relations": rels, "levels": args.k,
+    if passed:
+        space = problem.space
+        relset = engine.build_relations(problem.lax, _twist_for(problem, passed[0]), space)
+        exprs = [e.as_expr() for e in relset.relations]
+        jets = {s: space.jet_var(s).unknown for e in exprs for s in space.jets_in(e)}
+        for j in range(args.k):
+            ren = {s: sp.Symbol(s.name.replace(unknown, f"psi_{j + (unknown == 'Ut')}", 1))
+                   for s, unknown in jets.items() if unknown != "u"}
+            rels += [f"{fmt(e.xreplace(ren))} = 0" for e in exprs]
+    return {**doc, "orientation": passed[0] if passed else None,
+            "relations": rels, "levels": args.k,
             "timings": {"total": time.monotonic() - t0}}
 
 
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="'auto' or a path to a file of ansatz lines, "
                                 "read with the problem's vars, param and let lines")
         if name == "hierarchy":
-            p.add_argument("--k", type=int, default=1)
+            p.add_argument("--k", type=_at_least(1), default=1)
     return ap
 
 

@@ -83,13 +83,8 @@ class TwistRelations:
                 raise InvalidTwistError(f"missing twist slot f{slot[0]}_{slot[1]}")
 
     def validate(self, space: JetSpace) -> None:
-        for (i, s), e in self.f.items():
-            e = sp.sympify(e)
-            if e.has(LAMBDA):
-                raise InvalidTwistError(f"f{i}_{s} depends on the spectral parameter")
-            for jet in space.jets_in(e):
-                if space.jet_var(jet).unknown != "u":
-                    raise InvalidTwistError(f"f{i}_{s} depends on {jet}")
+        for slot, e in self.f.items():
+            check_twist_function(slot, e, space)
 
     def with_orientation(self, orientation: str) -> "TwistRelations":
         return TwistRelations(dict(self.f), orientation)
@@ -108,6 +103,18 @@ class TwistRelations:
     @staticmethod
     def zero(orientation: str = "forward") -> "TwistRelations":
         return TwistRelations({slot: sp.S.Zero for slot in SLOTS}, orientation)
+
+
+def check_twist_function(slot: tuple[int, int], e, space: JetSpace) -> None:
+    """The twist function of a slot must be free of the spectral parameter
+    and of U/Ut jets."""
+    i, s = slot
+    e = sp.sympify(e)
+    if e.has(LAMBDA):
+        raise InvalidTwistError(f"f{i}_{s} depends on the spectral parameter")
+    for jet in space.jets_in(e):
+        if space.jet_var(jet).unknown != "u":
+            raise InvalidTwistError(f"f{i}_{s} depends on {jet}")
 
 
 @dataclass(frozen=True)
@@ -222,19 +229,11 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
 # -- ansatz and determining system ------------------------------------
 
 
-@dataclass(frozen=True)
-class AnsatzBasis:
-    """Per twist slot, the candidate terms the twist function is a
-    constant linear combination of."""
-    slots: dict
-    fallback: bool = False
-
-
-def default_ansatz(F, pair: LaxPair, space: JetSpace) -> AnsatzBasis:
-    """Ratios (second derivative)/(first derivative): u_pq/u_r with p, q
-    over the variables occurring in F or the Lax coefficients and u_r
-    over first derivatives found in Lax-coefficient denominators, read
-    off their registered factors."""
+def default_ansatz(F, pair: LaxPair, space: JetSpace) -> dict:
+    """Slot -> basis terms u_pq/d, with p, q over the variables occurring
+    in F or the Lax coefficients and d over the first derivatives u_r
+    found in Lax-coefficient denominators, read off their registered
+    factors; u_pq alone when there are none."""
     coeffs = [c for op in pair.x1 + pair.x0 for c in op.coefficients()]
     used = set()
     denom_firsts = set()
@@ -252,15 +251,11 @@ def default_ansatz(F, pair: LaxPair, space: JetSpace) -> AnsatzBasis:
             if jv is not None and jv.unknown == "u" and jv.order == 1:
                 denom_firsts.add(jv.index[0])
     used_vars = [v for v in space.variables if v in used]
-    fallback = not denom_firsts
-    rs = used_vars if fallback else [v for v in space.variables if v in denom_firsts]
-    terms = []
-    for p, q in itertools.combinations_with_replacement(used_vars, 2):
-        for r in rs:
-            t = normalize(space.jet("u", (p, q)) / space.jet("u", (r,)))
-            if t not in terms:
-                terms.append(t)
-    return AnsatzBasis({slot: list(terms) for slot in SLOTS}, fallback)
+    dens = [space.jet("u", (r,)) for r in space.variables if r in denom_firsts] or [1]
+    terms = [normalize(space.jet("u", (p, q)) / d)
+             for p, q in itertools.combinations_with_replacement(used_vars, 2)
+             for d in dens]
+    return {slot: list(terms) for slot in SLOTS}
 
 
 @dataclass
@@ -274,21 +269,21 @@ class DeterminingSystem:
     orientation: str
 
 
-def ansatz_twist(basis: AnsatzBasis,
-                 orientation: str) -> tuple[TwistRelations, dict]:
-    """Expand each slot over its basis with fresh unknown constants.
+def ansatz_twist(basis: dict, orientation: str) -> tuple[TwistRelations, dict]:
+    """Expand each slot over its basis terms (slot -> terms) with fresh
+    unknown constants.
 
     Returns the twist and, per slot, the (constant, basis term) pairs."""
     f, slot_terms = {}, {}
     for (i, s) in SLOTS:
         pairs = [(sp.Symbol(f"c{i}{s}_{k}"), term)
-                 for k, term in enumerate(basis.slots[(i, s)])]
+                 for k, term in enumerate(basis[(i, s)])]
         f[(i, s)] = sum((c * term for c, term in pairs), sp.S.Zero)
         slot_terms[(i, s)] = pairs
     return TwistRelations(f, orientation), slot_terms
 
 
-def derive_determining_system(F, pair: LaxPair, basis: AnsatzBasis,
+def derive_determining_system(F, pair: LaxPair, basis: dict,
                               orientation: str, space: JetSpace) -> DeterminingSystem:
     """Residual coefficients over every monomial in the parametric jets
     (and the spectral parameter, if present) as equations for the ansatz
@@ -462,23 +457,3 @@ def _pivot(eqs):
                     return idx, i, -eq.coeff_wrt(i, 0).quo_ground(a.LC)
     return None
 
-
-# -- hierarchy ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HierarchyLevel:
-    level: int
-    source: str  # label of the seed function
-    target: str  # label of the produced function
-
-
-def hierarchy_relations(pair: LaxPair, k: int, space: JetSpace) -> list[HierarchyLevel]:
-    """The k levels chaining psi_0 -> psi_1 -> ... -> psi_k; each level is
-    the zero-twist instance with the seed in the U role and the image in
-    the Ut role.  The zero-twist relations are built once, only to check
-    that they solve for two distinct first-order Ut-jets."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    build_relations(pair, TwistRelations.zero(), space)
-    return [HierarchyLevel(j, f"psi_{j}", f"psi_{j + 1}") for j in range(k)]

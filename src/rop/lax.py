@@ -148,6 +148,21 @@ def _lambda_parts(c: Form) -> tuple[Form, Form]:
     return hi, c - hi * ring.scalar(lam)
 
 
+def split_lax_operator(op: FirstOrderOperator,
+                       space: JetSpace) -> tuple[FirstOrderOperator, FirstOrderOperator]:
+    """split_lambda of one operator of a pair, whose lam-part must be
+    nonzero and whose coefficients must be free of U and Ut jets."""
+    x1, x0 = split_lambda(op)
+    if x1.is_zero():
+        raise NotLambdaLinearError("operator has no spectral-parameter part")
+    for c in x1.coefficients() + x0.coefficients():
+        for s in c.free_symbols:
+            jv = space.jet_var(s)
+            if jv is not None and jv.unknown != "u":
+                raise ValueError(f"Lax coefficients must be free of {s}")
+    return x1, x0
+
+
 @dataclass(frozen=True)
 class LaxPair:
     """Two lambda-linear operators, stored split as (X1_i, X0_i)."""
@@ -155,32 +170,15 @@ class LaxPair:
     x0: tuple[FirstOrderOperator, FirstOrderOperator]
 
     @staticmethod
-    def from_operators(op1: FirstOrderOperator, op2: FirstOrderOperator,
-                       space: JetSpace) -> "LaxPair":
-        splits = [split_lambda(op) for op in (op1, op2)]
-        pair = LaxPair(tuple(s[0] for s in splits), tuple(s[1] for s in splits))
-        pair.validate(space)
-        return pair
-
-    def validate(self, space: JetSpace) -> None:
-        for i, (x1, x0) in enumerate(zip(self.x1, self.x0)):
-            if x1.is_zero():
-                raise NotLambdaLinearError(
-                    f"operator {i + 1} has no spectral-parameter part")
-            for part in (x1, x0):
-                for c in part.coefficients():
-                    symbols = c.free_symbols
-                    if LAMBDA in symbols:
-                        raise ValueError("split coefficients must be lambda-free")
-                    for s in symbols:
-                        jv = space.jet_var(s)
-                        if jv is not None and jv.unknown != "u":
-                            raise ValueError(
-                                f"Lax coefficients must be free of {s}")
-        if not self._independent_directions():
+    def from_splits(split1: tuple, split2: tuple) -> "LaxPair":
+        """The pair of two (X1, X0) splits, as ``split_lax_operator``
+        gives them; the directional parts of the X1 must be independent."""
+        pair = LaxPair((split1[0], split2[0]), (split1[1], split2[1]))
+        if not pair._independent_directions():
             raise DegeneratePairError(
                 "the directional parts of the two lambda-coefficient operators "
                 "are proportional")
+        return pair
 
     def _independent_directions(self) -> bool:
         a, b = self.x1

@@ -43,10 +43,6 @@ class LinearDifferentialOperator:
         return ring.combine([(c, ring.from_expr(space.jet(unknown, idx)))
                              for idx, c in self.coeffs])
 
-    @property
-    def order(self) -> int:
-        return max((len(idx) for idx, _ in self.coeffs), default=0)
-
 
 def linearize(F: Form, space: JetSpace) -> LinearDifferentialOperator:
     """Linearization operator of F; coefficients are the partial

@@ -1,4 +1,4 @@
-"""Line-oriented problem files and their pretty printer.
+"""Line-oriented problem files.
 
 Grammar (one directive per line, ``#`` starts a comment):
 
@@ -24,15 +24,17 @@ denominator factor is recorded as a nonzero assumption.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import sympy as sp
 
 from . import kernel
-from .engine import SLOTS, TwistRelations
+from .engine import SLOTS, TwistRelations, check_twist_function
 from .jets import JetRing, JetSpace, jet_ring
 from .kernel import Expr, normalize
-from .lax import LAMBDA, FirstOrderOperator, LaxPair, expr_derivative
+from .lax import (LAMBDA, FirstOrderOperator, LaxPair, expr_derivative,
+                  split_lax_operator)
 
 _TOKEN = re.compile(r"\s*(\*\*|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/^(),=])")
 
@@ -45,6 +47,18 @@ class ProblemSyntaxError(ValueError):
         super().__init__(msg + loc)
         self.line = line
         self.col = col
+
+
+@contextmanager
+def _at_line(line_no: int):
+    """A ValueError or a degenerate expression raised inside becomes a
+    ProblemSyntaxError naming line_no."""
+    try:
+        yield
+    except ProblemSyntaxError:
+        raise
+    except (ValueError, kernel.DegenerateExpressionError) as exc:
+        raise ProblemSyntaxError(str(exc), line_no) from exc
 
 
 @dataclass
@@ -60,42 +74,9 @@ class Problem:
     ansatz: dict | None = None
     warnings: list = field(default_factory=list)
 
-    def pretty(self) -> str:
-        out = [f"problem {self.name}",
-               "vars " + " ".join(self.space.variables)]
-        if self.space.max_order != 4:
-            out.append(f"maxorder {self.space.max_order}")
-        if self.space.params:
-            out.append("param " + " ".join(str(p) for p in self.space.params))
-        out.append(f"equation {fmt(self.F)} = 0")
-        for i in (0, 1):
-            out.append("lax " + fmt_operator(self.lax.full_operator(i)))
-        for a in self.assumptions:
-            out.append(f"assume {fmt(a)} != 0")
-        if self.twist is not None:
-            for (i, s) in SLOTS:
-                out.append(f"twist f{i}_{s} = {fmt(self.twist.f[(i, s)])}")
-        if self.orientation is not None:
-            out.append(f"orientation {self.orientation}")
-        if self.ansatz:
-            for (i, s) in SLOTS:
-                if (i, s) in self.ansatz:
-                    terms = ", ".join(fmt(t) for t in self.ansatz[(i, s)])
-                    out.append(f"ansatz f{i}_{s} = {terms}")
-        return "\n".join(out) + "\n"
-
 
 def fmt(e) -> str:
     return sp.sstr(sp.sympify(e)).replace("**", "^")
-
-
-def fmt_operator(op: FirstOrderOperator) -> str:
-    parts = []
-    for v, c in op.dirs:
-        parts.append(f"({fmt(c)})*D_{v}")
-    if op.free != 0 or not parts:
-        parts.append(f"({fmt(op.free)})")
-    return " + ".join(parts)
 
 
 def _tokenize(text: str, line_no: int):
@@ -265,7 +246,7 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
             return _ExprParser(_tokenize(src, line_no), space, lets, line_no,
                                allow_bare_d)
 
-        try:
+        with _at_line(line_no):
             if head == "problem":
                 name = rest
             elif head == "vars":
@@ -318,7 +299,9 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                 m = _SLOT_RE.fullmatch(slot_src.strip())
                 if not m:
                     raise ProblemSyntaxError(f"bad twist slot {slot_src.strip()!r}", line_no)
-                twist_f[(int(m.group(1)), int(m.group(2)))] = normalize(parser(src).parse())
+                slot = (int(m.group(1)), int(m.group(2)))
+                twist_f[slot] = normalize(parser(src).parse())
+                check_twist_function(slot, twist_f[slot], space)
             elif head == "orientation":
                 if rest not in ("forward", "swapped", "both"):
                     raise ProblemSyntaxError(f"bad orientation {rest!r}", line_no)
@@ -328,8 +311,6 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                 ansatz[slot] = terms
             else:
                 raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
-        except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
-            raise ProblemSyntaxError(str(exc), line_no) from exc
 
     if name is None:
         raise ProblemSyntaxError("missing 'problem' line")
@@ -349,15 +330,18 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
         raise ProblemSyntaxError("equation has no second-order jet of u")
 
     ring = jet_ring(space)
-    pair = LaxPair.from_operators(*(_to_operator(e, ring, line_no)
-                                    for line_no, e in lax_lines), space)
+    splits = []
+    for line_no, e in lax_lines:
+        with _at_line(line_no):
+            splits.append(split_lax_operator(_to_operator(e, ring, line_no), space))
+    with _at_line(lax_lines[1][0]):  # the second line is proportional to the first
+        pair = LaxPair.from_splits(*splits)
 
     twist = None
     if twist_f:
         full = {slot: twist_f.get(slot, sp.S.Zero) for slot in SLOTS}
         twist = TwistRelations(full, orientation if orientation in ("forward", "swapped")
                                else "forward")
-        twist.validate(space)
 
     return Problem(name, space, normalize(F), pair, tuple(assumptions), lets,
                    twist, orientation, ansatz or None, warnings)
@@ -389,10 +373,8 @@ def parse_basis(text: str, problem: Problem) -> dict:
         def parser(src):
             return _ExprParser(_tokenize(src, line_no), problem.space, problem.lets, line_no)
 
-        try:
+        with _at_line(line_no):
             slot, terms = _ansatz_line(rest, parser, line_no)
-        except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
-            raise ProblemSyntaxError(str(exc), line_no) from exc
         ansatz[slot] = terms
     return ansatz
 
@@ -412,12 +394,9 @@ def _to_operator(e: Expr, ring: JetRing, line_no: int) -> FirstOrderOperator:
         raise ProblemSyntaxError("lax operator must be first order", line_no)
     dirs = {}
     free = ring.zero
-    try:
-        for monom, coeff in poly.terms():
-            if sum(monom) == 0:
-                free = ring.from_expr(coeff)
-            else:
-                dirs[d_syms[monom.index(1)].name[3:]] = ring.from_expr(coeff)
-    except (kernel.DegenerateExpressionError, kernel.NotLinearError) as exc:
-        raise ProblemSyntaxError(str(exc), line_no) from exc
+    for monom, coeff in poly.terms():
+        if sum(monom) == 0:
+            free = ring.from_expr(coeff)
+        else:
+            dirs[d_syms[monom.index(1)].name[3:]] = ring.from_expr(coeff)
     return FirstOrderOperator.make(free, dirs)

@@ -25,6 +25,11 @@ def dfkn3():
     return parse_problem((PROBLEM_DIR / "dfkn3.rop").read_text())
 
 
+@pytest.fixture(scope="session")
+def pavlov():
+    return parse_problem((PROBLEM_DIR / "pavlov.rop").read_text())
+
+
 @pytest.fixture()
 def space():
     """Small three-variable jet space for kernel-level tests."""

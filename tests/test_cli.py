@@ -15,6 +15,18 @@ from pointwise import equal
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 DFKN2 = str(PROBLEM_DIR / "dfkn2.rop")
 EQ5 = str(PROBLEM_DIR / "eq5.rop")
+PAVLOV = str(PROBLEM_DIR / "pavlov.rop")
+
+
+def _with_twist(tmp_path, path, **slots):
+    """A copy of a problem file with the given twist lines replaced."""
+    text = Path(path).read_text()
+    for slot, value in slots.items():
+        text = re.sub(rf"^twist {slot} = .*$", f"twist {slot} = {value}", text,
+                      flags=re.M)
+    p = tmp_path / Path(path).name
+    p.write_text(text)
+    return str(p)
 
 
 def run(capsys, *argv):
@@ -61,9 +73,10 @@ class TestVerify:
                          if not line.startswith(("twist", "orientation")))
         p = tmp_path / "untwisted.rop"
         p.write_text(text)
-        code, _, err = run(capsys, "verify", str(p))
-        assert code == 2
-        assert "twist" in err
+        for command in ("verify", "hierarchy"):
+            code, _, err = run(capsys, command, str(p))
+            assert code == 2
+            assert "twist" in err
 
 
 class TestOtherCommands:
@@ -102,11 +115,55 @@ class TestOtherCommands:
                                 r"6 unknowns, 1 branch\(es\), 1 reverified", w)
                    for w in doc["warnings"])
 
-    def test_hierarchy(self, capsys):
-        code, out, _ = run(capsys, "hierarchy", DFKN2, "--k", "2")
+    def test_hierarchy(self, capsys, dfkn2):
+        code, out, _ = run(capsys, "hierarchy", DFKN2, "--k", "2", "--json")
         assert code == 0
-        assert "psi_1" in out and "psi_2" in out
-        assert "Ut" not in out
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS" and doc["orientation"] == "forward"
+        assert len(doc["relations"]) == 4
+        j = dfkn2.space.jet
+        for level, rel in ((0, doc["relations"][0]), (1, doc["relations"][3])):
+            assert rel.endswith(" = 0") and "Ut" not in rel
+            e = sp.sympify(rel[:-len(" = 0")].replace("^", "**"))
+            # the twist terms f1_1 = -u_xz/u_x and f2_1 = -u_xx/u_x
+            twist = -j("u", "xz") if level == 0 else -j("u", "xx")
+            assert equal(e.diff(sp.Symbol(f"psi_{level + 1}")), twist / j("u", "x"))
+
+    def test_hierarchy_chains_the_swapped_relations(self, capsys):
+        code, out, _ = run(capsys, "hierarchy", EQ5, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["orientation"] == "swapped"
+        # swapped: X0 acts on the image, and eq5's X0 has D_y and D_s
+        assert "psi_1_y" in doc["relations"][0] and "psi_1_t" not in doc["relations"][0]
+
+    def test_hierarchy_of_a_failing_twist(self, capsys, tmp_path):
+        zero = _with_twist(tmp_path, DFKN2, f1_1="0", f2_1="0")
+        code, out, _ = run(capsys, "hierarchy", zero, "--k", "2", "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "FAIL" and doc["relations"] == []
+        code, out, _ = run(capsys, "hierarchy", zero, "--k", "2")
+        assert code == 1 and "psi" not in out
+
+
+class TestPavlov:
+    """The Pavlov equation, whose Lax coefficients have no denominators;
+    lax-check and verify pass in test_lax and test_engine."""
+
+    @pytest.mark.parametrize("slots", [
+        {"f1_0": "0", "f2_0": "0"}, {"f1_0": "u_xx"}])
+    def test_wrong_twist_fails(self, capsys, tmp_path, slots):
+        code, out, _ = run(capsys, "verify", _with_twist(tmp_path, PAVLOV, **slots))
+        assert code == 1 and "verdict: FAIL" in out
+
+    def test_solve_recovers_the_twist(self, capsys):
+        code, out, _ = run(capsys, "solve", PAVLOV, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [s["twist"] for s in doc["solutions"]] == [
+            {"f1_0": "-u_xx", "f1_1": "0", "f2_0": "-u_yx", "f2_1": "0"}]
+        assert not any("fallback" in w for w in doc["warnings"])
 
 
 class TestErrorsAndLimits:
@@ -177,7 +234,8 @@ class TestErrorsAndLimits:
         ["linearize", DFKN2, "--orientation", "forward"],
         ["hierarchy", DFKN2, "--basis", "auto"],
         ["verify", DFKN2, "--branch-bound", "3"],
-        ["solve", DFKN2, "--branch-bound", "-4"]])
+        ["solve", DFKN2, "--branch-bound", "-4"],
+        ["hierarchy", DFKN2, "--k", "0"]])
     def test_option_of_another_subcommand_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

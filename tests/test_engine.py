@@ -11,11 +11,11 @@ from sympy.polys.rings import PolyRing
 
 from rop import engine, kernel
 from rop import jets as jets_module
-from rop.engine import (ORIENTATIONS, SLOTS, AnsatzBasis, DeterminingSystem,
+from rop.engine import (ORIENTATIONS, SLOTS, DeterminingSystem,
                         InvalidTwistError, PartialResultError, Solution,
                         TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
-                        hierarchy_relations, solve_determining, verify)
+                        solve_determining, verify)
 from rop.lax import LAMBDA, DegeneratePairError, equation_system
 from rop.linearize import linearize
 from rop.problem import parse_problem
@@ -85,8 +85,8 @@ class TestBuildRelations:
 
 
 class TestVerify:
-    def test_examples_pass(self, eq5, dfkn2, dfkn3):
-        for prob in (eq5, dfkn2, dfkn3):
+    def test_examples_pass(self, eq5, dfkn2, dfkn3, pavlov):
+        for prob in (eq5, dfkn2, dfkn3, pavlov):
             rep = verify(prob.F, prob.lax, _twist(prob), prob.space)
             assert rep.passed, (prob.name, rep.compatibility, rep.symmetry)
             assert rep.compatibility == 0 and rep.symmetry == 0
@@ -135,8 +135,8 @@ class TestDeterminingSystem:
         s = dfkn2.space
         j = s.jet
         before = {k: v for k, v in vars(s).items() if not k.startswith("_")}
-        basis = AnsatzBasis({(1, 0): [], (1, 1): [j("u", "xz") / j("u", "x")],
-                             (2, 0): [], (2, 1): [j("u", "xx") / j("u", "x")]})
+        basis = {(1, 0): [], (1, 1): [j("u", "xz") / j("u", "x")],
+                 (2, 0): [], (2, 1): [j("u", "xx") / j("u", "x")]}
         ds = engine.derive_determining_system(dfkn2.F, dfkn2.lax, basis,
                                               "forward", s)
         assert [str(c) for c in ds.unknowns] == ["c11_0", "c21_0"]
@@ -145,13 +145,19 @@ class TestDeterminingSystem:
     def test_default_ansatz_second_example(self, dfkn2):
         s = dfkn2.space
         basis = default_ansatz(dfkn2.F, dfkn2.lax, s)
-        assert not basis.fallback
-        assert sum(len(v) for v in basis.slots.values()) == 40  # 10 ratios u_pq/u_x per slot
-        terms = basis.slots[(1, 1)]
+        assert sum(len(v) for v in basis.values()) == 40  # 10 ratios u_pq/u_x per slot
+        terms = basis[(1, 1)]
         assert any(equal(t, s.jet("u", ("z", "x")) / s.jet("u", "x"))
                    for t in terms)
         assert any(equal(t, s.jet("u", ("x", "x")) / s.jet("u", "x"))
                    for t in terms)
+
+    def test_default_ansatz_without_denominators(self, pavlov):
+        # no Lax coefficient has a denominator: the terms are the u_pq
+        j = pavlov.space.jet
+        basis = default_ansatz(pavlov.F, pavlov.lax, pavlov.space)
+        assert basis == {slot: [j("u", pq) for pq in ("tt", "ty", "tx", "yy", "yx", "xx")]
+                         for slot in SLOTS}
 
 
 def _synthetic(eqs, names):
@@ -232,17 +238,6 @@ class TestSolveDetermining:
         assert [(s.assignment, s.free) for s in sols] == [({}, ())]
         assert solve_determining(_synthetic([sp.Integer(3)], [])) == []
         assert solve_determining(_synthetic([alpha], [])) == []
-
-
-class TestHierarchy:
-    def test_levels_chain(self, dfkn2):
-        levels = hierarchy_relations(dfkn2.lax, 3, dfkn2.space)
-        assert [(lv.source, lv.target) for lv in levels] == \
-            [("psi_0", "psi_1"), ("psi_1", "psi_2"), ("psi_2", "psi_3")]
-
-    def test_k_must_be_positive(self, dfkn2):
-        with pytest.raises(ValueError):
-            hierarchy_relations(dfkn2.lax, 0, dfkn2.space)
 
 
 def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solution]:
@@ -536,10 +531,10 @@ def test_determining_equations_match_reference(problems, case):
     name, orientation, rng = case
     prob = problems[name]
     s = prob.space
-    pool = default_ansatz(prob.F, prob.lax, s).slots[(1, 0)]
-    basis = AnsatzBasis({slot: [rng.choice([1, -1]) * t
-                                for t in rng.sample(pool, rng.randint(2, 4))]
-                         for slot in SLOTS})
+    pool = default_ansatz(prob.F, prob.lax, s)[(1, 0)]
+    basis = {slot: [rng.choice([1, -1]) * t
+                    for t in rng.sample(pool, rng.randint(2, 4))]
+             for slot in SLOTS}
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(prob.F, prob.lax, twist, s)
     got = determining_equations_for_twist(prob.F, prob.lax, twist, s)
@@ -554,14 +549,14 @@ def test_solver_matches_reference_on_derived_systems(problems, case):
     # the same equations as expressions
     name, orientation, rng = case
     prob = problems[name]
-    pool = default_ansatz(prob.F, prob.lax, prob.space).slots[(1, 0)]
+    pool = default_ansatz(prob.F, prob.lax, prob.space)[(1, 0)]
     slots = {}
     for slot in SLOTS:
         paper = [t for t in pool if t.as_numer_denom()[0]
                  in sp.sympify(prob.twist.f[slot]).free_symbols]
         terms = paper + [rng.choice([1, -1]) * t for t in rng.sample(pool, rng.randint(1, 3))]
         slots[slot] = rng.sample(terms, len(terms))
-    ds = engine.derive_determining_system(prob.F, prob.lax, AnsatzBasis(slots),
+    ds = engine.derive_determining_system(prob.F, prob.lax, slots,
                                           orientation, prob.space)
     assert _outcome(solve_determining, ds) == _outcome(reference_solve, ds)
 
@@ -602,8 +597,7 @@ def test_determining_equations_match_reference_with_rule_lhs_in_denominator(
     j = dfkn2.space.jet
     u_yz = j("u", ("y", "z"))
     # the parent's gcds make larger twists of this kind take minutes
-    basis = AnsatzBasis({(1, 0): [], (1, 1): [j("u", "y") / u_yz],
-                         (2, 0): [], (2, 1): []})
+    basis = {(1, 0): [], (1, 1): [j("u", "y") / u_yz], (2, 0): [], (2, 1): []}
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
     got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, dfkn2.space)

@@ -10,7 +10,7 @@ from rop.jets import JetSpace, expr_ring
 from rop.kernel import normalize
 from rop.lax import (LAMBDA, DegeneratePairError, FirstOrderOperator, LaxPair,
                      NotLambdaLinearError, check_lax, commutator, equation_system,
-                     split_lambda)
+                     split_lambda, split_lax_operator)
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
@@ -28,6 +28,11 @@ def _make(space, free, dirs):
     """FirstOrderOperator.make of expressions converted with to_form."""
     return FirstOrderOperator.make(to_form(free, space),
                                    {v: to_form(c, space) for v, c in dirs.items()})
+
+
+def _pair(op1, op2, space):
+    """The Lax pair of two operators, split and checked as the parser does."""
+    return LaxPair.from_splits(*(split_lax_operator(op, space) for op in (op1, op2)))
 
 
 def _apply(op, e):
@@ -138,7 +143,7 @@ class TestSplitLambda:
 class TestLaxPair:
     def test_from_operators_round_trip(self, ex2_space):
         op1, op2 = _dfkn2_ops(ex2_space)
-        pair = LaxPair.from_operators(op1, op2, ex2_space)
+        pair = _pair(op1, op2, ex2_space)
         for i, op in enumerate((op1, op2)):
             recon = pair.full_operator(i)
             for v in set(op.directions) | set(recon.directions):
@@ -148,24 +153,24 @@ class TestLaxPair:
         op1 = _make(space, 0, {"x": 1})
         op2 = _make(space, 0, {"y": 1, "x": LAMBDA})
         with pytest.raises(NotLambdaLinearError):
-            LaxPair.from_operators(op1, op2, space)
+            _pair(op1, op2, space)
 
     def test_proportional_directions_rejected(self, space):
         op1 = _make(space, 0, {"x": LAMBDA, "y": 1})
         op2 = _make(space, 0, {"x": 2 * LAMBDA, "y": 1})
         with pytest.raises(DegeneratePairError):
-            LaxPair.from_operators(op1, op2, space)
+            _pair(op1, op2, space)
 
     def test_capital_jets_in_coefficients_rejected(self, space):
         op1 = _make(space, 0, {"x": LAMBDA, "y": space.jet("U")})
         op2 = _make(space, 0, {"y": LAMBDA, "z": 1})
         with pytest.raises(ValueError):
-            LaxPair.from_operators(op1, op2, space)
+            _pair(op1, op2, space)
 
 
 class TestCheckLax:
-    def test_examples_pass(self, eq5, dfkn2, dfkn3):
-        for prob in (eq5, dfkn2, dfkn3):
+    def test_examples_pass(self, eq5, dfkn2, dfkn3, pavlov):
+        for prob in (eq5, dfkn2, dfkn3, pavlov):
             report = check_lax(prob.lax, to_form(prob.F, prob.space), prob.space)
             assert report.passed, (prob.name, report.residuals)
             assert all(r == 0 for r in report.residuals)
@@ -179,7 +184,7 @@ class TestCheckLax:
         j = s.jet
         op1 = _make(s, 0, {"t": 1, "z": -LAMBDA, "x": -j("u", "t") / j("u", "y")})
         op2 = _make(s, 0, {"y": 1, "x": -LAMBDA - j("u", "y") / j("u", "x")})
-        bad = LaxPair.from_operators(op1, op2, s)
+        bad = _pair(op1, op2, s)
         report = check_lax(bad, to_form(dfkn2.F, s), s)
         assert not report.passed
         assert report.residuals

@@ -25,7 +25,7 @@ class TestLinearize:
         assert equal(coeffs[("y",)], -j("u", "xz"))
         assert equal(coeffs[("t",)], j("u", "xx"))
         assert () not in coeffs
-        assert op.order == 2
+        assert max(len(idx) for idx, _ in op.coeffs) == 2
 
     def test_applied_to_symmetry_seed(self, dfkn2):
         s = dfkn2.space
@@ -52,7 +52,7 @@ class TestLinearize:
     def test_zeroth_order_coefficient(self, space):
         op = linearize(to_form(space.jet("u") ** 2, space), space)
         assert equal(dict(op.coeffs)[()], 2 * space.jet("u"))
-        assert op.order == 0
+        assert max(len(idx) for idx, _ in op.coeffs) == 0
 
     def test_rejects_capital_jets(self, space):
         with pytest.raises(WrongUnknownError):
@@ -91,5 +91,5 @@ class TestFirstVariation:
 
 def test_empty_operator(space):
     op = LinearDifferentialOperator(())
-    assert op.order == 0
+    assert max((len(idx) for idx, _ in op.coeffs), default=0) == 0
     assert op.apply_to("U", space) == 0

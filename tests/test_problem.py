@@ -80,19 +80,6 @@ class TestParsing:
         assert equal(m, (j("u", "y") - j("u", "z")) / j("u", "x"))
         assert equal(second, alpha * j("u", "xx") / j("u", "x"))
 
-    def test_pretty_round_trip(self, dfkn2):
-        again = parse_problem(dfkn2.pretty())
-        assert again.name == dfkn2.name
-        assert normalize(again.F - dfkn2.F) == 0
-        for slot in again.twist.f:
-            assert equal(again.twist.f[slot], dfkn2.twist.f[slot])
-        # pretty() prints the sign-normalized operators, so the
-        # reconstructions agree exactly after a second parse
-        for i in (0, 1):
-            a, b = again.lax.full_operator(i), dfkn2.lax.full_operator(i)
-            for v in set(a.directions) | set(b.directions):
-                assert normalize(a.dir_coeff(v) - b.dir_coeff(v)) == 0
-
 
 class TestErrors:
     def test_missing_equation(self):
@@ -127,6 +114,20 @@ class TestErrors:
                               "equation u_x - u_y = 0")
         with pytest.raises(ProblemSyntaxError, match="second-order"):
             parse_problem(bad)
+
+    @pytest.mark.parametrize("line,text,message", [
+        (2, MINIMAL.replace("vars x y z", "vars 6 y z"), "single letters"),
+        (4, MINIMAL.replace("lax D_y - lam*D_x", "lax D_y - lam^2*D_x"),
+         "spectral-parameter degree 2"),
+        (5, MINIMAL.replace("lax D_z - lam*D_y", "lax 2*D_y - 2*lam*D_x"), "proportional"),
+        (6, MINIMAL + "twist f1_0 = U_x\n", "f1_0 depends on U_x")],
+        ids=["vars", "lam-squared", "proportional-lax", "twist"])
+    def test_error_names_its_line(self, line, text, message):
+        # errors raised beyond the expression parser: JetSpace, the
+        # lambda split, the pair and the twist check
+        with pytest.raises(ProblemSyntaxError, match=message) as exc:
+            parse_problem(text)
+        assert exc.value.line == line
 
     def test_bad_twist_slot(self):
         with pytest.raises(ProblemSyntaxError, match="slot"):

@@ -21,7 +21,6 @@ from pathlib import Path
 import sympy as sp
 
 from . import engine, lax
-from .jets import jet_ring
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS, PartialResultError, TwistRelations
 from .problem import Problem, ProblemSyntaxError, fmt, parse_basis, parse_problem
@@ -49,11 +48,6 @@ def _time_limit(seconds: int | None):
         signal.signal(signal.SIGALRM, old)
 
 
-def _load(path: str, max_order: int | None) -> Problem:
-    text = Path(path).read_text()
-    return parse_problem(text, max_order=max_order)
-
-
 def _orientations(problem: Problem, flag: str | None) -> list[str]:
     choice = flag or problem.orientation or "both"
     if choice == "both":
@@ -79,8 +73,7 @@ def _basis_for(problem: Problem, basis_arg: str) -> dict:
 
 def cmd_lax_check(problem: Problem, args) -> dict:
     t0 = time.monotonic()
-    F = jet_ring(problem.space).from_expr(problem.F)
-    report = lax.check_lax(problem.lax, F, problem.space)
+    report = lax.check_lax(problem.lax, problem.F, problem.space)
     doc = {
         "verdict": "PASS" if report.passed else "FAIL",
         "residuals": [fmt(r) for r in report.residuals],
@@ -94,7 +87,7 @@ def cmd_lax_check(problem: Problem, args) -> dict:
 
 def cmd_linearize(problem: Problem, args) -> dict:
     t0 = time.monotonic()
-    op = linearize_equation(jet_ring(problem.space).from_expr(problem.F), problem.space)
+    op = linearize_equation(problem.F, problem.space)
     terms = [{"index": list(idx), "coefficient": fmt(c)} for idx, c in op.coeffs]
     return {
         "verdict": "PASS",
@@ -293,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         timeout = _timeout_secs()
-        problem = _load(args.file, args.max_order)
+        problem = parse_problem(Path(args.file).read_text(), max_order=args.max_order)
         with _time_limit(timeout):
             doc = COMMANDS[args.command](problem, args)
     except (ProblemSyntaxError, CliError, TimeoutError, OSError, ValueError) as exc:

@@ -17,12 +17,11 @@ branching on factored quadratics.
 
 From the relations to the determining equations everything is a
 ``kernel.Form`` of one JetRing per computation, whose generators include
-the twist's unknown constants; the Lax operators are Forms of the
-space's JetRing and enter it, with the twist, as one expression.  The
-entry points take F as the problem's expression: ``full_system``
-converts it once into that ring and returns its linearization too.
-Expressions remain only in the twist and the VerifyReport.  The
-determining equations are polynomials of that ring, read off the
+the twist's unknown constants.  F, the Lax operators and the twist come
+as Forms of the space's JetRing (an ansatz twist: of that ring with its
+constants), and ``FormRing.embed`` moves them into the computation's
+ring.  Expressions remain only in the VerifyReport and in the solver.
+The determining equations are polynomials of that ring, read off the
 residuals' numerators by regrouping monomials by their jet and lam
 exponents, and the solver takes them as they are.
 """
@@ -67,7 +66,8 @@ class PartialResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class TwistRelations:
-    """The four twist functions plus the orientation flag.
+    """The four twist functions, Forms of a JetRing, plus the
+    orientation flag.
 
     forward:  X1_i(Ut) + f_i^1 Ut = f_i^0 U + X0_i(U)
     swapped:  the roles of (X1, X0) exchanged between Ut and U.
@@ -90,31 +90,22 @@ class TwistRelations:
         return TwistRelations(dict(self.f), orientation)
 
     def free_constants(self, space: JetSpace) -> set:
-        """Symbols that are neither jets, declared parameters nor
-        independent variables: the unknown constants of an ansatz.  Run
-        after validate, which rejects the spectral parameter."""
-        known = set(space.params) | set(space.var_syms.values())
-        out = set()
-        for e in self.f.values():
-            out |= {s for s in sp.sympify(e).free_symbols
-                    if s not in known and space.jet_var(s) is None}
-        return out
-
-    @staticmethod
-    def zero(orientation: str = "forward") -> "TwistRelations":
-        return TwistRelations({slot: sp.S.Zero for slot in SLOTS}, orientation)
+        """The symbols of the twist functions that the space's JetRing
+        lacks: the unknown constants of an ansatz.  Run after validate,
+        which rejects U/Ut jets."""
+        known = jet_ring(space).index
+        return {s for f in self.f.values() for s in f.free_symbols if s not in known}
 
 
-def check_twist_function(slot: tuple[int, int], e, space: JetSpace) -> None:
+def check_twist_function(slot: tuple[int, int], f: Form, space: JetSpace) -> None:
     """The twist function of a slot must be free of the spectral parameter
-    and of U/Ut jets."""
+    and of U/Ut jets (the keys of a Form)."""
     i, s = slot
-    e = sp.sympify(e)
-    if e.has(LAMBDA):
+    if LAMBDA in f.free_symbols:
         raise InvalidTwistError(f"f{i}_{s} depends on the spectral parameter")
-    for jet in space.jets_in(e):
-        if space.jet_var(jet).unknown != "u":
-            raise InvalidTwistError(f"f{i}_{s} depends on {jet}")
+    for key in f.terms:
+        if key is not ONE:
+            raise InvalidTwistError(f"f{i}_{s} depends on {key}")
 
 
 @dataclass(frozen=True)
@@ -135,14 +126,15 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
     the computation has the twist's unknown constants as generators."""
     twist.validate(space)
     ring = jet_ring(space, twist.free_constants(space))
+    one = ring.constant(1)
     relations, rules, dirs = [], [], []
     for i in (0, 1):
         ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
         u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
-        e = ring.from_expr(ut_op.apply_to_unknown("Ut", space).as_expr()
-                           + twist.f[(i + 1, 1)] * space.jet("Ut")
-                           - twist.f[(i + 1, 0)] * space.jet("U")
-                           - u_op.apply_to_unknown("U", space).as_expr())
+        e = ring.combine([(one, ring.embed(ut_op.apply_to_unknown("Ut", space))),
+                          (ring.embed(twist.f[(i + 1, 1)]), ring.symbol(space.jet("Ut"))),
+                          (-ring.embed(twist.f[(i + 1, 0)]), ring.symbol(space.jet("U"))),
+                          (-one, ring.embed(u_op.apply_to_unknown("U", space)))])
         rule = solve_for_leading(e, "Ut", space)
         jv = space.jet_var(rule.lhs)
         if jv.order != 1:
@@ -163,11 +155,10 @@ def full_system(F, relset: RelationSet,
     """Three-layer rewrite system: F = 0, the linearized equation for U,
     and the recursion relations for Ut, each solved and reduced against
     the layers below, in the JetRing of the relations; and the
-    linearization of F in that ring.  F is the equation's expression,
-    converted here once.  The reduced Ut rules keep their leads, so the
-    system's assumptions are the factors of the leading coefficients of
-    F, of its linearization and of the relations."""
-    F = relset.relations[0].ring.from_expr(F)
+    linearization of F in that ring.  The reduced Ut rules keep their
+    leads, so the system's assumptions are the factors of the leading
+    coefficients of F, of its linearization and of the relations."""
+    F = relset.relations[0].ring.embed(F)
     sys_u = equation_system(F, space)
     lin = linearize(F, space)
     u_rule = solve_for_leading(sys_u.reduce(lin.apply_to("U", space)), "U", space)
@@ -236,23 +227,15 @@ def default_ansatz(F, pair: LaxPair, space: JetSpace) -> dict:
     factors; u_pq alone when there are none."""
     coeffs = [c for op in pair.x1 + pair.x0 for c in op.coefficients()]
     used = set()
-    denom_firsts = set()
-    for symbols in [sp.sympify(F).free_symbols] + [c.free_symbols for c in coeffs]:
-        for s in symbols:
-            jv = space.jet_var(s)
-            if jv is not None:
-                used.update(jv.index)
-            elif s.name in space.var_syms:
-                used.add(s.name)
-    for c in coeffs:
-        for fid in c.den:
-            factor = c.ring.factors[fid]
-            jv = space.jet_var(factor.as_expr()) if factor.is_generator else None
-            if jv is not None and jv.unknown == "u" and jv.order == 1:
-                denom_firsts.add(jv.index[0])
+    for s in F.free_symbols.union(*(c.free_symbols for c in coeffs)):
+        jv = space.jet_var(s)
+        used.update(jv.index if jv is not None else {s.name} & space.var_syms.keys())
     used_vars = [v for v in space.variables if v in used]
-    dens = [space.jet("u", (r,)) for r in space.variables if r in denom_firsts] or [1]
-    terms = [normalize(space.jet("u", (p, q)) / d)
+    ring = jet_ring(space)
+    factors = {c.ring.factors[fid] for c in coeffs for fid in c.den}
+    firsts = [ring.symbol(space.jet("u", (r,))) for r in space.variables]
+    dens = [u_r.inverse() for u_r in firsts if u_r.terms[ONE] in factors] or [ring.constant(1)]
+    terms = [ring.symbol(space.jet("u", (p, q))) * d
              for p, q in itertools.combinations_with_replacement(used_vars, 2)
              for d in dens]
     return {slot: list(terms) for slot in SLOTS}
@@ -270,16 +253,19 @@ class DeterminingSystem:
 
 
 def ansatz_twist(basis: dict, orientation: str) -> tuple[TwistRelations, dict]:
-    """Expand each slot over its basis terms (slot -> terms) with fresh
-    unknown constants.
+    """Expand each slot over its basis terms (slot -> terms, Forms of one
+    JetRing) with fresh unknown constants, generators of the twist's
+    ring.
 
     Returns the twist and, per slot, the (constant, basis term) pairs."""
-    f, slot_terms = {}, {}
-    for (i, s) in SLOTS:
-        pairs = [(sp.Symbol(f"c{i}{s}_{k}"), term)
-                 for k, term in enumerate(basis[(i, s)])]
-        f[(i, s)] = sum((c * term for c, term in pairs), sp.S.Zero)
-        slot_terms[(i, s)] = pairs
+    slot_terms = {(i, s): [(sp.Symbol(f"c{i}{s}_{k}"), term)
+                           for k, term in enumerate(basis[(i, s)])] for (i, s) in SLOTS}
+    every = [pair for pairs in slot_terms.values() for pair in pairs]
+    if not every:
+        raise ValueError("the ansatz has no basis terms")
+    ring = jet_ring(every[0][1].ring.space, [c for c, _ in every])
+    f = {slot: ring.combine([(ring.symbol(c), ring.embed(t)) for c, t in pairs])
+         for slot, pairs in slot_terms.items()}
     return TwistRelations(f, orientation), slot_terms
 
 
@@ -350,11 +336,11 @@ class Solution:
     free: tuple = ()
 
     def twist_functions(self, ds: DeterminingSystem) -> dict:
-        out = {}
-        for slot, pairs in ds.slot_terms.items():
-            out[slot] = normalize(sum(self.assignment.get(c, sp.S.Zero) * t
-                                      for c, t in pairs))
-        return out
+        """Slot -> twist function, a Form of the basis terms' ring."""
+        ring = next(t.ring for pairs in ds.slot_terms.values() for _, t in pairs)
+        return {slot: ring.combine([(ring.from_expr(self.assignment.get(c, 0)), t)
+                                    for c, t in pairs])
+                for slot, pairs in ds.slot_terms.items()}
 
 
 def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solution]:

@@ -12,8 +12,7 @@ the ansatz constants, ``lam`` and the parameters.  ``U``/``Ut`` jets stay
 out of the ring; every relation is linear in them, so they are the keys
 of a Form.  The total derivative is a derivation of the ring (each
 ``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift of each key.
-The functions here take and return Forms only; expressions are converted
-where they enter, with ``expr_ring``.
+The functions here take and return Forms only; the parser builds them.
 
 A RewriteSystem holds solved relations (equation, linearized equation,
 recursion relations) oriented by a well-founded ranking, and reduces
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 
 import sympy as sp
 
-from .kernel import ONE, Expr, Form, FormRing, symbol_order
+from .kernel import ONE, Form, FormRing, symbol_order
 
 UNKNOWNS = ("u", "U", "Ut")
 LAMBDA = sp.Symbol("lam")
@@ -107,38 +106,28 @@ class JetSpace:
         jv = self._by_name.get(name)
         if jv is not None:
             return jv
-        head, _, tail = name.partition("_")
-        if head in UNKNOWNS and (tail or "_" not in name):
-            if "_" not in name:
-                if name not in UNKNOWNS:
-                    return None
-                jv = JetVar(name, ())
-            else:
-                if not tail or any(v not in self._pos for v in tail):
-                    return None
-                jv = JetVar(head, tuple(sorted(tail, key=self._pos.__getitem__)))
-                if "".join(jv.index) != tail:
-                    return None
-            self._by_name[name] = jv
-            return jv
-        return None
+        head, sep, tail = name.partition("_")
+        if head not in UNKNOWNS or (sep and not tail) or any(v not in self._pos for v in tail):
+            return None
+        jv = JetVar(head, tuple(sorted(tail, key=self._pos.__getitem__)))
+        if "".join(jv.index) != tail:  # u_yx is not the name of a jet
+            return None
+        self._by_name[name] = jv
+        return jv
 
     def jets_in(self, e) -> list[sp.Symbol]:
         return [s for s in sp.sympify(e).free_symbols if self.jet_var(s) is not None]
 
     # -- ranking -------------------------------------------------------
 
-    def rank_key(self, jv: JetVar) -> tuple:
-        """Key comparable with > ; larger key means higher-ranked jet."""
-        n = len(self.variables)
-        lex = tuple(sorted((n - self._pos[v] for v in jv.index), reverse=True))
-        return (UNKNOWNS.index(jv.unknown), jv.order, lex)
-
     def rank_of(self, sym: sp.Symbol) -> tuple:
+        """Key comparable with > ; larger key means higher-ranked jet."""
         jv = self.jet_var(sym)
         if jv is None:
             raise ValueError(f"{sym} is not a jet variable")
-        return self.rank_key(jv)
+        lex = tuple(sorted((len(self.variables) - self._pos[v] for v in jv.index),
+                           reverse=True))
+        return (UNKNOWNS.index(jv.unknown), jv.order, lex)
 
 
 _TOP = -2  # D_x of a u-jet of the top order would overflow the bound
@@ -217,15 +206,6 @@ def jet_ring(space: JetSpace, symbols: Iterable[sp.Symbol] = ()) -> JetRing:
     return _jet_ring(space.variables, space.max_order,
                      tuple(p.name for p in space.params),
                      tuple(symbol_order(set(symbols))))
-
-
-def expr_ring(e: Expr, space: JetSpace) -> JetRing:
-    """The JetRing an expression is converted in: the space's, with any
-    symbol of e that is neither a jet, an independent variable, lam nor
-    a parameter as an extra generator."""
-    known = {LAMBDA, *space.params, *space.var_syms.values()}
-    return jet_ring(space, [s for s in e.free_symbols
-                            if s not in known and space.jet_var(s) is None])
 
 
 def total_derivative(form: Form, x: str) -> Form:
@@ -381,8 +361,7 @@ class RewriteSystem:
         rule = self.matching_rule(sym)
         ring = self.ring
         if rule is None:
-            nf = (ring.scalar(ring.poly.gens[ring.index[sym]]) if sym in ring.index
-                  else Form(ring, {sym: ring.poly.one}, {}))
+            nf = ring.symbol(sym)
         else:
             jv = self.space.jet_var(sym)
             jl = self.space.jet_var(rule.lhs)

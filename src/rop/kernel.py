@@ -17,8 +17,9 @@ once with ``sp.factor_list`` in the ring of its own symbols.
 
 ``normalize`` gives a sympy expression the same canonical form, as an
 expression: it converts it to a Form of the ring of its symbols and
-back.  Expressions are left only at the boundaries: the parser, the
-twist functions and printed reports.
+back.  Expressions are left only at the boundaries: printed reports and
+the determining-system solver.  ``FormRing.embed`` moves a Form into a
+ring with more generators, such as the ansatz constants.
 
 Only symbols, rationals, sums, products and integer powers are admitted;
 any other atom (a float, a root, a function) raises NotRationalError.
@@ -70,8 +71,17 @@ def normalize(e) -> sp.Expr:
     than a symbol or a rational number, or a power with a non-integer
     exponent.
     """
-    e = sp.sympify(e)
-    return FormRing(e.free_symbols).from_expr(e).as_expr()
+    return _canonical(sp.sympify(e)).as_expr()
+
+
+def _canonical(e: sp.Expr) -> "Form":
+    """The canonical Form of e in the FormRing of its own symbols."""
+    ring = FormRing(e.free_symbols)
+    num, den = _to_pair(e, ring.poly, dict(zip(ring.symbols, ring.poly.gens)))
+    if not den:
+        raise DegenerateExpressionError(f"zero denominator in {e}")
+    c, exps = ring._factor(den)
+    return ring._reduced({ONE: num.mul_ground(QQ.one / c)}, exps)
 
 
 def _to_pair(e, ring: PolyRing, gens: dict) -> tuple[PolyElement, PolyElement]:
@@ -166,42 +176,9 @@ class FormRing:
     # -- conversion ----------------------------------------------------
 
     def from_expr(self, e) -> "Form":
-        """The canonical Form of a sympy expression.  The expression must
-        be linear (degree at most one in every term) in its symbols that
-        are not in the ring, and free of them in its denominator."""
-        e = sp.sympify(e)
-        small = PolyRing(symbol_order(e.free_symbols), QQ, grevlex)
-        num, den = _to_pair(e, small, dict(zip(small.symbols, small.gens)))
-        if not den:
-            raise DegenerateExpressionError(f"zero denominator in {e}")
-        where = [self.index.get(s) for s in small.symbols]
-
-        def embed(m):
-            """The ring's monomial and the key of a monomial of small."""
-            big, key = [0] * self.poly.ngens, ONE
-            for j in compress(range(len(m)), m):
-                if where[j] is not None:
-                    big[where[j]] = m[j]
-                elif m[j] > 1 or key is not ONE:
-                    raise NotLinearError(f"{e} is not linear in {small.symbols[j]}")
-                else:
-                    key = small.symbols[j]
-            return tuple(big), key
-
-        terms: dict = {}
-        for m, c in num.items():
-            m, key = embed(m)
-            terms.setdefault(key, {})[m] = c
-        dbig = {}
-        for m, c in den.items():
-            m, key = embed(m)
-            if key is not ONE:
-                raise NotLinearError(f"{key} in a denominator of {e}")
-            dbig[m] = c
-        c, exps = self._factor(self.poly.dtype(dbig))
-        inv = QQ.one / c
-        terms = {k: self.poly.dtype(t).mul_ground(inv) for k, t in terms.items()}
-        return self._reduced(terms, exps)
+        """The canonical Form of a sympy expression, embedded (see embed)
+        from the ring of its own symbols."""
+        return self.embed(_canonical(sp.sympify(e)))
 
     def polynomial(self, e) -> PolyElement:
         """A polynomial expression in the ring's symbols as an element of
@@ -210,6 +187,54 @@ class FormRing:
         if not den.is_ground:
             raise NotRationalError(f"{e} is not a polynomial")
         return num.quo_ground(den.LC)
+
+    def symbol(self, s: sp.Symbol) -> "Form":
+        """The Form of one symbol: a generator of the ring, or else a key."""
+        i = self.index.get(s)
+        if i is None:
+            return Form(self, {s: self.poly.one}, {})
+        return Form(self, {ONE: self.poly.gens[i]}, {})
+
+    def embed(self, form: "Form") -> "Form":
+        """form as a Form of this ring.  A generator of form's ring that
+        this ring lacks becomes a key, so it must be of degree at most one
+        in every term and absent from the denominator.  A factor
+        irreducible in the smaller ring stays irreducible here and keeps
+        its leading coefficient (grevlex restricts to the common
+        generators), so it is registered as it is."""
+        src = form.ring
+        if src is self:
+            return form
+        where = [self.index.get(s) for s in src.symbols]
+
+        def move(m, key=ONE):
+            """This ring's monomial and the key of a monomial m of src in a
+            term with the given key."""
+            big = [0] * self.poly.ngens
+            for j in compress(src._range, m):
+                if where[j] is not None:
+                    big[where[j]] = m[j]
+                elif m[j] > 1 or key is not ONE:
+                    raise NotLinearError(f"{form} is not linear in {src.symbols[j]}")
+                else:
+                    key = src.symbols[j]
+            return tuple(big), key
+
+        terms: dict = {}
+        for key, p in form.terms.items():
+            for m, c in p.items():
+                m, k = move(m, key)
+                terms.setdefault(k, {})[m] = c
+        den = {}
+        for fid, k in form.den.items():
+            f = {}
+            for m, c in src.factors[fid].items():
+                m, key = move(m)
+                if key is not ONE:
+                    raise NotLinearError(f"{key} in a denominator of {form}")
+                f[m] = c
+            den[self.factor_id(self.poly.dtype(f))] = k
+        return Form(self, {k: self.poly.dtype(t) for k, t in terms.items()}, den)
 
     def constant(self, c) -> "Form":
         c = QQ(c.p, c.q) if isinstance(c, sp.Rational) else QQ(c)

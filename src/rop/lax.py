@@ -1,8 +1,9 @@
 """First-order scalar operators, lambda splitting, and Lax-pair validation.
 
 An operator here is  free + sum_j coeff_j * D_{x^j}  with coefficients
-that are Forms of the space's JetRing (``jets.jet_ring``), converted once
-by the parser; its total derivatives are ``jets.total_derivative``.  Lax
+that are Forms of the space's JetRing (``jets.jet_ring``); the parser
+builds a lax line with the operator's ``+``, ``-`` and ``scaled``, and
+total derivatives are ``jets.total_derivative``.  Lax
 operators are linear in the spectral parameter, L = X0 - lam*X1, and are
 stored as the split (X1, X0) pair: X1 is minus the lam-coefficient and X0
 the lam-free part, whatever the ranking.
@@ -18,18 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import sympy as sp
-
-from .jets import (LAMBDA, JetSpace, RewriteSystem, expr_ring,
-                   solve_for_leading, total_derivative)
+from .jets import LAMBDA, JetSpace, RewriteSystem, solve_for_leading, total_derivative
 from .kernel import Expr, Form, FormRing
-
-
-def expr_derivative(e, x: str, space: JetSpace) -> Expr:
-    """Total derivative D_x of an expression, in the form normalize
-    gives; the parser's D_x(...) application."""
-    e = sp.sympify(e)
-    return total_derivative(expr_ring(e, space).from_expr(e), x).as_expr()
 
 
 class NotLambdaLinearError(ValueError):
@@ -84,7 +75,7 @@ class FirstOrderOperator:
         ring = self.ring
         jets = [(self.free, space.jet(unknown))]
         jets += [(c, space.jet(unknown, (v,))) for v, c in self.dirs]
-        return ring.combine([(c, ring.from_expr(j)) for c, j in jets])
+        return ring.combine([(c, ring.symbol(j)) for c, j in jets])
 
     def scaled(self, factor) -> "FirstOrderOperator":
         return FirstOrderOperator.make(self.free * factor,
@@ -192,8 +183,7 @@ class LaxPair:
     def full_operator(self, i: int) -> FirstOrderOperator:
         """Reconstruct L_i = X0_i - lam*X1_i with lambda-polynomial
         coefficients."""
-        lam = self.x1[i].ring.from_expr(LAMBDA)
-        return self.x0[i] - self.x1[i].scaled(lam)
+        return self.x0[i] - self.x1[i].scaled(self.x1[i].ring.symbol(LAMBDA))
 
 
 @dataclass

@@ -40,7 +40,7 @@ class LinearDifferentialOperator:
         if not self.coeffs:
             return jet_ring(space).zero
         ring = self.coeffs[0][1].ring
-        return ring.combine([(c, ring.from_expr(space.jet(unknown, idx)))
+        return ring.combine([(c, ring.symbol(space.jet(unknown, idx)))
                              for idx, c in self.coeffs])
 
 

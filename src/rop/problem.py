@@ -6,19 +6,23 @@ Grammar (one directive per line, ``#`` starts a comment):
     vars <v> <v> ...            single letters; order fixes the ranking
     maxorder <n>                optional jet-order bound (default 4)
     param <p> ...
-    let <id> = <expr>           shorthand, substituted at parse time
-    equation <expr> = 0         D_x(...) applications are expanded
+    let <id> = <expr>           shorthand for the expressions after it
+    equation <expr> = 0         free of lam, U and Ut
     lax <expr with D_x and lam> exactly two lines
-    assume <expr> != 0
     twist f1_0 = <expr>         four optional lines (f1_0 f1_1 f2_0 f2_1)
     orientation forward|swapped|both
     ansatz f1_0 = <expr>, <expr>, ...
 
-Expressions use ``+ - * / ^ ( )``, jet variables ``u_xy`` (indices sorted
-internally), ``U`` and ``Ut`` for the seed symmetry and its image, ``lam``
-for the spectral parameter, and ``D_x(...)`` for total-derivative
-application.  The equation is stored cleared of denominators; each
-denominator factor is recorded as a nonzero assumption.
+Expressions use integers, ``+ - * / ( )``, ``^`` with an integer
+exponent, jet variables ``u_xy`` (indices sorted internally), ``U`` and
+``Ut`` for the seed symmetry and its image, ``lam`` for the spectral
+parameter, and ``D_x(...)`` for total-derivative application.  A param
+or let may not take a name that is ``lam``, a jet or declared before.
+
+After the declarations, each expression is evaluated as it is read, to a
+Form of the space's JetRing: ``D_x`` is ``jets.total_derivative``, ``/``
+is ``Form.inverse``, and in a lax line a bare ``D_x`` is a direction of
+a FirstOrderOperator.  The equation is kept as its numerator.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ from dataclasses import dataclass, field
 import sympy as sp
 
 from . import kernel
-from .engine import SLOTS, TwistRelations, check_twist_function
-from .jets import JetRing, JetSpace, jet_ring
-from .kernel import Expr, normalize
-from .lax import (LAMBDA, FirstOrderOperator, LaxPair, expr_derivative,
-                  split_lax_operator)
+from .engine import ORIENTATIONS, SLOTS, TwistRelations, check_twist_function
+from .jets import UNKNOWNS, JetSpace, jet_ring, total_derivative
+from .kernel import ONE, Form
+from .lax import LAMBDA, FirstOrderOperator, LaxPair, split_lax_operator
 
-_TOKEN = re.compile(r"\s*(\*\*|!=|[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/^(),=])")
+_TOKEN = re.compile(r"\s*(\*\*|[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/^(),=])")
 
 
 class ProblemSyntaxError(ValueError):
@@ -65,9 +68,8 @@ def _at_line(line_no: int):
 class Problem:
     name: str
     space: JetSpace
-    F: Expr
+    F: Form  # the equation's numerator, with integer coefficients
     lax: LaxPair
-    assumptions: tuple
     lets: dict  # the let shorthands, for parsing a basis file
     twist: TwistRelations | None = None
     orientation: str | None = None
@@ -93,10 +95,17 @@ def _tokenize(text: str, line_no: int):
 
 
 class _ExprParser:
+    """One expression, evaluated while it is read to a Form of the
+    space's JetRing or, where a bare D_x is allowed (a lax line), to a
+    FirstOrderOperator."""
+
     def __init__(self, tokens, space: JetSpace, lets, line_no, allow_bare_d=False):
         self.tokens = tokens
         self.i = 0
         self.space = space
+        self.ring = jet_ring(space)
+        self.symbols = {"lam": LAMBDA, **{p.name: p for p in space.params},
+                        **space.var_syms}  # the names are distinct (_declare)
         self.lets = lets
         self.line = line_no
         self.allow_bare_d = allow_bare_d
@@ -116,27 +125,45 @@ class _ExprParser:
         if tok != want:
             raise ProblemSyntaxError(f"expected {want!r}, got {tok!r}", self.line, col)
 
-    def parse(self) -> Expr:
+    def parse(self):
         e = self.expr()
         if self.i != len(self.tokens):
             tok, col = self.tokens[self.i]
             raise ProblemSyntaxError(f"unexpected {tok!r}", self.line, col)
         return e
 
+    def not_first_order(self):
+        raise ProblemSyntaxError(
+            "a lax operator must be first order and linear in its D terms", self.line)
+
+    def binary(self, op, a, b):
+        """a op b for Forms and, in a lax line, operators."""
+        a_op, b_op = (isinstance(e, FirstOrderOperator) for e in (a, b))
+        if op in "+-":
+            if a_op or b_op:
+                a, b = (e if isinstance(e, FirstOrderOperator)
+                        else FirstOrderOperator.make(e, {}) for e in (a, b))
+            return a + b if op == "+" else a - b
+        if op == "/":
+            if b_op:
+                self.not_first_order()
+            b = b.inverse()
+        if a_op and b_op:
+            self.not_first_order()
+        return a.scaled(b) if a_op else b.scaled(a) if b_op else a * b
+
     def expr(self):
         e = self.term()
         while self.peek() in ("+", "-"):
             op, _ = self.next()
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
+            e = self.binary(op, e, self.term())
         return e
 
     def term(self):
         e = self.unary()
         while self.peek() in ("*", "/"):
             op, _ = self.next()
-            rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            e = self.binary(op, e, self.unary())
         return e
 
     def unary(self):
@@ -148,13 +175,21 @@ class _ExprParser:
 
     def power(self):
         base = self.atom()
-        if self.peek() in ("^", "**"):
-            self.next()
-            exp = self.unary()
-            if not sp.sympify(exp).is_Integer:
-                raise ProblemSyntaxError("exponent must be an integer", self.line)
-            return base ** exp
-        return base
+        if self.peek() not in ("^", "**"):
+            return base
+        self.next()
+        k = self.unary()
+        if not isinstance(k, Form) or not k.as_expr().is_Integer:
+            raise ProblemSyntaxError("exponent must be an integer", self.line)
+        if isinstance(base, FirstOrderOperator):
+            self.not_first_order()
+        k = int(k.as_expr())
+        if k < 0:
+            base, k = base.inverse(), -k
+        out = self.ring.constant(1)
+        for _ in range(k):
+            out = out * base
+        return out
 
     def atom(self):
         tok, col = self.next()
@@ -163,7 +198,7 @@ class _ExprParser:
             self.expect(")")
             return e
         if tok.isdigit():
-            return sp.Integer(tok)
+            return self.ring.constant(int(tok))
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
             return self.name(tok, col)
         raise ProblemSyntaxError(f"unexpected {tok!r}", self.line, col)
@@ -177,40 +212,42 @@ class _ExprParser:
                 self.next()
                 inner = self.expr()
                 self.expect(")")
-                return expr_derivative(inner, v, self.space)
+                if isinstance(inner, FirstOrderOperator):
+                    self.not_first_order()
+                return total_derivative(inner, v)
             if not self.allow_bare_d:
                 raise ProblemSyntaxError(
                     f"bare {tok} is only allowed in lax lines", self.line, col)
-            return sp.Symbol(f"_D_{v}")
+            return FirstOrderOperator.make(self.ring.zero, {v: self.ring.constant(1)})
         if tok in self.lets:
             return self.lets[tok]
-        if tok == "lam":
-            return LAMBDA
-        for p in self.space.params:
-            if p.name == tok:
-                return p
-        jv_sym = self._jet_name(tok)
-        if jv_sym is not None:
-            return jv_sym
-        if tok in self.space.var_syms:
-            return self.space.var_syms[tok]
+        sym = self.symbols.get(tok) or self._jet_name(tok)
+        if sym is not None:
+            return self.ring.symbol(sym)
         if len(tok) == 1 and tok.isalpha():
             raise ProblemSyntaxError(
                 f"unknown symbol {tok!r} (not a declared variable)", self.line, col)
         raise ProblemSyntaxError(f"unknown symbol {tok!r}", self.line, col)
 
     def _jet_name(self, tok):
+        """The jet a name such as u_yx denotes, or None."""
         head, sep, tail = tok.partition("_")
-        if head not in ("u", "U", "Ut"):
-            return None
-        if not sep:
-            return self.space.jet(head)
-        if not tail or any(v not in self.space.var_syms for v in tail):
+        if head not in UNKNOWNS or (sep and not tail) or any(
+                v not in self.space.var_syms for v in tail):
             return None
         return self.space.jet(head, tuple(tail))
 
 
 _SLOT_RE = re.compile(r"f([12])_([01])")
+
+
+def _declare(name: str, kind: str, taken: dict, line_no: int) -> None:
+    """Record a declared name in taken (name -> what it is); a jet name
+    (u, U or Ut, alone or before '_') and a name taken before are errors."""
+    meaning = "a jet name" if name.partition("_")[0] in UNKNOWNS else taken.get(name)
+    if meaning:
+        raise ProblemSyntaxError(f"{kind} {name!r} is already {meaning}", line_no)
+    taken[name] = f"a {kind}"
 
 
 def parse_problem(text: str, max_order: int | None = None) -> Problem:
@@ -221,106 +258,103 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
     name = None
     variables = None
     params: list[str] = []
-    lets: dict[str, Expr] = {}
-    space: JetSpace | None = None
-    F = None
-    lax_lines: list[tuple[int, Expr]] = []
-    assumptions: list[Expr] = []
-    twist_f: dict = {}
+    taken = {"lam": "the spectral parameter"}
     orientation = None
-    ansatz: dict = {}
     declared_max_order = 4
-    warnings: list[str] = []
+    expressions = []  # (line number, directive, rest) of the expression lines
 
-    lines = text.splitlines()
-    for line_no, raw in enumerate(lines, 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-
-        def parser(src, allow_bare_d=False):
-            if space is None:
-                raise ProblemSyntaxError("vars must be declared first", line_no)
-            return _ExprParser(_tokenize(src, line_no), space, lets, line_no,
-                               allow_bare_d)
-
         with _at_line(line_no):
             if head == "problem":
                 name = rest
             elif head == "vars":
-                variables = rest.split()
-                for v in variables:
-                    if len(v) != 1:
-                        raise ProblemSyntaxError(
-                            f"multi-letter variable name {v!r}", line_no)
-                space = JetSpace(variables, declared_max_order if max_order is None
-                                 else max_order, params)
+                for v in rest.split():
+                    _declare(v, "variable", taken, line_no)
+                variables = JetSpace(rest.split()).variables  # checks the names
             elif head == "maxorder":
                 if not re.fullmatch(r"[0-9]+", rest) or int(rest) < 1:
                     raise ProblemSyntaxError(
                         f"maxorder must be an integer >= 1, got {rest!r}", line_no)
                 declared_max_order = int(rest)
-                if space is not None and max_order is None:
-                    space = JetSpace(space.variables, declared_max_order, params)
             elif head == "param":
-                params.extend(rest.split())
-                if space is not None:
-                    space = JetSpace(space.variables, space.max_order, params)
-            elif head == "let":
+                for p in rest.split():
+                    _declare(p, "param", taken, line_no)
+                    params.append(p)
+            elif head == "orientation":
+                if rest not in ("forward", "swapped", "both"):
+                    raise ProblemSyntaxError(f"bad orientation {rest!r}", line_no)
+                orientation = rest
+            elif head in ("let", "equation", "lax", "twist", "ansatz"):
+                if variables is None:
+                    raise ProblemSyntaxError("vars must be declared first", line_no)
+                expressions.append((line_no, head, rest))
+            else:
+                raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
+
+    if name is None:
+        raise ProblemSyntaxError("missing 'problem' line")
+    if variables is None:
+        raise ProblemSyntaxError("missing 'vars' line")
+    space = JetSpace(variables, declared_max_order if max_order is None else max_order,
+                     params)
+    ring = jet_ring(space)
+    lets: dict[str, Form] = {}
+    F = None
+    splits = []  # (line number, (X1, X0)) of the lax lines
+    twist_f: dict = {}
+    ansatz: dict = {}
+
+    for line_no, head, rest in expressions:
+
+        def parser(src, allow_bare_d=False):
+            return _ExprParser(_tokenize(src, line_no), space, lets, line_no,
+                               allow_bare_d)
+
+        with _at_line(line_no):
+            if head == "let":
                 ident, _, src = rest.partition("=")
                 ident = ident.strip()
                 if not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", ident):
                     raise ProblemSyntaxError(f"bad let name {ident!r}", line_no)
-                lets[ident] = normalize(parser(src).parse())
+                _declare(ident, "let", taken, line_no)
+                lets[ident] = parser(src).parse()
             elif head == "equation":
                 src, _, zero = rest.rpartition("=")
                 if zero.strip() != "0" or not src:
                     raise ProblemSyntaxError("equation line must end in '= 0'", line_no)
-                e = normalize(parser(src).parse())
-                num, den = e.as_numer_denom()
-                F = sp.expand(num)
-                for factor, _m in sp.factor_list(den)[1]:
-                    fa = normalize(factor)
-                    if fa not in assumptions:
-                        assumptions.append(fa)
+                e = parser(src).parse()
+                if not e.is_scalar() or LAMBDA in e.free_symbols:
+                    raise ProblemSyntaxError("the equation must be free of lam, U and Ut",
+                                             line_no)
+                F = ring.scalar(e.terms.get(ONE, ring.poly.zero).clear_denoms()[1])
             elif head == "lax":
-                lax_lines.append((line_no, sp.expand(parser(rest, allow_bare_d=True).parse())))
-            elif head == "assume":
-                src, _, tail = rest.partition("!=")
-                if tail.strip() != "0":
-                    raise ProblemSyntaxError("assume line must end in '!= 0'", line_no)
-                fa = normalize(parser(src).parse())
-                if fa not in assumptions:
-                    assumptions.append(fa)
+                op = parser(rest, allow_bare_d=True).parse()
+                if not isinstance(op, FirstOrderOperator) or not op.dirs:
+                    raise ProblemSyntaxError("lax line contains no D_<var> term", line_no)
+                splits.append((line_no, split_lax_operator(op, space)))
             elif head == "twist":
                 slot_src, _, src = rest.partition("=")
                 m = _SLOT_RE.fullmatch(slot_src.strip())
                 if not m:
                     raise ProblemSyntaxError(f"bad twist slot {slot_src.strip()!r}", line_no)
                 slot = (int(m.group(1)), int(m.group(2)))
-                twist_f[slot] = normalize(parser(src).parse())
+                twist_f[slot] = parser(src).parse()
                 check_twist_function(slot, twist_f[slot], space)
-            elif head == "orientation":
-                if rest not in ("forward", "swapped", "both"):
-                    raise ProblemSyntaxError(f"bad orientation {rest!r}", line_no)
-                orientation = rest
-            elif head == "ansatz":
+            else:
                 slot, terms = _ansatz_line(rest, parser, line_no)
                 ansatz[slot] = terms
-            else:
-                raise ProblemSyntaxError(f"unknown directive {head!r}", line_no)
 
-    if name is None:
-        raise ProblemSyntaxError("missing 'problem' line")
-    if space is None:
-        raise ProblemSyntaxError("missing 'vars' line")
     if F is None:
         raise ProblemSyntaxError("missing 'equation' line")
-    if len(lax_lines) != 2:
-        raise ProblemSyntaxError(f"expected exactly 2 lax lines, got {len(lax_lines)}")
+    if len(splits) != 2:
+        raise ProblemSyntaxError(f"expected exactly 2 lax lines, got {len(splits)}")
 
+    warnings = []
     if len(space.variables) < 3:
         warnings.append(
             f"only {len(space.variables)} independent variables; the method "
@@ -329,22 +363,15 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                for s in F.free_symbols):
         raise ProblemSyntaxError("equation has no second-order jet of u")
 
-    ring = jet_ring(space)
-    splits = []
-    for line_no, e in lax_lines:
-        with _at_line(line_no):
-            splits.append(split_lax_operator(_to_operator(e, ring, line_no), space))
-    with _at_line(lax_lines[1][0]):  # the second line is proportional to the first
-        pair = LaxPair.from_splits(*splits)
+    with _at_line(splits[1][0]):  # the second line is proportional to the first
+        pair = LaxPair.from_splits(splits[0][1], splits[1][1])
 
-    twist = None
-    if twist_f:
-        full = {slot: twist_f.get(slot, sp.S.Zero) for slot in SLOTS}
-        twist = TwistRelations(full, orientation if orientation in ("forward", "swapped")
-                               else "forward")
+    twist = TwistRelations({slot: twist_f.get(slot, ring.zero) for slot in SLOTS},
+                           orientation if orientation in ORIENTATIONS
+                           else "forward") if twist_f else None
 
-    return Problem(name, space, normalize(F), pair, tuple(assumptions), lets,
-                   twist, orientation, ansatz or None, warnings)
+    return Problem(name, space, F, pair, lets, twist, orientation, ansatz or None,
+                   warnings)
 
 
 def _ansatz_line(rest: str, parser, line_no: int) -> tuple:
@@ -353,7 +380,7 @@ def _ansatz_line(rest: str, parser, line_no: int) -> tuple:
     m = _SLOT_RE.fullmatch(slot_src.strip())
     if not m:
         raise ProblemSyntaxError(f"bad ansatz slot {slot_src.strip()!r}", line_no)
-    terms = [normalize(parser(part).parse()) for part in src.split(",") if part.strip()]
+    terms = [parser(part).parse() for part in src.split(",") if part.strip()]
     return (int(m.group(1)), int(m.group(2))), terms
 
 
@@ -377,26 +404,3 @@ def parse_basis(text: str, problem: Problem) -> dict:
             slot, terms = _ansatz_line(rest, parser, line_no)
         ansatz[slot] = terms
     return ansatz
-
-
-def _to_operator(e: Expr, ring: JetRing, line_no: int) -> FirstOrderOperator:
-    """The operator of a lax line, its coefficients Forms of ring."""
-    d_syms = sorted((s for s in e.free_symbols if s.name.startswith("_D_")),
-                    key=str)
-    if not d_syms:
-        raise ProblemSyntaxError("lax line contains no D_<var> term", line_no)
-    try:
-        poly = sp.Poly(e, *d_syms)
-    except sp.PolynomialError as exc:
-        raise ProblemSyntaxError(f"lax operator is not linear in D terms: {exc}",
-                                 line_no)
-    if poly.total_degree() > 1:
-        raise ProblemSyntaxError("lax operator must be first order", line_no)
-    dirs = {}
-    free = ring.zero
-    for monom, coeff in poly.terms():
-        if sum(monom) == 0:
-            free = ring.from_expr(coeff)
-        else:
-            dirs[d_syms[monom.index(1)].name[3:]] = ring.from_expr(coeff)
-    return FirstOrderOperator.make(free, dirs)

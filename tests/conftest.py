@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from rop.jets import JetSpace, expr_ring
+from rop.engine import SLOTS, TwistRelations
+from rop.jets import LAMBDA, JetSpace, jet_ring
 from rop.problem import parse_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -37,9 +38,18 @@ def space():
 
 
 def to_form(e, space):
-    """An expression as a Form of its JetRing on space."""
+    """An expression (or a Form) as a Form of the JetRing of space, with
+    any symbol of e that is neither a jet, an independent variable, lam
+    nor a parameter as an extra generator."""
     e = sp.sympify(e)
-    return expr_ring(e, space).from_expr(e)
+    known = {LAMBDA, *space.params, *space.var_syms.values()}
+    return jet_ring(space, [s for s in e.free_symbols
+                            if s not in known and space.jet_var(s) is None]).from_expr(e)
+
+
+def zero_twist(space, orientation="forward"):
+    """The twist whose four functions are the zero Form of space."""
+    return TwistRelations({slot: to_form(0, space) for slot in SLOTS}, orientation)
 
 
 @pytest.fixture()

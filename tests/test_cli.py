@@ -215,7 +215,8 @@ class TestErrorsAndLimits:
         assert code == 2
         doc = json.loads(out)
         assert doc["verdict"] == "ERROR"
-        assert "line 10" in doc["error"]
+        line = text.splitlines().index(f"twist f1_0 = 1/({denominator})") + 1
+        assert f"line {line}" in doc["error"]
 
     def test_order_overflow_names_remedy(self, capsys):
         code, _, err = run(capsys, "verify", DFKN2, "--max-order", "2")

@@ -20,7 +20,7 @@ from rop.lax import LAMBDA, DegeneratePairError, equation_system
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
-from conftest import PROBLEM_DIR, random_poly, to_form
+from conftest import PROBLEM_DIR, random_poly, to_form, zero_twist
 from pointwise import equal, is_zero, normalize, reference_total_derivative
 
 
@@ -38,17 +38,18 @@ class TestTwistRelations:
         with pytest.raises(InvalidTwistError):
             TwistRelations({(1, 0): sp.S.Zero})
 
-    def test_bad_orientation_rejected(self):
+    def test_bad_orientation_rejected(self, space):
         with pytest.raises(ValueError):
-            TwistRelations.zero("sideways")
+            zero_twist(space, "sideways")
 
     def test_validate_rejects_spectral_parameter(self, space):
-        t = TwistRelations({**TwistRelations.zero().f, (1, 0): LAMBDA})
+        t = TwistRelations({**zero_twist(space).f, (1, 0): to_form(LAMBDA, space)})
         with pytest.raises(InvalidTwistError):
             t.validate(space)
 
     def test_validate_rejects_capital_jets(self, space):
-        t = TwistRelations({**TwistRelations.zero().f, (2, 1): space.jet("U", "x")})
+        t = TwistRelations({**zero_twist(space).f,
+                            (2, 1): to_form(space.jet("U", "x"), space)})
         with pytest.raises(InvalidTwistError):
             t.validate(space)
 
@@ -81,7 +82,7 @@ class TestBuildRelations:
         p = dfkn2.lax
         bad = LaxPair((p.x1[0], p.x1[0]), (p.x0[0], p.x0[0]))
         with pytest.raises(Exception):
-            build_relations(bad, TwistRelations.zero(), dfkn2.space)
+            build_relations(bad, zero_twist(dfkn2.space), dfkn2.space)
 
 
 class TestVerify:
@@ -94,7 +95,7 @@ class TestVerify:
     def test_zero_twist_fails_second_example(self, dfkn2):
         s = dfkn2.space
         j = s.jet
-        rep = verify(dfkn2.F, dfkn2.lax, TwistRelations.zero(), s)
+        rep = verify(dfkn2.F, dfkn2.lax, zero_twist(s), s)
         assert not rep.passed
         expected = ((j("U", "t") * j("u", "x") * j("u", "xx")
                      - j("U", "x") * j("u", "t") * j("u", "xx")
@@ -107,7 +108,7 @@ class TestVerify:
     def test_sign_flipped_twist_fails(self, dfkn2):
         s = dfkn2.space
         f = dict(_twist(dfkn2).f)
-        f[(1, 1)] = normalize(-f[(1, 1)])
+        f[(1, 1)] = to_form(-f[(1, 1)], s)
         rep = verify(dfkn2.F, dfkn2.lax, TwistRelations(f, "forward"), s)
         assert not rep.passed
 
@@ -127,7 +128,7 @@ class TestDeterminingSystem:
 
     def test_zero_twist_produces_equations(self, dfkn2):
         eqs = determining_equations_for_twist(dfkn2.F, dfkn2.lax,
-                                              TwistRelations.zero(),
+                                              zero_twist(dfkn2.space),
                                               dfkn2.space)
         assert eqs
 
@@ -135,8 +136,8 @@ class TestDeterminingSystem:
         s = dfkn2.space
         j = s.jet
         before = {k: v for k, v in vars(s).items() if not k.startswith("_")}
-        basis = {(1, 0): [], (1, 1): [j("u", "xz") / j("u", "x")],
-                 (2, 0): [], (2, 1): [j("u", "xx") / j("u", "x")]}
+        basis = {(1, 0): [], (1, 1): [to_form(j("u", "xz") / j("u", "x"), s)],
+                 (2, 0): [], (2, 1): [to_form(j("u", "xx") / j("u", "x"), s)]}
         ds = engine.derive_determining_system(dfkn2.F, dfkn2.lax, basis,
                                               "forward", s)
         assert [str(c) for c in ds.unknowns] == ["c11_0", "c21_0"]
@@ -597,7 +598,8 @@ def test_determining_equations_match_reference_with_rule_lhs_in_denominator(
     j = dfkn2.space.jet
     u_yz = j("u", ("y", "z"))
     # the parent's gcds make larger twists of this kind take minutes
-    basis = {(1, 0): [], (1, 1): [j("u", "y") / u_yz], (2, 0): [], (2, 1): []}
+    basis = {(1, 0): [], (1, 1): [to_form(j("u", "y") / u_yz, dfkn2.space)], (2, 0): [],
+             (2, 1): []}
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
     got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, dfkn2.space)

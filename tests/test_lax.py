@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop.jets import JetSpace, expr_ring
+from rop.jets import JetSpace
 from rop.kernel import normalize
 from rop.lax import (LAMBDA, DegeneratePairError, FirstOrderOperator, LaxPair,
                      NotLambdaLinearError, check_lax, commutator, equation_system,
@@ -256,7 +256,7 @@ def reference_check_lax(x1, x0, F, space):
     """The commutator-closure check on reference operators, reducing
     through the program's rewrite system as the expression-based check
     did; returns the fields of a LaxReport."""
-    sys = equation_system(expr_ring(F, space).from_expr(F), space)
+    sys = equation_system(to_form(F, space), space)
 
     def reduce(e):
         return sys.reduce(sys.ring.from_expr(e)).as_expr()

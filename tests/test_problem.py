@@ -1,11 +1,15 @@
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rop.kernel import normalize
-from rop.lax import LAMBDA
-from rop.problem import ProblemSyntaxError, fmt, parse_basis, parse_problem
+from rop.jets import JetSpace, OrderOverflowError
+from rop.kernel import DegenerateExpressionError, normalize
+from rop.problem import (ProblemSyntaxError, _ExprParser, _tokenize, fmt, parse_basis,
+                         parse_problem)
 
-from pointwise import equal
+from conftest import to_form
+from pointwise import equal, reference_total_derivative
 
 MINIMAL = """\
 problem demo
@@ -41,7 +45,6 @@ class TestParsing:
                     - j("u", "x") * j("u", ("t", "x")) + j("u", "t") * j("u", "xx"))
         assert normalize(dfkn2.F - expected) == 0 or \
             normalize(dfkn2.F + expected) == 0
-        assert any(equal(a, j("u", "x")) for a in dfkn2.assumptions)
 
     def test_let_substitution(self, dfkn3):
         # twist slots were written via lets; all four resolved to
@@ -57,8 +60,9 @@ class TestParsing:
 
     def test_lambda_in_lax_only(self):
         bad = MINIMAL.replace("equation u_x*u_yz", "equation lam*u_x*u_yz")
-        prob = parse_problem(bad)  # lam parses as a symbol anywhere
-        assert prob.F.has(LAMBDA)
+        with pytest.raises(ProblemSyntaxError, match="free of lam") as exc:
+            parse_problem(bad)
+        assert exc.value.line == 3
 
     def test_twist_defaults_to_zero_slots(self):
         text = MINIMAL + "twist f1_1 = -u_xy/u_x\n"
@@ -79,6 +83,11 @@ class TestParsing:
         m, second = basis[(2, 1)]
         assert equal(m, (j("u", "y") - j("u", "z")) / j("u", "x"))
         assert equal(second, alpha * j("u", "xx") / j("u", "x"))
+
+
+def _declaring(lines: str) -> str:
+    """MINIMAL with the given lines right after its vars line."""
+    return MINIMAL.replace("vars x y z\n", f"vars x y z\n{lines}\n")
 
 
 class TestErrors:
@@ -120,11 +129,28 @@ class TestErrors:
         (4, MINIMAL.replace("lax D_y - lam*D_x", "lax D_y - lam^2*D_x"),
          "spectral-parameter degree 2"),
         (5, MINIMAL.replace("lax D_z - lam*D_y", "lax 2*D_y - 2*lam*D_x"), "proportional"),
-        (6, MINIMAL + "twist f1_0 = U_x\n", "f1_0 depends on U_x")],
-        ids=["vars", "lam-squared", "proportional-lax", "twist"])
+        (6, MINIMAL + "twist f1_0 = U_x\n", "f1_0 depends on U_x"),
+        (3, _declaring("param lam"), "param 'lam' is already the spectral parameter"),
+        (3, _declaring("param x"), "param 'x' is already a variable"),
+        (3, _declaring("param u_x"), "param 'u_x' is already a jet name"),
+        (3, _declaring("param U"), "param 'U' is already a jet name"),
+        (3, _declaring("param Ut_xy"), "param 'Ut_xy' is already a jet name"),
+        (4, _declaring("param a\nparam b a"), "param 'a' is already a param"),
+        (3, _declaring("let lam = 2"), "let 'lam' is already the spectral parameter"),
+        (3, _declaring("let x = u_y"), "let 'x' is already a variable"),
+        (4, _declaring("param a\nlet a = 2"), "let 'a' is already a param"),
+        (3, MINIMAL.replace("u_x*u_yz -", "u_x*u_yz + lam*u_xx -"), "free of lam"),
+        (4, _declaring("let m = lam*u_xx").replace("u_x*u_yz -", "u_x*u_yz + m -"),
+         "free of lam"),
+        (3, MINIMAL.replace("u_x*u_yz -", "u_x*u_yz + U -"), "free of lam, U and Ut")],
+        ids=["vars", "lam-squared", "proportional-lax", "twist", "param-lam",
+             "param-variable", "param-jet", "param-seed", "param-image-jet",
+             "param-repeated", "let-lam", "let-variable", "let-param", "equation-lam",
+             "equation-lam-from-let", "equation-seed"])
     def test_error_names_its_line(self, line, text, message):
-        # errors raised beyond the expression parser: JetSpace, the
-        # lambda split, the pair and the twist check
+        # errors raised beyond the expression parser: JetSpace, names
+        # already taken, the equation's symbols, the lambda split, the
+        # pair and the twist check
         with pytest.raises(ProblemSyntaxError, match=message) as exc:
             parse_problem(text)
         assert exc.value.line == line
@@ -164,3 +190,34 @@ class TestErrors:
 def test_fmt_uses_caret():
     x = sp.Symbol("u_x")
     assert fmt(x**2 / 3) == "u_x^2/3"
+
+
+# -- the parser against sympy's reading of the same text --------------------
+
+_ATOMS = st.one_of(st.integers(0, 9).map(str),
+                   st.sampled_from(["u", "u_x", "u_y", "u_xy", "u_yy", "a"]))
+
+
+def _compound(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+        st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+        inner.map(lambda e: f"D_x({e})"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.recursive(_ATOMS, _compound, max_leaves=6))
+def test_parser_matches_sympy_reading(text):
+    # ^ read as **, D_x as the reference total derivative; inputs whose
+    # denominator vanishes (or that leave the order bound) are skipped
+    space = JetSpace(["x", "y"], max_order=6, params=["a"])
+    names = {n: sp.Symbol(n) for n in ("u", "u_x", "u_y", "u_xy", "u_yy", "a")}
+    names["D_x"] = lambda e: reference_total_derivative(e, "x", space)
+    try:
+        want = to_form(sp.sympify(text.replace("^", "**"), locals=names), space)
+        got = _ExprParser(_tokenize(text, 1), space, {}, 1).parse()
+    except (DegenerateExpressionError, OrderOverflowError):
+        assume(False)
+    assert got == want, (text, got, want)

@@ -12,8 +12,9 @@ Both are computed as exact residuals reduced modulo the equation, the
 linearized equation, the relations, and differential consequences of all
 three.  With the twist functions expanded over an ansatz with unknown
 constants, the vanishing of every residual coefficient yields the
-determining system, solved exactly by linear elimination plus bounded
-branching on factored quadratics.
+determining system, solved exactly by rounds of elimination of all its
+linear equations at once, then bounded branching on the factors of a
+nonlinear one.
 
 From the relations to the determining equations everything is a
 ``kernel.Form`` of one JetRing per computation, whose generators include
@@ -38,6 +39,7 @@ from operator import mul
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyRing
+from sympy.polys.solvers import solve_lin_sys
 
 from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
                    solve_for_leading, total_derivative)
@@ -344,21 +346,24 @@ class Solution:
 
 
 def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solution]:
-    """Exact solving: linear elimination first, then bounded branching on
-    factors of the remaining (at most quadratic) equations.
+    """Exact solving: rounds of linear elimination, then bounded
+    branching on factors of the remaining nonlinear equations.
 
     The equations, polynomials of one ring over QQ, are taken into the
     ring of the unknowns over QQ, or over the field of rational functions
-    in the other symbols of their monomials.  A pivot is the
-    first unknown, in the first equation that has one, of degree 1 with
-    a coefficient free of unknowns; its value is substituted into the
-    remaining equations and into every solved value, so no solved value
-    holds a solved unknown.  Every branch that closes yields one
-    Solution; remaining unconstrained constants are reported free and
-    set to zero.  A branch is left unresolved when the branch bound is
-    spent, or when its equation is irreducible in the unknowns and has
-    no pivot, so that branching would only give it back; any unresolved
-    branch raises PartialResultError carrying the solutions found.
+    in the other symbols of their monomials.  A round hands every
+    equation of total degree at most 1 in the unknowns to one
+    ``solve_lin_sys`` call, which reduces them to their unique reduced
+    row echelon form, and substitutes the values into the nonlinear
+    equations and into every solved value, so no solved value holds a
+    solved unknown; rounds repeat while an equation is linear.  A
+    nonlinear equation is never pivoted on: the branch step splits it
+    into its factors.  Every branch that closes yields one Solution;
+    remaining unconstrained constants are reported free and set to zero.
+    A branch is left unresolved when the branch bound is spent, or when
+    an irreducible nonlinear equation remains, so that branching would
+    only give it back; any unresolved branch raises PartialResultError
+    carrying the solutions found.
     """
     unknowns = list(ds.unknowns)
     eqs = [e for e in ds.equations if e]
@@ -383,24 +388,23 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     budget = [branch_bound]
 
     def emit(solved: dict):
-        free = tuple(c for i, c in enumerate(unknowns) if i not in solved)
-        zero = [(g, ring.zero) for i, g in enumerate(ring.gens) if i not in solved]
-        assignment = {unknowns[i]: normalize(v.compose(zero).as_expr())
-                      for i, v in solved.items()}
-        assignment.update((c, sp.S.Zero) for c in free)
-        key = tuple(sp.sstr(assignment[c]) for c in unknowns)
+        free = tuple(c for c, g in zip(unknowns, ring.gens) if g not in solved)
+        zero = [(g, ring.zero) for g in ring.gens if g not in solved]
+        assignment = {c: normalize(solved[g].compose(zero).as_expr()) if g in solved
+                      else sp.S.Zero for c, g in zip(unknowns, ring.gens)}
+        key = tuple(sp.sstr(v) for v in assignment.values())
         if key not in seen:
             seen.add(key)
             solutions.append(Solution(assignment, free))
 
     def descend(eqs: list, solved: dict):
-        while (pivot := _pivot(eqs)) is not None:
-            idx, i, val = pivot
-            gen = ring.gens[i]
-            solved = {k: v.compose(gen, val) for k, v in solved.items()}
-            solved[i] = val
-            eqs = [e for e in (x.compose(gen, val)
-                               for j, x in enumerate(eqs) if j != idx) if e]
+        while linear := [e for e in eqs if e.is_linear]:
+            values = solve_lin_sys(linear, ring)
+            if values is None:
+                return  # inconsistent
+            compose = [(g, ring(v)) for g, v in values.items()]
+            solved = {g: v.compose(compose) for g, v in solved.items()} | dict(compose)
+            eqs = [x for x in (e.compose(compose) for e in eqs if not e.is_linear) if x]
         if not eqs:
             emit(solved)
             return
@@ -409,8 +413,6 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         # a denominator holds only symbols other than the unknowns
         factors = [(f, m) for f, m in sp.factor_list(sp.numer(eq))[1]
                    if f.free_symbols & set(unknowns)]
-        if not factors:
-            return  # inconsistent: constant nonzero equation
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(exprs)  # branching would give eq back
             return
@@ -426,20 +428,6 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     if unresolved:
         raise PartialResultError(
             f"{len(unresolved)} unresolved branch(es): the branch bound was "
-            "spent, or an equation without a pivot was irreducible",
+            "spent, or an irreducible nonlinear equation remained",
             solutions, unresolved)
     return solutions
-
-
-def _pivot(eqs):
-    """(equation index, generator index, value) for the first generator
-    of degree 1 with a coefficient free of generators, in the first
-    equation that has one; None if no equation has one."""
-    for idx, eq in enumerate(eqs):
-        for i in range(eq.ring.ngens):
-            if eq.degree(i) == 1:
-                a = eq.coeff_wrt(i, 1)
-                if a.is_ground:
-                    return idx, i, -eq.coeff_wrt(i, 0).quo_ground(a.LC)
-    return None
-

@@ -115,6 +115,14 @@ class JetSpace:
         self._by_name[name] = jv
         return jv
 
+    def jet_named(self, name: str) -> sp.Symbol | None:
+        """The jet a name such as u_yx denotes, its indices in any order;
+        None if the name is not a jet's."""
+        head, sep, tail = name.partition("_")
+        if head not in UNKNOWNS or (sep and not tail) or any(v not in self._pos for v in tail):
+            return None
+        return self.jet(head, tuple(tail))
+
     def jets_in(self, e) -> list[sp.Symbol]:
         return [s for s in sp.sympify(e).free_symbols if self.jet_var(s) is not None]
 
@@ -146,6 +154,14 @@ class JetRing(FormRing):
                           *space.params, *symbols])
         self.u_jets = frozenset(self.index[s] for s in u_jets)
         self._target_lists: dict[str, list] = {}
+
+    def from_expr(self, e) -> Form:
+        """FormRing.from_expr with every symbol named as a jet read as that
+        jet, whatever the order of its indices (u_xz is u_zx when z ranks
+        first), never as a key."""
+        e = sp.sympify(e)
+        return super().from_expr(e.xreplace(
+            {s: j for s in e.free_symbols if (j := self.space.jet_named(s.name)) is not None}))
 
     def _targets(self, x: str) -> list:
         """Per generator, the generator D_x maps it to: an index, -1 for

@@ -221,21 +221,13 @@ class _ExprParser:
             return FirstOrderOperator.make(self.ring.zero, {v: self.ring.constant(1)})
         if tok in self.lets:
             return self.lets[tok]
-        sym = self.symbols.get(tok) or self._jet_name(tok)
+        sym = self.symbols.get(tok) or self.space.jet_named(tok)
         if sym is not None:
             return self.ring.symbol(sym)
         if len(tok) == 1 and tok.isalpha():
             raise ProblemSyntaxError(
                 f"unknown symbol {tok!r} (not a declared variable)", self.line, col)
         raise ProblemSyntaxError(f"unknown symbol {tok!r}", self.line, col)
-
-    def _jet_name(self, tok):
-        """The jet a name such as u_yx denotes, or None."""
-        head, sep, tail = tok.partition("_")
-        if head not in UNKNOWNS or (sep and not tail) or any(
-                v not in self.space.var_syms for v in tail):
-            return None
-        return self.space.jet(head, tuple(tail))
 
 
 _SLOT_RE = re.compile(r"f([12])_([01])")

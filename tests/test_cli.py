@@ -3,11 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 import sympy as sp
 
+from rop import engine
 from rop.cli import main
 
 from pointwise import equal
@@ -114,6 +116,19 @@ class TestOtherCommands:
         assert any(re.fullmatch(r"orientation forward: \d+ determining equations, "
                                 r"6 unknowns, 1 branch\(es\), 1 reverified", w)
                    for w in doc["warnings"])
+
+    def test_solve_names_a_free_constant(self, capsys, tmp_path, dfkn2):
+        # one term twice in f1_1: only the sum of its two constants is fixed
+        p = tmp_path / "basis.rop"
+        p.write_text("ansatz f1_1 = u_xz/u_x, u_xz/u_x\n")
+        code, out, _ = run(capsys, "solve", DFKN2, "--basis", str(p), "--json")
+        assert code == 0
+        [sol] = json.loads(out)["solutions"]
+        assert sol["reverified"] is True
+        assert sol["free_constants"] == ["c11_1"]
+        for (i, s), f in dfkn2.twist.f.items():  # the paper's twist
+            assert equal(sp.sympify(sol["twist"][f"f{i}_{s}"].replace("^", "**")),
+                         f.as_expr())
 
     def test_hierarchy(self, capsys, dfkn2):
         code, out, _ = run(capsys, "hierarchy", DFKN2, "--k", "2", "--json")
@@ -243,6 +258,8 @@ class TestErrorsAndLimits:
         assert exc.value.code == 2
 
     def test_timeout_env(self, capsys, monkeypatch):
+        # a solver that outlasts the alarm, however fast the real one is
+        monkeypatch.setattr(engine, "solve_determining", lambda *a, **k: time.sleep(30))
         monkeypatch.setenv("ROP_TIMEOUT_SECS", "1")
         code, _, err = run(capsys, "solve", EQ5)
         assert code == 2

@@ -225,13 +225,35 @@ class TestSolveDetermining:
         assert sols[0].free == ()
 
     def test_branch_on_equation_with_parameter_denominator(self):
-        # c0 = (c1^2 - 1)/alpha leaves (c1^3 - c1)/alpha, which has no pivot
+        # no equation is linear: the branch on c0*c1 gives c0 = 0, where
+        # c1^2 = 1, and c1 = 0, where c0 = -1/alpha
         c0, c1 = sp.symbols("c0 c1")
         alpha = sp.Symbol("alpha")
         ds = _synthetic([alpha * c0 - c1**2 + 1, c0 * c1], ["c0", "c1"])
         sols = solve_determining(ds)
         assert sorted((s.assignment[c1], s.assignment[c0]) for s in sols) == \
             [(-1, 0), (0, -1 / alpha), (1, 0)]
+        # c0 = c1/alpha leaves (c1^2 - c1)/alpha, whose numerator branches
+        ds = _synthetic([alpha * c0 - c1, c0 * c1 - c0], ["c0", "c1"])
+        sols = solve_determining(ds)
+        assert sorted((s.assignment[c1], s.assignment[c0]) for s in sols) == \
+            [(0, 0), (1, 1 / alpha)]
+
+    def test_nonlinear_equation_is_never_pivoted_on(self):
+        # c0 = -c1*c2 is no linear family: c0 = 0 with c1 = c2 = 1 fails
+        c0, c1, c2 = sp.symbols("c0 c1 c2")
+        ds = _synthetic([c0 + c1 * c2], ["c0", "c1", "c2"])
+        with pytest.raises(PartialResultError) as exc:
+            solve_determining(ds)
+        assert exc.value.solutions == [] and len(exc.value.unresolved) == 1
+
+    def test_linear_family_names_its_free_constant(self):
+        # c1 = 1 makes c0 + c2 linear, so c2 is genuinely free
+        c0, c1, c2 = sp.symbols("c0 c1 c2")
+        ds = _synthetic([c0 + c1 * c2, c1 - 1], ["c0", "c1", "c2"])
+        [sol] = solve_determining(ds)
+        assert sol.assignment == {c0: 0, c1: 1, c2: 0}
+        assert sol.free == (c2,)
 
     def test_no_unknowns(self):
         alpha = sp.Symbol("alpha")
@@ -242,9 +264,10 @@ class TestSolveDetermining:
 
 
 def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solution]:
-    """The solver on expression trees: one pivot at a time, found by a
-    Poly per unknown, then every remaining equation and solved value
-    substituted and normalised again, and a back-substitution pass."""
+    """The solver on expression trees: one pivot at a time, the first
+    unknown of the first equation that is linear in the unknowns, then
+    every remaining equation and solved value substituted and normalised
+    again, and a back-substitution pass."""
     unknowns = list(ds.unknowns)
     solutions, seen = [], set()
     unresolved = []
@@ -253,10 +276,8 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
     def emit(solved: dict):
         assignment = _reference_back_substitute(solved, unknowns)
         free = tuple(c for c in unknowns if c not in assignment)
-        for c in free:
-            assignment[c] = sp.S.Zero
-        assignment = {c: normalize(v.xreplace({f: sp.S.Zero for f in free}))
-                      for c, v in assignment.items()}
+        assignment = {c: normalize(assignment.get(c, sp.S.Zero).xreplace(
+                          {f: sp.S.Zero for f in free})) for c in unknowns}
         key = tuple(sp.sstr(assignment[c]) for c in unknowns)
         if key not in seen:
             seen.add(key)
@@ -307,20 +328,17 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
 
 def _reference_linear_pivot(eq, unknowns):
     present = [c for c in unknowns if eq.has(c)]
-    for c in present:
-        try:
-            p = sp.Poly(eq, c)
-        except sp.PolynomialError:
-            continue
-        if p.degree() != 1:
-            continue
-        a = p.nth(1)
-        if a.free_symbols & set(unknowns):
-            continue
-        if is_zero(a):
-            continue
-        return c, normalize(-p.nth(0) / a)
-    return None
+    if not present:
+        return None
+    try:
+        p = sp.Poly(eq, *present)
+    except sp.PolynomialError:
+        return None
+    if p.total_degree() != 1:
+        return None
+    c = present[0]
+    a = p.coeff_monomial(c)
+    return c, normalize(-(eq - a * c) / a)
 
 
 def _reference_back_substitute(solved: dict, unknowns) -> dict:
@@ -375,8 +393,8 @@ def determining_systems(draw):
 @given(determining_systems())
 def test_solver_matches_reference(ds):
     # a bound of 1 cuts the branching short and 8 lets it finish; an
-    # irreducible equation without a pivot is left unresolved at once
-    # under either
+    # irreducible nonlinear equation is left unresolved at once under
+    # either
     for bound in (8, 1):
         try:
             want = _outcome(reference_solve, ds, branch_bound=bound)

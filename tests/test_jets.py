@@ -44,6 +44,10 @@ class TestJetSpace:
         assert space.jet_var(sp.Symbol("u_q")) is None
         assert space.jet_var(sp.Symbol("x")) is None
 
+    def test_misordered_jet_name_is_the_jet(self, dfkn2):
+        # z ranks before x on dfkn2, so u_xz names the jet u_zx
+        assert jet_ring(dfkn2.space).from_expr("-u_xz/u_x") == dfkn2.twist.f[(1, 1)]
+
     def test_ring_shared_while_its_forms_live(self):
         # more rings than the cache keeps are asked for in between
         space = JetSpace(["x", "y"], 2)

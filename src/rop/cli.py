@@ -23,6 +23,7 @@ import sympy as sp
 from . import engine, lax
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS, PartialResultError, TwistRelations
+from .kernel import ONE
 from .problem import Problem, ProblemSyntaxError, fmt, parse_basis, parse_problem
 
 
@@ -181,10 +182,11 @@ def cmd_hierarchy(problem: Problem, args) -> dict:
         space = problem.space
         relset = engine.build_relations(problem.lax, _twist_for(problem, passed[0]), space)
         exprs = [e.as_expr() for e in relset.relations]
-        jets = {s: space.jet_var(s).unknown for e in exprs for s in space.jets_in(e)}
+        jets = {k: space.jet_var(k).unknown
+                for rel in relset.relations for k in rel.terms if k is not ONE}
         for j in range(args.k):
             ren = {s: sp.Symbol(s.name.replace(unknown, f"psi_{j + (unknown == 'Ut')}", 1))
-                   for s, unknown in jets.items() if unknown != "u"}
+                   for s, unknown in jets.items()}
             rels += [f"{fmt(e.xreplace(ren))} = 0" for e in exprs]
     return {**doc, "orientation": passed[0] if passed else None,
             "relations": rels, "levels": args.k,

@@ -21,10 +21,12 @@ From the relations to the determining equations everything is a
 the twist's unknown constants.  F, the Lax operators and the twist come
 as Forms of the space's JetRing (an ansatz twist: of that ring with its
 constants), and ``FormRing.embed`` moves them into the computation's
-ring.  Expressions remain only in the VerifyReport and in the solver.
-The determining equations are polynomials of that ring, read off the
-residuals' numerators by regrouping monomials by their jet and lam
-exponents, and the solver takes them as they are.
+ring.  The determining equations are polynomials of that ring, read off
+the residuals' numerators by regrouping monomials by their jet and lam
+exponents.  The solver takes them into the polynomial ring of the
+unknowns and stays there: the branch step factors an equation in that
+ring, and only a closed branch's values leave it, as sympy's reduced
+fractions.  Expressions remain only there and in the VerifyReport.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from sympy.polys.solvers import solve_lin_sys
 
 from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
                    solve_for_leading, total_derivative)
-from .kernel import ONE, Expr, Form, normalize
+from .kernel import ONE, Expr, Form
 from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
 from .linearize import LinearDifferentialOperator, linearize
 
@@ -58,7 +60,8 @@ class InvalidTwistError(ValueError):
 
 class PartialResultError(RuntimeError):
     """Some branches were left unresolved; carries the solutions found
-    and the equations of each unresolved branch."""
+    and the equations of each unresolved branch, elements of the
+    solver's ring."""
 
     def __init__(self, msg, solutions, unresolved):
         super().__init__(msg)
@@ -357,9 +360,13 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     row echelon form, and substitutes the values into the nonlinear
     equations and into every solved value, so no solved value holds a
     solved unknown; rounds repeat while an equation is linear.  A
-    nonlinear equation is never pivoted on: the branch step splits it
-    into its factors.  Every branch that closes yields one Solution;
-    remaining unconstrained constants are reported free and set to zero.
+    nonlinear equation is never pivoted on: the branch step takes the
+    equation with the fewest terms in the unknowns, the first of those on
+    a tie, and descends once into each of its irreducible factors in the
+    ring (``factor_list``); content in the other symbols is a unit of the
+    domain and is dropped.  Every branch that closes yields one Solution,
+    each value sympy's reduced fraction of a domain element; remaining
+    unconstrained constants are reported free and set to zero.
     A branch is left unresolved when the branch bound is spent, or when
     an irreducible nonlinear equation remains, so that branching would
     only give it back; any unresolved branch raises PartialResultError
@@ -390,7 +397,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     def emit(solved: dict):
         free = tuple(c for c, g in zip(unknowns, ring.gens) if g not in solved)
         zero = [(g, ring.zero) for g in ring.gens if g not in solved]
-        assignment = {c: normalize(solved[g].compose(zero).as_expr()) if g in solved
+        assignment = {c: solved[g].compose(zero).as_expr() if g in solved
                       else sp.S.Zero for c, g in zip(unknowns, ring.gens)}
         key = tuple(sp.sstr(v) for v in assignment.values())
         if key not in seen:
@@ -408,21 +415,19 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         if not eqs:
             emit(solved)
             return
-        exprs = [normalize(e.as_expr()) for e in eqs]
-        eq = min(exprs, key=sp.count_ops)
-        # a denominator holds only symbols other than the unknowns
-        factors = [(f, m) for f, m in sp.factor_list(sp.numer(eq))[1]
-                   if f.free_symbols & set(unknowns)]
+        eq = min(eqs, key=len)
+        # a factor free of the unknowns is a unit of the domain: not listed
+        factors = eq.factor_list()[1]
         if len(factors) == 1 and factors[0][1] == 1:
-            unresolved.append(exprs)  # branching would give eq back
+            unresolved.append(eqs)  # branching would give eq back
             return
-        rest = [x for e, x in zip(exprs, eqs) if e != eq]
+        rest = [x for x in eqs if x != eq]
         for f, _m in factors:
             if budget[0] <= 0:
-                unresolved.append(exprs)
+                unresolved.append(eqs)
                 return
             budget[0] -= 1
-            descend([ring.from_expr(f)] + rest, dict(solved))
+            descend([f] + rest, dict(solved))
 
     descend([split(e) for e in eqs], {})
     if unresolved:

@@ -123,9 +123,6 @@ class JetSpace:
             return None
         return self.jet(head, tuple(tail))
 
-    def jets_in(self, e) -> list[sp.Symbol]:
-        return [s for s in sp.sympify(e).free_symbols if self.jet_var(s) is not None]
-
     # -- ranking -------------------------------------------------------
 
     def rank_of(self, sym: sp.Symbol) -> tuple:

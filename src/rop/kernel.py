@@ -15,11 +15,10 @@ denominator is split by the registered factors first; what is left is a
 product of generators if it is a monomial, and is otherwise factored
 once with ``sp.factor_list`` in the ring of its own symbols.
 
-``normalize`` gives a sympy expression the same canonical form, as an
-expression: it converts it to a Form of the ring of its symbols and
-back.  Expressions are left only at the boundaries: printed reports and
-the determining-system solver.  ``FormRing.embed`` moves a Form into a
-ring with more generators, such as the ansatz constants.
+Expressions are left only at the boundaries: ``FormRing.from_expr``
+reads one, and ``Form.as_expr`` gives the canonical expression for
+printed reports.  ``FormRing.embed`` moves a Form into a ring with more
+generators, such as the ansatz constants.
 
 Only symbols, rationals, sums, products and integer powers are admitted;
 any other atom (a float, a root, a function) raises NotRationalError.
@@ -58,20 +57,6 @@ class NotLinearError(ValueError):
 def symbol_order(symbols: Iterable[sp.Symbol]) -> list[sp.Symbol]:
     """The single global symbol order used for canonicalization."""
     return sorted(symbols, key=default_sort_key)
-
-
-def normalize(e) -> sp.Expr:
-    """Unique canonical form n/d of a rational function: n and d
-    expanded and coprime, d with grevlex leading coefficient 1 in the
-    ring of e's symbols ordered by symbol_order.
-
-    Idempotent; agrees with the input at every point where both are
-    defined.  Raises DegenerateExpressionError if the denominator
-    simplifies to zero, and NotRationalError if e holds an atom other
-    than a symbol or a rational number, or a power with a non-integer
-    exponent.
-    """
-    return _canonical(sp.sympify(e)).as_expr()
 
 
 def _canonical(e: sp.Expr) -> "Form":
@@ -177,7 +162,10 @@ class FormRing:
 
     def from_expr(self, e) -> "Form":
         """The canonical Form of a sympy expression, embedded (see embed)
-        from the ring of its own symbols."""
+        from the ring of its own symbols.  Raises
+        DegenerateExpressionError if the denominator simplifies to zero,
+        and NotRationalError if e holds an atom other than a symbol or a
+        rational number, or a power with a non-integer exponent."""
         return self.embed(_canonical(sp.sympify(e)))
 
     def polynomial(self, e) -> PolyElement:

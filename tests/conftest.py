@@ -6,6 +6,7 @@ import sympy as sp
 
 from rop.engine import SLOTS, TwistRelations
 from rop.jets import LAMBDA, JetSpace, jet_ring
+from rop.kernel import FormRing
 from rop.problem import parse_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -45,6 +46,18 @@ def to_form(e, space):
     known = {LAMBDA, *space.params, *space.var_syms.values()}
     return jet_ring(space, [s for s in e.free_symbols
                             if s not in known and space.jet_var(s) is None]).from_expr(e)
+
+
+def canonical(e) -> sp.Expr:
+    """The kernel's canonical form of an expression, through a Form of
+    the ring of its own symbols."""
+    e = sp.sympify(e)
+    return FormRing(e.free_symbols).from_expr(e).as_expr()
+
+
+def jets_in(space, e) -> list:
+    """The jets among the symbols of an expression."""
+    return [s for s in sp.sympify(e).free_symbols if space.jet_var(s) is not None]
 
 
 def zero_twist(space, orientation="forward"):

@@ -39,8 +39,8 @@ def as_fraction(e) -> tuple[sp.Expr, sp.Expr]:
 
 
 def normalize(e) -> sp.Expr:
-    """The canonical form n/d of e through a gcd; kernel.normalize must
-    give exactly (srepr) this expression."""
+    """The canonical form n/d of e through a gcd; the kernel's canonical
+    expression (``Form.as_expr``) must be exactly (srepr) this one."""
     num, den = _canonical_pair(e)
     if den.is_one:
         return num.as_expr()

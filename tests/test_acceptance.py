@@ -13,11 +13,11 @@ import sympy as sp
 from rop import engine
 from rop.engine import TwistRelations
 from rop.jets import RewriteSystem, solve_for_leading, total_derivative
-from rop.kernel import normalize
 from rop.lax import LAMBDA, FirstOrderOperator, LaxPair, check_lax
 
-from conftest import random_poly, random_rational, to_form, zero_twist
-from pointwise import equal, first_variation_defect, probably_nonzero
+from conftest import (canonical, jets_in, random_poly, random_rational, to_form,
+                      zero_twist)
+from pointwise import equal, first_variation_defect, normalize, probably_nonzero
 
 
 _capman = None
@@ -151,7 +151,7 @@ def _perturbed_pair(pair, space):
         ops = list(getattr(pair, attr))
         for i, op in enumerate(ops):
             for v, c in op.dirs:
-                if space.jets_in(sp.sympify(c)):
+                if jets_in(space, c):
                     dirs = dict(op.dirs)
                     dirs[v] = 2 * c
                     ops[i] = FirstOrderOperator.make(op.free, dirs)
@@ -199,9 +199,9 @@ def test_criterion_8_kernel_property_suite(space, dfkn2):
     def small():
         return random_rational(rng, jets, terms=2, degree=1)
 
-    for _ in range(1000):  # normalize idempotence
+    for _ in range(1000):  # idempotence of the kernel's canonical form
         e = small()
-        assert normalize(normalize(e)) == normalize(e)
+        assert canonical(canonical(e)) == canonical(e)
 
     for _ in range(1000):  # total-derivative commutativity
         e = to_form(small(), space)

@@ -20,7 +20,7 @@ from rop.lax import LAMBDA, DegeneratePairError, equation_system
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
-from conftest import PROBLEM_DIR, random_poly, to_form, zero_twist
+from conftest import PROBLEM_DIR, jets_in, random_poly, to_form, zero_twist
 from pointwise import equal, is_zero, normalize, reference_total_derivative
 
 
@@ -189,6 +189,15 @@ class TestSolveDetermining:
         sols = solve_determining(ds)
         assert sorted(s.assignment[c1] for s in sols) == [0, 1]
 
+    def test_power_of_one_factor_branches(self):
+        # c0 = 1 - c1 leaves -alpha*(c1 - 1)^3: the content -alpha is
+        # dropped and the cube is branched on once, not left unresolved
+        c0, c1 = sp.symbols("c0 c1")
+        alpha = sp.Symbol("alpha")
+        ds = _synthetic([alpha * c0**2 * (c1 - 1), c0 + c1 - 1], ["c0", "c1"])
+        [sol] = solve_determining(ds)
+        assert sol.assignment == {c0: 0, c1: 1} and sol.free == ()
+
     def test_inconsistent_system_has_no_solutions(self):
         c1 = sp.Symbol("c1")
         ds = _synthetic([c1, c1 - 1], ["c1"])
@@ -267,8 +276,13 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
     """The solver on expression trees: one pivot at a time, the first
     unknown of the first equation that is linear in the unknowns, then
     every remaining equation and solved value substituted and normalised
-    again, and a back-substitution pass."""
+    again, and a back-substitution pass.  It branches as the solver does:
+    on the equation with the fewest terms in the unknowns, factored in
+    the ring of the unknowns over QQ or the field of the other symbols."""
     unknowns = list(ds.unknowns)
+    exprs = [e.as_expr() for e in ds.equations]
+    others = sorted(set().union(*(e.free_symbols for e in exprs)) - set(unknowns), key=str)
+    ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
@@ -304,22 +318,23 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
         if not eqs:
             emit(solved)
             return
-        eq = min(eqs, key=sp.count_ops)
-        factors = [(f, m) for f, m in sp.factor_list(eq)[1]
-                   if sp.sympify(f).free_symbols & set(unknowns)]
+        polys = [ring.from_expr(e) for e in eqs]
+        eq = min(polys, key=len)
+        factors = eq.factor_list()[1]
         if not factors:
             return  # inconsistent: constant nonzero equation
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
             return
+        rest = [e for e, p in zip(eqs, polys) if p != eq]
         for f, _m in factors:
             if budget[0] <= 0:
                 unresolved.append(eqs)
                 return
             budget[0] -= 1
-            descend([f] + [e for e in eqs if e is not eq], dict(solved))
+            descend([f.as_expr()] + rest, dict(solved))
 
-    descend([e.as_expr() for e in ds.equations], {})
+    descend(exprs, {})
     if unresolved:
         raise PartialResultError(f"{len(unresolved)} unresolved branch(es)",
                                  solutions, unresolved)
@@ -357,14 +372,18 @@ def _reference_back_substitute(solved: dict, unknowns) -> dict:
 
 
 def _outcome(solve, ds, **kwargs):
-    """Solutions as (constant, srepr) pairs in order with their free
-    tuples, and the unresolved branches if the bound was exhausted."""
+    """Solutions as (constant, srepr of the canonical value) pairs in
+    order with their free tuples, and the unresolved branches' equations
+    (expressions or ring elements) in canonical form, if any."""
+    def canon(e):
+        return sp.srepr(normalize(e.as_expr()))
+
     try:
         sols, unresolved = solve(ds, **kwargs), None
     except PartialResultError as exc:
         sols = exc.solutions
-        unresolved = [[sp.srepr(e) for e in eqs] for eqs in exc.unresolved]
-    return ([([(c, sp.srepr(v)) for c, v in s.assignment.items()], s.free)
+        unresolved = [[canon(e) for e in eqs] for eqs in exc.unresolved]
+    return ([([(c, canon(v)) for c, v in s.assignment.items()], s.free)
              for s in sols], unresolved)
 
 
@@ -396,20 +415,8 @@ def test_solver_matches_reference(ds):
     # irreducible nonlinear equation is left unresolved at once under
     # either
     for bound in (8, 1):
-        try:
-            want = _outcome(reference_solve, ds, branch_bound=bound)
-        except sp.PolynomialError:
-            # the reference cannot branch on an equation with a
-            # denominator in alpha; every solution must still solve ds
-            try:
-                sols = solve_determining(ds, branch_bound=bound)
-            except PartialResultError as exc:
-                sols = exc.solutions
-            for sol in sols:
-                assert all(normalize(e.as_expr().xreplace(sol.assignment)) == 0
-                           for e in ds.equations)
-            continue
-        assert _outcome(solve_determining, ds, branch_bound=bound) == want
+        assert _outcome(solve_determining, ds, branch_bound=bound) == \
+            _outcome(reference_solve, ds, branch_bound=bound)
 
 
 # -- reference derivation on expression trees ----------------------------
@@ -425,7 +432,7 @@ def test_solver_matches_reference(ds):
 def reference_solve_for_leading(relation, unknown, space):
     rel = normalize(relation)
     num, _den = rel.as_numer_denom()
-    jets = sorted((s for s in space.jets_in(num) if space.jet_var(s).unknown == unknown),
+    jets = sorted((s for s in jets_in(space, num) if space.jet_var(s).unknown == unknown),
                   key=space.rank_of, reverse=True)
     if not jets:
         raise jets_module.NoLeadingJetError(f"relation has no {unknown}-jets")
@@ -663,7 +670,7 @@ def reference_assumptions(leads):
         ring = lead.ring
         for part in lead.as_numer_denom():
             for factor, _mult in sp.factor_list(part)[1]:
-                f = kernel.normalize(factor)
+                f = normalize(factor)
                 fid = ring.factor_id(ring.polynomial(f))
                 if fid not in seen:
                     seen.add(fid)

@@ -4,10 +4,9 @@ import sympy as sp
 from rop.jets import (JetSpace, NoLeadingJetError, NonlinearLeadingError,
                       OrderOverflowError, RewriteRule, RewriteSystem,
                       jet_ring, solve_for_leading, total_derivative)
-from rop.kernel import normalize
 
 from conftest import random_rational, to_form
-from pointwise import PoleError, equal, eval_rational, random_point
+from pointwise import PoleError, equal, eval_rational, normalize, random_point
 
 
 @pytest.fixture()

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.jets import JetSpace
-from rop.kernel import normalize
 from rop.lax import (LAMBDA, DegeneratePairError, FirstOrderOperator, LaxPair,
                      NotLambdaLinearError, check_lax, commutator, equation_system,
                      split_lambda, split_lax_operator)
@@ -16,7 +15,7 @@ from rop.problem import parse_problem
 
 import pointwise
 from conftest import PROBLEM_DIR, random_poly, random_rational, to_form
-from pointwise import equal, reference_total_derivative
+from pointwise import equal, normalize, reference_total_derivative
 
 
 @pytest.fixture()

@@ -2,12 +2,11 @@ import pytest
 import sympy as sp
 
 from rop.jets import total_derivative
-from rop.kernel import normalize
 from rop.linearize import (LinearDifferentialOperator, WrongUnknownError,
                            linearize)
 
 from conftest import random_rational, to_form
-from pointwise import equal, first_variation_defect
+from pointwise import equal, first_variation_defect, normalize
 
 
 class TestLinearize:

@@ -4,12 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rop.jets import JetSpace, OrderOverflowError
-from rop.kernel import DegenerateExpressionError, normalize
+from rop.kernel import DegenerateExpressionError
 from rop.problem import (ProblemSyntaxError, _ExprParser, _tokenize, fmt, parse_basis,
                          parse_problem)
 
-from conftest import to_form
-from pointwise import equal, reference_total_derivative
+from conftest import jets_in, to_form
+from pointwise import equal, normalize, reference_total_derivative
 
 MINIMAL = """\
 problem demo
@@ -52,7 +52,7 @@ class TestParsing:
         alpha = dfkn3.space.params[0]
         for slot, e in dfkn3.twist.f.items():
             assert not sp.sympify(e).free_symbols - set(
-                dfkn3.space.jets_in(e)) - {alpha}
+                jets_in(dfkn3.space, e)) - {alpha}
 
     def test_jet_indices_sorted_on_parse(self):
         prob = parse_problem(MINIMAL.replace("u_yz", "u_zy"))

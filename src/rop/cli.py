@@ -103,12 +103,18 @@ def cmd_verify(problem: Problem, args) -> dict:
 
 
 def _verify(problem: Problem, orientations: list[str]) -> dict:
+    """Verify the twist in each orientation; a degenerate orientation is
+    an ERROR result, and an error of the run only if every one is."""
     t0 = time.monotonic()
     results = []
     assumptions: list[str] = []
     for orientation in orientations:
         twist = _twist_for(problem, orientation)
-        rep = engine.verify(problem.F, problem.lax, twist, problem.space)
+        try:
+            rep = engine.verify(problem.F, problem.lax, twist, problem.space)
+        except lax.DegeneratePairError as exc:
+            results.append({"orientation": orientation, "verdict": "ERROR", "error": str(exc)})
+            continue
         for a in rep.assumptions:
             if fmt(a) not in assumptions:
                 assumptions.append(fmt(a))
@@ -119,12 +125,14 @@ def _verify(problem: Problem, orientations: list[str]) -> dict:
             "symmetry_residual": fmt(rep.symmetry),
             "timings": rep.timings,
         })
-    passed = any(r["verdict"] == "PASS" for r in results)
+    ran = [r for r in results if r["verdict"] != "ERROR"]
+    if not ran:
+        raise lax.DegeneratePairError(results[0]["error"])
     return {
-        "verdict": "PASS" if passed else "FAIL",
+        "verdict": "PASS" if any(r["verdict"] == "PASS" for r in ran) else "FAIL",
         "results": results,
-        "residuals": [r["compatibility_residual"] for r in results]
-                     + [r["symmetry_residual"] for r in results],
+        "residuals": [r["compatibility_residual"] for r in ran]
+                     + [r["symmetry_residual"] for r in ran],
         "assumptions": assumptions,
         "timings": {"total": time.monotonic() - t0},
     }
@@ -136,9 +144,16 @@ def cmd_solve(problem: Problem, args) -> dict:
     t0 = time.monotonic()
     space = problem.space
     basis = _basis_for(problem, args.basis)
-    for orientation in _orientations(problem, args.orientation):
-        ds = engine.derive_determining_system(problem.F, problem.lax, basis,
-                                              orientation, space)
+    orientations = _orientations(problem, args.orientation)
+    degenerate = []
+    for orientation in orientations:
+        try:
+            ds = engine.derive_determining_system(problem.F, problem.lax, basis,
+                                                  orientation, space)
+        except lax.DegeneratePairError as exc:
+            degenerate.append(exc)
+            warnings.append(f"orientation {orientation}: {exc}")
+            continue
         try:
             sols = engine.solve_determining(ds, branch_bound=args.branch_bound)
         except PartialResultError as exc:
@@ -154,12 +169,13 @@ def cmd_solve(problem: Problem, args) -> dict:
                 "free_constants": [str(c) for c in sol.free],
                 "reverified": rep.passed,
             })
-        ntotal = len(sols)
         nok = sum(1 for s in out_solutions
                   if s["orientation"] == orientation and s["reverified"])
         warnings.append(f"orientation {orientation}: {len(ds.equations)} "
                         f"determining equations, {len(ds.unknowns)} unknowns, "
-                        f"{ntotal} branch(es), {nok} reverified")
+                        f"{len(sols)} branch(es), {nok} reverified")
+    if len(degenerate) == len(orientations):
+        raise degenerate[0]
     kept = [s for s in out_solutions if s["reverified"]]
     return {
         "verdict": "PASS" if kept else "FAIL",
@@ -252,6 +268,9 @@ def render_human(doc: dict) -> str:
              f"verdict: {doc['verdict']}"]
     for r in doc.get("results", []):
         lines.append(f"  [{r['orientation']}] {r['verdict']}")
+        if "error" in r:
+            lines.append(f"    error: {r['error']}")
+            continue
         lines.append(f"    compatibility residual: {r['compatibility_residual']}")
         lines.append(f"    symmetry residual:      {r['symmetry_residual']}")
     for t in doc.get("linearization", []):

@@ -25,8 +25,9 @@ ring.  The determining equations are polynomials of that ring, read off
 the residuals' numerators by regrouping monomials by their jet and lam
 exponents.  The solver takes them into the polynomial ring of the
 unknowns and stays there: the branch step factors an equation in that
-ring, and only a closed branch's values leave it, as sympy's reduced
-fractions.  Expressions remain only there and in the VerifyReport.
+ring, and a closed branch's values are ground elements of it, which
+``Solution.twist_functions`` turns into Forms with Form arithmetic.
+Expressions remain only in the VerifyReport.
 """
 
 from __future__ import annotations
@@ -337,14 +338,21 @@ def _coefficients(form: Form, space: JetSpace) -> list:
 
 @dataclass
 class Solution:
-    assignment: dict  # constant -> Expr in parameters
+    assignment: dict  # constant -> ground element of the solver's ring
     free: tuple = ()
 
     def twist_functions(self, ds: DeterminingSystem) -> dict:
         """Slot -> twist function, a Form of the basis terms' ring."""
         ring = next(t.ring for pairs in ds.slot_terms.values() for _, t in pairs)
-        return {slot: ring.combine([(ring.from_expr(self.assignment.get(c, 0)), t)
-                                    for c, t in pairs])
+
+        def value(v):
+            """A ground element over QQ or QQ(others) as a Form."""
+            if v.ring.domain == QQ:
+                return ring.constant(v.LC)
+            num, den = (ring.scalar(p.set_ring(ring.poly)) for p in (v.LC.numer, v.LC.denom))
+            return num * den.inverse()
+
+        return {slot: ring.combine([(value(self.assignment[c]), t) for c, t in pairs])
                 for slot, pairs in ds.slot_terms.items()}
 
 
@@ -365,8 +373,8 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     a tie, and descends once into each of its irreducible factors in the
     ring (``factor_list``); content in the other symbols is a unit of the
     domain and is dropped.  Every branch that closes yields one Solution,
-    each value sympy's reduced fraction of a domain element; remaining
-    unconstrained constants are reported free and set to zero.
+    each value a ground element of the ring; remaining unconstrained
+    constants are reported free and set to zero.
     A branch is left unresolved when the branch bound is spent, or when
     an irreducible nonlinear equation remains, so that branching would
     only give it back; any unresolved branch raises PartialResultError
@@ -397,9 +405,9 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     def emit(solved: dict):
         free = tuple(c for c, g in zip(unknowns, ring.gens) if g not in solved)
         zero = [(g, ring.zero) for g in ring.gens if g not in solved]
-        assignment = {c: solved[g].compose(zero).as_expr() if g in solved
-                      else sp.S.Zero for c, g in zip(unknowns, ring.gens)}
-        key = tuple(sp.sstr(v) for v in assignment.values())
+        assignment = {c: solved[g].compose(zero) if g in solved else ring.zero
+                      for c, g in zip(unknowns, ring.gens)}
+        key = tuple(assignment.values())
         if key not in seen:
             seen.add(key)
             solutions.append(Solution(assignment, free))

@@ -152,14 +152,6 @@ class JetRing(FormRing):
         self.u_jets = frozenset(self.index[s] for s in u_jets)
         self._target_lists: dict[str, list] = {}
 
-    def from_expr(self, e) -> Form:
-        """FormRing.from_expr with every symbol named as a jet read as that
-        jet, whatever the order of its indices (u_xz is u_zx when z ranks
-        first), never as a key."""
-        e = sp.sympify(e)
-        return super().from_expr(e.xreplace(
-            {s: j for s in e.free_symbols if (j := self.space.jet_named(s.name)) is not None}))
-
     def _targets(self, x: str) -> list:
         """Per generator, the generator D_x maps it to: an index, -1 for
         x itself (D_x x = 1), None when D_x kills it, _TOP for a u-jet of

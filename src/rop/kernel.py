@@ -13,15 +13,14 @@ So no gcd is ever taken: the canonical form is trial division by the
 factors of the denominator, and zero is the empty map.  A new
 denominator is split by the registered factors first; what is left is a
 product of generators if it is a monomial, and is otherwise factored
-once with ``sp.factor_list`` in the ring of its own symbols.
+once with ``PolyElement.factor_list`` in the polynomial ring of the
+generators it uses.
 
-Expressions are left only at the boundaries: ``FormRing.from_expr``
-reads one, and ``Form.as_expr`` gives the canonical expression for
-printed reports.  ``FormRing.embed`` moves a Form into a ring with more
-generators, such as the ansatz constants.
-
-Only symbols, rationals, sums, products and integer powers are admitted;
-any other atom (a float, a root, a function) raises NotRationalError.
+Forms are built only with Form arithmetic (``FormRing.symbol``,
+``FormRing.constant``, sums, products, ``Form.inverse``), as the parser
+reads a problem file; ``FormRing.embed`` moves a Form into a ring with
+more generators, such as the ansatz constants.  ``Form.as_expr`` gives
+the canonical expression, for printed reports only.
 """
 
 from __future__ import annotations
@@ -37,16 +36,11 @@ from sympy.polys.rings import PolyElement, PolyRing
 
 Expr = sp.Expr
 
-_UNDEFINED = (sp.zoo, sp.nan, sp.oo, -sp.oo)
 ONE = sp.S.One
 
 
 class DegenerateExpressionError(ZeroDivisionError):
     """Denominator vanishes identically after simplification."""
-
-
-class NotRationalError(ValueError):
-    """Expression is not a rational function over QQ of its symbols."""
 
 
 class NotLinearError(ValueError):
@@ -57,77 +51,6 @@ class NotLinearError(ValueError):
 def symbol_order(symbols: Iterable[sp.Symbol]) -> list[sp.Symbol]:
     """The single global symbol order used for canonicalization."""
     return sorted(symbols, key=default_sort_key)
-
-
-def _canonical(e: sp.Expr) -> "Form":
-    """The canonical Form of e in the FormRing of its own symbols."""
-    ring = FormRing(e.free_symbols)
-    num, den = _to_pair(e, ring.poly, dict(zip(ring.symbols, ring.poly.gens)))
-    if not den:
-        raise DegenerateExpressionError(f"zero denominator in {e}")
-    c, exps = ring._factor(den)
-    return ring._reduced({ONE: num.mul_ground(QQ.one / c)}, exps)
-
-
-def _to_pair(e, ring: PolyRing, gens: dict) -> tuple[PolyElement, PolyElement]:
-    """(numerator, denominator) polynomials with quotient e; not reduced."""
-    if e.is_Symbol:
-        return gens[e], ring.one
-    if e.is_Rational:
-        return ring.ground_new(QQ(e.p, e.q)), ring.one
-    if e.is_Add:
-        return _sum([_to_pair(a, ring, gens) for a in e.args], ring)
-    if e.is_Mul:
-        num, den = ring.one, ring.one
-        for a in e.args:
-            n, d = _to_pair(a, ring, gens)
-            num, den = num * n, den * d
-        return num, den
-    if e.is_Pow and e.exp.is_Integer:
-        num, den = _to_pair(e.base, ring, gens)
-        k = int(e.exp)
-        if k < 0:
-            if not num:
-                raise DegenerateExpressionError(f"zero denominator in {e}")
-            num, den, k = den, num, -k
-        return num**k, den**k
-    if e.has(*_UNDEFINED):
-        raise DegenerateExpressionError(f"undefined value in {e}")
-    raise NotRationalError(f"{e} is not a rational function over QQ")
-
-
-def _sum(pairs, ring: PolyRing) -> tuple[PolyElement, PolyElement]:
-    """Sum of fractions over a common denominator: numerators of equal
-    denominators are added first; monomial denominators combine by
-    their monomial lcm, any others by their product."""
-    by_den: dict[PolyElement, PolyElement] = {}
-    for n, d in pairs:
-        by_den[d] = by_den[d] + n if d in by_den else n
-    by_den = {d: n for d, n in by_den.items() if n}
-    if not by_den:
-        return ring.zero, ring.one
-    if len(by_den) == 1:
-        (den, num), = by_den.items()
-        return num, den
-    lcm = ring.zero_monom
-    general = []
-    for d in by_den:
-        if len(d) == 1:
-            lcm = ring.monomial_lcm(lcm, d.LM)
-        else:
-            general.append(d)
-    mono = ring.term_new(lcm, QQ.one)
-    num = ring.zero
-    for d, n in by_den.items():
-        factor = mono.quo_term(d.LT) if len(d) == 1 else mono
-        for g in general:
-            if g is not d:
-                factor = factor * g
-        num = num + n * factor
-    den = mono
-    for g in general:
-        den = den * g
-    return num, den
 
 
 # -- the carrier -------------------------------------------------------
@@ -159,22 +82,6 @@ class FormRing:
         self.zero = Form(self, {}, {})
 
     # -- conversion ----------------------------------------------------
-
-    def from_expr(self, e) -> "Form":
-        """The canonical Form of a sympy expression, embedded (see embed)
-        from the ring of its own symbols.  Raises
-        DegenerateExpressionError if the denominator simplifies to zero,
-        and NotRationalError if e holds an atom other than a symbol or a
-        rational number, or a power with a non-integer exponent."""
-        return self.embed(_canonical(sp.sympify(e)))
-
-    def polynomial(self, e) -> PolyElement:
-        """A polynomial expression in the ring's symbols as an element of
-        the ring."""
-        num, den = _to_pair(sp.sympify(e), self.poly, dict(zip(self.symbols, self.poly.gens)))
-        if not den.is_ground:
-            raise NotRationalError(f"{e} is not a polynomial")
-        return num.quo_ground(den.LC)
 
     def symbol(self, s: sp.Symbol) -> "Form":
         """The Form of one symbol: a generator of the ring, or else a key."""
@@ -265,7 +172,7 @@ class FormRing:
     def _factor(self, p: PolyElement) -> tuple:
         """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.
         Registered factors are divided out first; the rest is factored
-        in the ring of its own symbols and its factors registered."""
+        in the ring of the generators it uses and its factors registered."""
         exps: dict[int, int] = {}
         for fid in range(len(self.factors)):
             k, (p,) = self._cancel((p,), fid, None)
@@ -273,10 +180,10 @@ class FormRing:
                 exps[fid] = k
         if p.is_ground:
             return p.LC, exps
-        c, factors = sp.factor_list(p.as_expr())
-        c = QQ(c.p, c.q)
+        own = PolyRing([s for s, d in zip(self.symbols, p.degrees()) if d > 0], QQ, grevlex)
+        c, factors = p.set_ring(own).factor_list()
         for g, mult in factors:
-            g, mult = self.polynomial(g), int(mult)
+            g = g.set_ring(self.poly)
             c *= g.LC**mult
             fid = self.factor_id(g)
             exps[fid] = exps.get(fid, 0) + mult

@@ -6,7 +6,7 @@ import sympy as sp
 
 from rop.engine import SLOTS, TwistRelations
 from rop.jets import LAMBDA, JetSpace, jet_ring
-from rop.kernel import FormRing
+from rop.kernel import DegenerateExpressionError, FormRing
 from rop.problem import parse_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -38,21 +38,51 @@ def space():
     return JetSpace(["x", "y", "z"], max_order=4)
 
 
+def evaluate(e, ring):
+    """An expression as a Form of ring, evaluated with Form arithmetic as
+    the parser evaluates a line: a symbol is a generator or a key, and
+    sums, products and integer powers are taken in the ring."""
+    e = sp.sympify(e)
+    if e.is_Symbol:
+        return ring.symbol(e)
+    if e.is_Rational:
+        return ring.constant(e)
+    if e.is_Add:
+        one = ring.constant(1)
+        return ring.combine([(one, evaluate(a, ring)) for a in e.args])
+    if e.is_Mul:
+        out = ring.constant(1)
+        for a in e.args:
+            out = out * evaluate(a, ring)
+        return out
+    if e.is_Pow and e.exp.is_Integer:
+        base, k = evaluate(e.base, ring), int(e.exp)
+        if k < 0:
+            base, k = base.inverse(), -k
+        out = ring.constant(1)
+        for _ in range(k):
+            out = out * base
+        return out
+    if e.has(sp.nan, sp.zoo):
+        raise DegenerateExpressionError(f"undefined value in {e}")
+    raise ValueError(f"{e} is not a rational function over QQ")
+
+
 def to_form(e, space):
     """An expression (or a Form) as a Form of the JetRing of space, with
     any symbol of e that is neither a jet, an independent variable, lam
     nor a parameter as an extra generator."""
     e = sp.sympify(e)
     known = {LAMBDA, *space.params, *space.var_syms.values()}
-    return jet_ring(space, [s for s in e.free_symbols
-                            if s not in known and space.jet_var(s) is None]).from_expr(e)
+    return evaluate(e, jet_ring(space, [s for s in e.free_symbols
+                                        if s not in known and space.jet_var(s) is None]))
 
 
 def canonical(e) -> sp.Expr:
     """The kernel's canonical form of an expression, through a Form of
     the ring of its own symbols."""
     e = sp.sympify(e)
-    return FormRing(e.free_symbols).from_expr(e).as_expr()
+    return evaluate(e, FormRing(e.free_symbols)).as_expr()
 
 
 def jets_in(space, e) -> list:

@@ -95,7 +95,7 @@ def _to_pair(e, ring: PolyRing, gens: dict) -> tuple[PolyElement, PolyElement]:
         return num**k, den**k
     if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo):
         raise kernel.DegenerateExpressionError(f"undefined value in {e}")
-    raise kernel.NotRationalError(f"{e} is not a rational function over QQ")
+    raise ValueError(f"{e} is not a rational function over QQ")
 
 
 def _sum(pairs, ring: PolyRing) -> tuple[PolyElement, PolyElement]:

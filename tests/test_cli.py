@@ -18,6 +18,7 @@ PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
 DFKN2 = str(PROBLEM_DIR / "dfkn2.rop")
 EQ5 = str(PROBLEM_DIR / "eq5.rop")
 PAVLOV = str(PROBLEM_DIR / "pavlov.rop")
+HEAVENLY2 = str(PROBLEM_DIR / "heavenly2.rop")
 
 
 def _with_twist(tmp_path, path, **slots):
@@ -179,6 +180,84 @@ class TestPavlov:
         assert [s["twist"] for s in doc["solutions"]] == [
             {"f1_0": "-u_xx", "f1_1": "0", "f2_0": "-u_yx", "f2_1": "0"}]
         assert not any("fallback" in w for w in doc["warnings"])
+
+
+class TestHeavenly2:
+    """Plebanski's second heavenly equation, whose twist is zero in both
+    orientations."""
+
+    def test_lax_check(self, capsys):
+        code, out, _ = run(capsys, "lax-check", HEAVENLY2, "--json")
+        assert code == 0 and json.loads(out)["verdict"] == "PASS"
+
+    def test_verify_passes_in_both_orientations(self, capsys):
+        code, out, _ = run(capsys, "verify", HEAVENLY2, "--json")
+        assert code == 0
+        assert [(r["orientation"], r["verdict"]) for r in json.loads(out)["results"]] == [
+            ("forward", "PASS"), ("swapped", "PASS")]
+
+    def test_solve_recovers_the_zero_twist(self, capsys):
+        code, out, _ = run(capsys, "solve", HEAVENLY2, "--json")
+        assert code == 0
+        zero = {"f1_0": "0", "f1_1": "0", "f2_0": "0", "f2_1": "0"}
+        assert [(s["orientation"], s["twist"]) for s in json.loads(out)["solutions"]] == [
+            ("forward", zero), ("swapped", zero)]
+
+    def test_wrong_twist_fails(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", _with_twist(tmp_path, HEAVENLY2, f1_0="u_xx"),
+                           "--json")
+        assert code == 1
+        assert [r["verdict"] for r in json.loads(out)["results"]] == ["FAIL", "FAIL"]
+
+
+HEAVENLY1 = """\
+problem heavenly1
+vars p q x y
+equation u_xp*u_yq - u_xq*u_yp - 1 = 0
+lax D_p - lam*u_yp*D_x + lam*u_xp*D_y
+lax D_q - lam*u_yq*D_x + lam*u_xq*D_y
+twist f1_0 = 0
+"""
+SAME_LEAD = "both relations solve for the same leading Ut-jet Ut_x"
+
+
+class TestDegenerateOrientation:
+    """Plebanski's first heavenly equation: forward, both relations solve
+    for Ut_x; swapped, the zero twist passes."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        p = tmp_path / "heavenly1.rop"
+        p.write_text(HEAVENLY1)
+        return str(p)
+
+    def test_verify_reports_the_orientation(self, capsys, path):
+        code, out, _ = run(capsys, "verify", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["verdict"] == "PASS" and doc["residuals"] == ["0", "0"]
+        assert doc["results"][0] == {"orientation": "forward", "verdict": "ERROR",
+                                     "error": SAME_LEAD}
+        assert doc["results"][1]["verdict"] == "PASS"
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0 and f"[forward] ERROR\n    error: {SAME_LEAD}" in out
+
+    def test_solve_warns_for_the_orientation(self, capsys, path):
+        code, out, _ = run(capsys, "solve", path, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [s["orientation"] for s in doc["solutions"]] == ["swapped"]
+        assert f"orientation forward: {SAME_LEAD}" in doc["warnings"]
+
+    def test_hierarchy_chains_the_other_orientation(self, capsys, path):
+        code, out, _ = run(capsys, "hierarchy", path, "--json")
+        assert code == 0 and json.loads(out)["orientation"] == "swapped"
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_every_orientation_degenerate_is_an_error(self, capsys, path, command):
+        code, out, _ = run(capsys, command, path, "--orientation", "forward", "--json")
+        assert code == 2 and json.loads(out) == {"command": command, "verdict": "ERROR",
+                                                 "error": SAME_LEAD}
 
 
 class TestErrorsAndLimits:

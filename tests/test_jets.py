@@ -44,13 +44,17 @@ class TestJetSpace:
         assert space.jet_var(sp.Symbol("x")) is None
 
     def test_misordered_jet_name_is_the_jet(self, dfkn2):
-        # z ranks before x on dfkn2, so u_xz names the jet u_zx
-        assert jet_ring(dfkn2.space).from_expr("-u_xz/u_x") == dfkn2.twist.f[(1, 1)]
+        # z ranks before x on dfkn2, so u_xz, as the file writes f1_1,
+        # names the jet u_zx
+        j, ring = dfkn2.space.jet, jet_ring(dfkn2.space)
+        assert dfkn2.space.jet_named("u_xz") == j("u", ("z", "x"))
+        assert dfkn2.twist.f[(1, 1)] == \
+            -ring.symbol(j("u", ("z", "x"))) * ring.symbol(j("u", "x")).inverse()
 
     def test_ring_shared_while_its_forms_live(self):
         # more rings than the cache keeps are asked for in between
         space = JetSpace(["x", "y"], 2)
-        form = jet_ring(space).from_expr(space.jet("u", ("x",)))
+        form = jet_ring(space).symbol(space.jet("u", ("x",)))
         for k in range(20):
             jet_ring(space, [sp.Symbol(f"c{k}")])
         assert jet_ring(JetSpace(["x", "y"], 2)) is form.ring

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop import kernel
-from rop.kernel import DegenerateExpressionError, NotRationalError
+from rop.kernel import DegenerateExpressionError
+from rop.problem import ProblemSyntaxError, fmt, parse_problem
 
 import pointwise
-from conftest import canonical, random_poly, random_rational
+from conftest import canonical, evaluate, random_poly, random_rational
 from pointwise import (PoleError, as_fraction, eval_rational, probably_nonzero,
                        random_point)
 
@@ -51,8 +52,12 @@ class TestNormalize:
                                    sp.sin(u_x) / u_y, u_x**sp.Rational(1, 3),
                                    u_x**u_y, sp.I * u_x])
     def test_non_rational_input_rejected(self, e):
-        with pytest.raises(NotRationalError):
-            canonical(e)
+        # the parser, the one way into a Form, admits only rational input
+        text = ("problem p\nvars x y z\nequation u_xy = 0\nlax D_x - lam*D_y\n"
+                f"lax D_y - lam*D_z\ntwist f1_0 = {fmt(e)}\n")
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse_problem(text)
+        assert exc.value.line == 6
 
 
 def partial_diff(e, s: sp.Symbol) -> sp.Expr:
@@ -60,7 +65,7 @@ def partial_diff(e, s: sp.Symbol) -> sp.Expr:
     partial derivative of the polynomial ring, which every key ignores."""
     ring = kernel.FormRing(sp.sympify(e).free_symbols | {s})
     gen = ring.poly.gens[ring.index[s]]
-    return ring.from_expr(e).derive(lambda p: p.diff(gen), lambda _key: None).as_expr()
+    return evaluate(e, ring).derive(lambda p: p.diff(gen), lambda _key: None).as_expr()
 
 
 class TestPartialDiff:
@@ -222,11 +227,24 @@ def test_form_matches_normalize(seed):
     ring = kernel.FormRing([u_x, u_s, u_y, u_z, alpha, lam])
     a = _fraction(rng, LOCALISING, keys=(U, Ut_x))
     b = _fraction(rng, LOCALISING + [MET_LATER])
-    fa, fb = ring.from_expr(a), ring.from_expr(b)
+    fa, fb = evaluate(a, ring), evaluate(b, ring)
     oracle = pointwise.normalize
     assert sp.srepr(fa.as_expr()) == sp.srepr(oracle(a))
     assert sp.srepr((fa * fb).as_expr()) == sp.srepr(oracle(a * b))
     assert sp.srepr((fa - fb).as_expr()) == sp.srepr(oracle(a - b))
     if fb != 0:
         assert sp.srepr((fa * fb.inverse()).as_expr()) == sp.srepr(oracle(a / b))
-    assert (fa - fa) == 0 and fa == ring.from_expr(oracle(a))
+    assert (fa - fa) == 0 and fa == evaluate(oracle(a), ring)
+
+
+def test_inverse_registers_the_factors_on_their_generators():
+    # generators the polynomial does not use sit between those it does,
+    # so a factor mapped back by position lands on the wrong ones
+    beta, u_xy = sp.symbols("beta u_xy")
+    ring = kernel.FormRing([alpha, beta, u_x, u_xy, u_y, u_yz, u_z])
+    e = (alpha - 1) * (u_x + u_y) * u_z**2
+    inverse = evaluate(e, ring).inverse()
+    want = dict(sp.factor_list(e)[1])
+    assert {ring.factors[fid].as_expr(): k for fid, k in inverse.den.items()} == want
+    assert len(ring.factors) == len(want)
+    assert inverse.terms == {kernel.ONE: ring.poly.one}

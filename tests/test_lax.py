@@ -14,7 +14,7 @@ from rop.linearize import linearize
 from rop.problem import parse_problem
 
 import pointwise
-from conftest import PROBLEM_DIR, random_poly, random_rational, to_form
+from conftest import PROBLEM_DIR, evaluate, random_poly, random_rational, to_form
 from pointwise import equal, normalize, reference_total_derivative
 
 
@@ -258,7 +258,7 @@ def reference_check_lax(x1, x0, F, space):
     sys = equation_system(to_form(F, space), space)
 
     def reduce(e):
-        return sys.reduce(sys.ring.from_expr(e)).as_expr()
+        return sys.reduce(evaluate(e, sys.ring)).as_expr()
 
     ops = [reference_make(LAMBDA * x1[i][0] - x0[i][0],
                           {v: LAMBDA * x1[i][1].get(v, 0) - x0[i][1].get(v, 0)

@@ -307,8 +307,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         timeout = _timeout_secs()
-        problem = parse_problem(Path(args.file).read_text(), max_order=args.max_order)
         with _time_limit(timeout):
+            problem = parse_problem(Path(args.file).read_text(), max_order=args.max_order)
             doc = COMMANDS[args.command](problem, args)
     except (ProblemSyntaxError, CliError, TimeoutError, OSError, ValueError) as exc:
         msg = f"error: {exc}"

@@ -16,16 +16,17 @@ determining system, solved exactly by rounds of elimination of all its
 linear equations at once, then bounded branching on the factors of a
 nonlinear one.
 
-From the relations to the determining equations everything is a
-``kernel.Form`` of one JetRing per computation, whose generators include
-the twist's unknown constants.  F, the Lax operators and the twist come
-as Forms of the space's JetRing (an ansatz twist: of that ring with its
-constants), and ``FormRing.embed`` moves them into the computation's
-ring.  The determining equations are polynomials of that ring, read off
-the residuals' numerators by regrouping monomials by their jet and lam
-exponents.  The solver takes them into the polynomial ring of the
-unknowns and stays there: the branch step factors an equation in that
-ring, and a closed branch's values are ground elements of it, which
+From the relations to the residuals everything is a ``kernel.Form`` of
+one JetRing per computation, whose generators include the twist's
+unknown constants.  F, the Lax operators and the twist come as Forms of
+the space's JetRing (an ansatz twist: of that ring with its constants),
+and ``FormRing.embed`` moves them into the computation's ring.  The
+determining equations are made in the solver's ring, the polynomial ring
+of the unknowns over QQ or the field of the residuals' other symbols, in
+one pass that splits each monomial of the residuals' numerators into its
+equation, its monomial and its coefficient.  The solver stays in that
+ring: the branch step factors an equation there, and a closed branch's
+values are ground elements of it, which
 ``Solution.twist_functions`` turns into Forms with Form arithmetic.
 Expressions remain only in the VerifyReport.
 """
@@ -37,7 +38,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from operator import mul
 
 import sympy as sp
 from sympy.polys.domains import QQ
@@ -96,11 +96,11 @@ class TwistRelations:
         return TwistRelations(dict(self.f), orientation)
 
     def free_constants(self, space: JetSpace) -> set:
-        """The symbols of the twist functions that the space's JetRing
-        lacks: the unknown constants of an ansatz.  Run after validate,
-        which rejects U/Ut jets."""
+        """The generators of the twist functions' rings that the space's
+        JetRing lacks: the unknown constants of an ansatz, also one whose
+        basis term is zero."""
         known = jet_ring(space).index
-        return {s for f in self.f.values() for s in f.free_symbols if s not in known}
+        return {s for f in self.f.values() for s in f.ring.symbols if s not in known}
 
 
 def check_twist_function(slot: tuple[int, int], f: Form, space: JetSpace) -> None:
@@ -249,9 +249,10 @@ def default_ansatz(F, pair: LaxPair, space: JetSpace) -> dict:
 
 @dataclass
 class DeterminingSystem:
-    """Equations for the ansatz constants (the unknowns): PolyElements of
-    one ring over QQ, which may also hold parameters and independent
-    variables; their common zeros give the twists of the ansatz that pass."""
+    """Equations for the ansatz constants (the unknowns): elements of the
+    solver's ring, whose generators are the unknowns and whose domain is
+    QQ or the field of the parameters and independent variables they
+    hold; their common zeros give the twists of the ansatz that pass."""
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
@@ -289,40 +290,53 @@ def derive_determining_system(F, pair: LaxPair, basis: dict,
 
 def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
                                     space: JetSpace) -> list:
-    """Coefficient of every monomial in the parametric jets (and the
-    spectral parameter, if present) across both residuals, each once, as
-    polynomials of the relations' ring over QQ with no jet or lam in
-    them.  Empty iff the twist satisfies both conditions; with an ansatz
-    twist these are the determining equations for its constants."""
+    """Coefficient of every monomial in the parametric jets (and lam, if
+    present) across both residuals, each once, in the solver's ring
+    ``PolyRing(unknowns, K)``: the twist's constants sorted by name, over
+    QQ or the field of the other generators in the residuals' numerators.
+    Empty iff the twist satisfies both conditions; with an ansatz twist
+    these are the determining equations for its constants."""
     relset = build_relations(pair, twist, space)
     sys, lin = full_system(F, relset, space)
-    equations = [eq for resid in (compatibility_residual(relset, sys),
-                                  symmetry_residual(lin, sys))
-                 for eq in _coefficients(resid, space)]
+    residuals = (compatibility_residual(relset, sys), symmetry_residual(lin, sys))
+    src = relset.relations[0].ring
+    unknowns = sorted(twist.free_constants(space), key=str)
+    present = set().union(*(itertools.compress(src.symbols, p.degrees())
+                            for r in residuals for p in r.terms.values()))
+    others = sorted((s for s in present - set(unknowns)
+                     if s != LAMBDA and space.jet_var(s) is None), key=str)
+    ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
+    equations = [eq for r in residuals for eq in _coefficients(r, space, ring)]
     return list(dict.fromkeys(equations))
 
 
-def _coefficients(form: Form, space: JetSpace) -> list:
+def _coefficients(form: Form, space: JetSpace, ring: PolyRing) -> list:
     """The coefficients of a residual's numerator as a polynomial in its
     jets and lam, in the order sympy's Poly over those generators (sorted
-    by name) lists them: descending lex.  Each is an element of the
-    form's ``FormRing.poly`` whose jet and lam exponents are zero.  The
+    by name) lists them: descending lex.  In one pass each monomial's jet
+    and lam exponents pick its equation, its unknowns' exponents its
+    monomial in ring, and the rest its coefficient in ring's domain.  The
     numerator is the one ``as_numer_denom`` gives: it carries the lcm of
     the denominators of the numerator's coefficients, and of the
     denominator's when that has several terms."""
     if not form.terms:
         return []
-    ring = form.ring
-    jet = [s == LAMBDA or space.jet_var(s) is not None for s in ring.symbols]
+    src = form.ring
+    jet = [s == LAMBDA or space.jet_var(s) is not None for s in src.symbols]
     scale = 1
-    den = ring.den_poly(form.den)
+    den = src.den_poly(form.den)
     for p in list(form.terms.values()) + ([den] if len(den) > 1 else []):
         for c in p.values():
             scale = math.lcm(scale, int(c.denominator))
     gens = sorted((s for s in form.free_symbols
-                   if s not in ring.index or jet[ring.index[s]]), key=str)
-    where = [ring.index.get(g) for g in gens]
-    keep = [int(not j) for j in jet]  # zeroes the jet and lam exponents
+                   if s not in src.index or jet[src.index[s]]), key=str)
+    where = [src.index.get(g) for g in gens]
+    frac = ring.domain.field if ring.domain != QQ else None
+    # src's symbol_order sorts by name, as ring's generators and frac's
+    # are sorted: compress lists their exponents in ring's and frac's order
+    unknowns, others = set(ring.symbols), set(frac.symbols if frac else ())
+    unknown = [s in unknowns for s in src.symbols]
+    other = [s in others for s in src.symbols]
     monomials: dict = {}  # one tuple for each monomial the equations share
     groups: dict = {}
     for key, p in form.terms.items():
@@ -331,9 +345,13 @@ def _coefficients(form: Form, space: JetSpace) -> list:
             for n, i in enumerate(where):
                 if i is not None:
                     exps[n] = m[i]
-            m = tuple(map(mul, m, keep))
-            groups.setdefault(tuple(exps), {})[monomials.setdefault(m, m)] = c * scale
-    return [ring.poly.dtype(groups[k]) for k in sorted(groups, reverse=True)]
+            u = tuple(itertools.compress(m, unknown))
+            group = groups.setdefault(tuple(exps), {}).setdefault(monomials.setdefault(u, u), {})
+            group[tuple(itertools.compress(m, other))] = c * scale
+    one = frac.ring.one if frac else None  # integer coefficients over 1: in lowest terms
+    ground = (lambda d: frac.dtype(frac.ring.dtype(d), one)) if frac else (lambda d: d[()])
+    return [ring.dtype({m: ground(d) for m, d in groups[k].items()})
+            for k in sorted(groups, reverse=True)]
 
 
 @dataclass
@@ -360,21 +378,21 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: rounds of linear elimination, then bounded
     branching on factors of the remaining nonlinear equations.
 
-    The equations, polynomials of one ring over QQ, are taken into the
-    ring of the unknowns over QQ, or over the field of rational functions
-    in the other symbols of their monomials.  A round hands every
-    equation of total degree at most 1 in the unknowns to one
-    ``solve_lin_sys`` call, which reduces them to their unique reduced
-    row echelon form, and substitutes the values into the nonlinear
-    equations and into every solved value, so no solved value holds a
-    solved unknown; rounds repeat while an equation is linear.  A
-    nonlinear equation is never pivoted on: the branch step takes the
-    equation with the fewest terms in the unknowns, the first of those on
-    a tie, and descends once into each of its irreducible factors in the
-    ring (``factor_list``); content in the other symbols is a unit of the
-    domain and is dropped.  Every branch that closes yields one Solution,
-    each value a ground element of the ring; remaining unconstrained
-    constants are reported free and set to zero.
+    The equations are elements of the ring of the unknowns over QQ, or
+    over the field of rational functions in the other symbols, and every
+    step stays in that ring (``PolyRing(unknowns, QQ)`` when there are no
+    equations).  A round hands every equation of total degree at most 1 in
+    the unknowns to one ``solve_lin_sys`` call, which reduces them to
+    their unique reduced row echelon form, and substitutes the values into
+    the nonlinear equations and into every solved value, so no solved
+    value holds a solved unknown; rounds repeat while an equation is
+    linear.  A nonlinear equation is never pivoted on: the branch step
+    takes the equation with the fewest terms in the unknowns, the first of
+    those on a tie, and descends once into each of its irreducible factors
+    in the ring (``factor_list``); content in the other symbols is a unit
+    of the domain and is dropped.  Every branch that closes yields one
+    Solution, each value a ground element of the ring; remaining
+    unconstrained constants are reported free and set to zero.
     A branch is left unresolved when the branch bound is spent, or when
     an irreducible nonlinear equation remains, so that branching would
     only give it back; any unresolved branch raises PartialResultError
@@ -382,21 +400,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """
     unknowns = list(ds.unknowns)
     eqs = [e for e in ds.equations if e]
-    symbols = eqs[0].ring.symbols if eqs else ()
-    present = set().union(*(itertools.compress(symbols, m) for e in eqs for m in e.itermonoms()))
-    others = sorted(present - set(unknowns), key=str)
-    ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
-    at = [symbols.index(s) if s in symbols else None for s in unknowns + others]
-    frac = ring.domain.field if others else None
-
-    def split(e):
-        """e in ring: each monomial split into the exponents of the
-        unknowns and those of the others, which go to its coefficient."""
-        parts: dict = {}
-        for m, c in e.items():
-            m = tuple(0 if i is None else m[i] for i in at)
-            parts.setdefault(m[:len(unknowns)], {})[m[len(unknowns):]] = c
-        return ring({u: frac(frac.ring(d)) if frac else d[()] for u, d in parts.items()})
+    ring = eqs[0].ring if eqs else PolyRing(unknowns, QQ)
 
     solutions, seen = [], set()
     unresolved = []
@@ -437,7 +441,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
             budget[0] -= 1
             descend([f] + rest, dict(solved))
 
-    descend([split(e) for e in eqs], {})
+    descend(eqs, {})
     if unresolved:
         raise PartialResultError(
             f"{len(unresolved)} unresolved branch(es): the branch bound was "

@@ -101,19 +101,11 @@ class JetSpace:
         return sp.Symbol(name)
 
     def jet_var(self, sym: sp.Symbol) -> JetVar | None:
-        """JetVar behind a symbol, or None for non-jet symbols."""
-        name = sym.name
-        jv = self._by_name.get(name)
-        if jv is not None:
-            return jv
-        head, sep, tail = name.partition("_")
-        if head not in UNKNOWNS or (sep and not tail) or any(v not in self._pos for v in tail):
-            return None
-        jv = JetVar(head, tuple(sorted(tail, key=self._pos.__getitem__)))
-        if "".join(jv.index) != tail:  # u_yx is not the name of a jet
-            return None
-        self._by_name[name] = jv
-        return jv
+        """JetVar behind a symbol, or None for non-jet symbols and for a
+        name with its indices out of ranking order (u_yx is not a jet's)."""
+        if sym.name not in self._by_name:
+            self.jet_named(sym.name)  # registers the jet the name denotes
+        return self._by_name.get(sym.name)
 
     def jet_named(self, name: str) -> sp.Symbol | None:
         """The jet a name such as u_yx denotes, its indices in any order;

@@ -10,7 +10,8 @@ the lam-free part, whatever the ranking.
 
 Validity of a pair for an equation F = 0 is checked as commutator closure:
 [op1, op2] must lie in the span of op1, op2 with lambda-rational
-multipliers, modulo F and its differential consequences.  This is the
+multipliers, modulo F and its differential consequences, and not without
+them: a pair that closes for every u does not encode F.  This is the
 standard checkable criterion for pairs of this class; the choice is
 recorded in the report.
 """
@@ -209,43 +210,43 @@ def check_lax(pair: LaxPair, F: Form, space: JetSpace) -> LaxReport:
     Seeks lambda-rational multipliers a, b with [op1, op2] = a*op1 + b*op2
     by matching directional coefficients, reducing every residual modulo
     F and its prolongations.  PASS iff all residuals vanish identically
-    in lambda.  The operators are taken as opi = lam*X1_i - X0_i = -L_i:
-    the commutator and the residuals are those of L_i, and the
-    multipliers are reported for this sign.
+    in lambda, and not all do without that reduction: a pair that closes
+    for every u encodes no equation.  The operators are taken as opi =
+    lam*X1_i - X0_i = -L_i: the commutator and the residuals are those of
+    L_i, and the multipliers are reported for this sign.
     """
     op1, op2 = (-pair.full_operator(i) for i in (0, 1))
     sys = equation_system(F, space)
     comm = commutator(op1, op2)
     dirs = sorted(set(comm.directions) | set(op1.directions) | set(op2.directions))
 
+    def det(v, w):
+        return op1.dir_coeff(v) * op2.dir_coeff(w) - op1.dir_coeff(w) * op2.dir_coeff(v)
+
     # pick two pivot directions with generically invertible 2x2 matrix
-    pivot = None
-    for i, v in enumerate(dirs):
-        for w in dirs[i + 1:]:
-            det = sys.reduce(op1.dir_coeff(v) * op2.dir_coeff(w)
-                             - op1.dir_coeff(w) * op2.dir_coeff(v))
-            if det != 0:
-                pivot = (v, w, det)
-                break
-        if pivot:
-            break
+    pivot = next(((v, w) for i, v in enumerate(dirs) for w in dirs[i + 1:]
+                  if sys.reduce(det(v, w)) != 0), None)
     if pivot is None:
         return LaxReport(False, assumptions=sys.assumptions,
                          note="no pair of independent directional coefficients")
-    v, w, det = pivot
-    cv = sys.reduce(comm.dir_coeff(v))
-    cw = sys.reduce(comm.dir_coeff(w))
-    inv = det.inverse()
-    a = (cv * op2.dir_coeff(w) - cw * op2.dir_coeff(v)) * inv
-    b = (op1.dir_coeff(v) * cw - op1.dir_coeff(w) * cv) * inv
+    v, w = pivot
 
-    residuals = []
-    for d in dirs:
-        if d in (v, w):
-            continue
-        residuals.append(sys.reduce(
-            comm.dir_coeff(d) - a * op1.dir_coeff(d) - b * op2.dir_coeff(d)))
-    residuals.append(sys.reduce(comm.free - a * op1.free - b * op2.free))
-    residuals = [r.as_expr() for r in residuals if r != 0]
-    return LaxReport(not residuals, residuals, (a.as_expr(), b.as_expr()),
-                     sys.assumptions, note=f"pivot directions {v}, {w}")
+    def closure(reduce):
+        """The multipliers and the nonzero closure residuals, every
+        coefficient taken through reduce."""
+        cv, cw = reduce(comm.dir_coeff(v)), reduce(comm.dir_coeff(w))
+        inv = reduce(det(v, w)).inverse()
+        a = (cv * op2.dir_coeff(w) - cw * op2.dir_coeff(v)) * inv
+        b = (op1.dir_coeff(v) * cw - op1.dir_coeff(w) * cv) * inv
+        residuals = [reduce(comm.dir_coeff(d) - a * op1.dir_coeff(d)
+                            - b * op2.dir_coeff(d)) for d in dirs if d not in (v, w)]
+        residuals.append(reduce(comm.free - a * op1.free - b * op2.free))
+        return a, b, [r for r in residuals if r != 0]
+
+    a, b, residuals = closure(sys.reduce)
+    note = f"pivot directions {v}, {w}"
+    free = not residuals and not closure(lambda f: f)[2]
+    if free:
+        note += "; the pair closes without F = 0, so it does not encode the equation"
+    return LaxReport(not residuals and not free, [r.as_expr() for r in residuals],
+                     (a.as_expr(), b.as_expr()), sys.assumptions, note)

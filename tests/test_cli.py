@@ -20,6 +20,13 @@ EQ5 = str(PROBLEM_DIR / "eq5.rop")
 PAVLOV = str(PROBLEM_DIR / "pavlov.rop")
 HEAVENLY2 = str(PROBLEM_DIR / "heavenly2.rop")
 
+DEGENERATE = """problem degenerate
+vars t y x
+equation u_tt - u_yy = 0
+lax lam*D_t - u_x*D_t + u_t*D_x
+lax lam*D_y - u_x*D_y + u_y*D_x
+"""
+
 
 def _with_twist(tmp_path, path, **slots):
     """A copy of a problem file with the given twist lines replaced."""
@@ -89,6 +96,20 @@ class TestOtherCommands:
         assert "verdict: PASS" in out
         assert "multipliers" in out
 
+    def test_lax_check_of_a_pair_that_closes_without_the_equation(self, capsys, tmp_path):
+        # the two fields commute up to their span for every u: the pair
+        # encodes no equation, so it is no Lax pair of u_tt = u_yy
+        p = tmp_path / "degenerate.rop"
+        p.write_text(DEGENERATE)
+        code, out, _ = run(capsys, "lax-check", str(p))
+        assert code == 1
+        assert "verdict: FAIL" in out and "note: pivot directions t, x; the pair closes" in out
+        code, out, _ = run(capsys, "lax-check", str(p), "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["verdict"] == "FAIL" and doc["residuals"] == []
+        assert doc["notes"].endswith("closes without F = 0, so it does not encode the equation")
+
     def test_linearize_json(self, capsys):
         code, out, _ = run(capsys, "linearize", DFKN2, "--json")
         assert code == 0
@@ -130,6 +151,24 @@ class TestOtherCommands:
         for (i, s), f in dfkn2.twist.f.items():  # the paper's twist
             assert equal(sp.sympify(sol["twist"][f"f{i}_{s}"].replace("^", "**")),
                          f.as_expr())
+
+    def test_solve_with_a_zero_basis_term(self, capsys, tmp_path, dfkn2):
+        # c11_1 multiplies u_xx - u_xx, so it is in no equation: it is
+        # still an unknown of the solver, and free
+        p = tmp_path / "basis.rop"
+        p.write_text("ansatz f1_1 = u_xz/u_x, u_xx - u_xx, u_xy/u_x\n")
+        code, out, _ = run(capsys, "solve", DFKN2, "--basis", str(p), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        [sol] = doc["solutions"]
+        assert sol["reverified"] is True
+        assert sol["free_constants"] == ["c11_1"]
+        for (i, s), f in dfkn2.twist.f.items():  # the paper's twist
+            assert equal(sp.sympify(sol["twist"][f"f{i}_{s}"].replace("^", "**")),
+                         f.as_expr())
+        assert any(re.fullmatch(r"orientation forward: \d+ determining equations, "
+                                r"33 unknowns, 1 branch\(es\), 1 reverified", w)
+                   for w in doc["warnings"])
 
     def test_hierarchy(self, capsys, dfkn2):
         code, out, _ = run(capsys, "hierarchy", DFKN2, "--k", "2", "--json")
@@ -343,6 +382,18 @@ class TestErrorsAndLimits:
         code, _, err = run(capsys, "solve", EQ5)
         assert code == 2
         assert "exceeded" in err
+
+    def test_timeout_env_covers_parsing(self, capsys, monkeypatch, tmp_path):
+        # the equation expands a power of 80 of a sum, which takes seconds
+        # to parse before it cancels to dfkn2's equation
+        big = "(u_x + u_y + u_z)^80"
+        path = tmp_path / "slow.rop"
+        path.write_text(re.sub(r"^equation .*$", f"equation u_tx - u_yy + {big} - {big} = 0",
+                               Path(DFKN2).read_text(), flags=re.M))
+        monkeypatch.setenv("ROP_TIMEOUT_SECS", "1")
+        code, out, _ = run(capsys, "lax-check", str(path), "--json")
+        assert code == 2
+        assert "ROP_TIMEOUT_SECS" in json.loads(out)["error"]
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "-3", "99999999999"])
     def test_bad_timeout_env_is_an_error(self, capsys, monkeypatch, value):

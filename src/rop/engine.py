@@ -33,7 +33,6 @@ Expressions remain only in the VerifyReport.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import time
@@ -158,19 +157,19 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
 
 def full_system(F, relset: RelationSet,
                 space: JetSpace) -> tuple[RewriteSystem, LinearDifferentialOperator]:
-    """Three-layer rewrite system: F = 0, the linearized equation for U,
-    and the recursion relations for Ut, each solved and reduced against
-    the layers below, in the JetRing of the relations; and the
-    linearization of F in that ring.  The reduced Ut rules keep their
-    leads, so the system's assumptions are the factors of the leading
-    coefficients of F, of its linearization and of the relations."""
+    """One rewrite system of F = 0, the linearized equation solved for
+    U and the recursion relations solved for Ut, in the JetRing of the
+    relations; and the linearization of F in that ring.  The linearized
+    equation is reduced modulo F before it is solved, so the lead of its
+    rule is in normal form; the other rules go in as they were solved,
+    and reduction reduces each right-hand side where it uses it.  The
+    system's assumptions are the factors of the leading coefficients of
+    F, of its linearization and of the relations."""
     F = relset.relations[0].ring.embed(F)
     sys_u = equation_system(F, space)
     lin = linearize(F, space)
     u_rule = solve_for_leading(sys_u.reduce(lin.apply_to("U", space)), "U", space)
-    sys_uu = sys_u.extended([u_rule])
-    ut_rules = [dataclasses.replace(r, rhs=sys_uu.reduce(r.rhs)) for r in relset.rules]
-    return sys_uu.extended(ut_rules), lin
+    return RewriteSystem(space, [*sys_u.rules.values(), u_rule, *relset.rules]), lin
 
 
 def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
@@ -206,7 +205,6 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
     jet-order bound only decides whether a jet may be formed at all
     (OrderOverflowError), never the value of a residual.
     """
-    twist.validate(space)
     if twist.free_constants(space):
         raise InvalidTwistError("verify requires a twist without unknown constants")
     t0 = time.monotonic()
@@ -367,7 +365,7 @@ class Solution:
             """A ground element over QQ or QQ(others) as a Form."""
             if v.ring.domain == QQ:
                 return ring.constant(v.LC)
-            num, den = (ring.scalar(p.set_ring(ring.poly)) for p in (v.LC.numer, v.LC.denom))
+            num, den = (ring.scalar(ring.lift(p)) for p in (v.LC.numer, v.LC.denom))
             return num * den.inverse()
 
         return {slot: ring.combine([(value(self.assignment[c]), t) for c, t in pairs])

@@ -289,9 +289,7 @@ def solve_for_leading(rel: Form, unknown: str, space: JetSpace) -> RewriteRule:
     else:
         a = ring.scalar(rel.terms[v])
         b = Form(ring, {k: p for k, p in rel.terms.items() if k != v}, {})
-    rule = RewriteRule(v, -b * a.inverse(), a)
-    rule.validate(space)
-    return rule
+    return RewriteRule(v, -b * a.inverse(), a)
 
 
 class RewriteSystem:
@@ -299,8 +297,7 @@ class RewriteSystem:
 
     Every replacement is strictly decreasing under the ranking, and the
     highest-ranked applicable rule is chosen for each reducible jet.
-    Normal forms of reducible jets are memoized per system; a system made
-    by ``extended`` keeps those its new rules cannot change.  All rules
+    Normal forms of reducible jets are memoized per system.  All rules
     are Forms of the first rule's JetRing.
 
     ``assumptions`` are what the rules hold under: the distinct
@@ -335,7 +332,8 @@ class RewriteSystem:
         self.assumptions = tuple(self.ring.factors[fid].as_expr() for fid in factors)
         self._nf: dict[sp.Symbol, Form] = {}
         self._match: dict[sp.Symbol, RewriteRule | None] = {}
-        self._reducible: frozenset[int] | None = None
+        self._reducible = frozenset(i for i in self.ring.u_jets
+                                    if self.matching_rule(self.ring.symbols[i]) is not None)
 
     def matching_rule(self, sym: sp.Symbol) -> RewriteRule | None:
         if sym in self._match:
@@ -386,20 +384,12 @@ class RewriteSystem:
                   for k in reducible]
         return ring.combine(parts)
 
-    def _reducible_gens(self) -> frozenset[int]:
-        if self._reducible is None:
-            ring = self.ring
-            self._reducible = frozenset(
-                i for i in ring.u_jets
-                if self.matching_rule(ring.symbols[i]) is not None)
-        return self._reducible
-
     def _substitute(self, e: Form) -> Form:
         """Every reducible u-jet replaced by its normal form, over one
         common denominator.  A factor of the denominator that holds one is
         reduced and inverted, which factors it anew (and raises
         DegenerateExpressionError if it reduces to zero)."""
-        reducible = self._reducible_gens()
+        reducible = self._reducible
         if not reducible:
             return e
         ring = self.ring
@@ -447,18 +437,3 @@ class RewriteSystem:
                 parts.append((Form(ring, {ONE: ring.poly.dtype(base)}, e.den),
                               Form(ring, {key: prod.terms[ONE]}, prod.den)))
         return ring.combine(parts)
-
-    def extended(self, rules: Iterable[RewriteRule]) -> "RewriteSystem":
-        rules = list(rules)
-        out = RewriteSystem(self.space, list(self.rules.values()) + rules)
-        # a normal form depends only on the rules of its unknown and of
-        # the unknowns ranked below it
-        low = min((UNKNOWNS.index(self.space.jet_var(r.lhs).unknown) for r in rules),
-                  default=len(UNKNOWNS))
-        kept = {s for s in self._match
-                if UNKNOWNS.index(self.space.jet_var(s).unknown) < low}
-        out._match.update((s, self._match[s]) for s in kept)
-        out._nf.update((s, v) for s, v in self._nf.items() if s in kept)
-        if low > 0:
-            out._reducible = self._reducible
-        return out

@@ -19,8 +19,9 @@ generators it uses.
 Forms are built only with Form arithmetic (``FormRing.symbol``,
 ``FormRing.constant``, sums, products, ``Form.inverse``), as the parser
 reads a problem file; ``FormRing.embed`` moves a Form into a ring with
-more generators, such as the ansatz constants.  ``Form.as_expr`` gives
-the canonical expression, for printed reports only.
+more generators, such as the ansatz constants, and ``FormRing.lift``
+moves one polynomial.  ``Form.as_expr`` gives the canonical expression,
+for printed reports only.
 """
 
 from __future__ import annotations
@@ -90,46 +91,33 @@ class FormRing:
             return Form(self, {s: self.poly.one}, {})
         return Form(self, {ONE: self.poly.gens[i]}, {})
 
+    def lift(self, p: PolyElement) -> PolyElement:
+        """p, a polynomial over QQ of another ring, as a polynomial of
+        this ring; ValueError names a generator of p that this ring
+        lacks."""
+        where = [self.index.get(s) for s in p.ring.symbols]
+        out = {}
+        for m, c in p.items():
+            big = [0] * self.poly.ngens
+            for j in compress(range(len(m)), m):
+                if where[j] is None:
+                    raise ValueError(f"{p.ring.symbols[j]} is not a generator of the ring")
+                big[where[j]] = m[j]
+            out[tuple(big)] = c
+        return self.poly.dtype(out)
+
     def embed(self, form: "Form") -> "Form":
-        """form as a Form of this ring.  A generator of form's ring that
-        this ring lacks becomes a key, so it must be of degree at most one
-        in every term and absent from the denominator.  A factor
-        irreducible in the smaller ring stays irreducible here and keeps
-        its leading coefficient (grevlex restricts to the common
-        generators), so it is registered as it is."""
+        """form as a Form of this ring, whose generators include those
+        form uses: every numerator and every factor of its denominator
+        lifted.  A factor irreducible in the smaller ring stays
+        irreducible here and keeps its leading coefficient (grevlex
+        restricts to the common generators), so it is registered as it
+        is."""
         src = form.ring
         if src is self:
             return form
-        where = [self.index.get(s) for s in src.symbols]
-
-        def move(m, key=ONE):
-            """This ring's monomial and the key of a monomial m of src in a
-            term with the given key."""
-            big = [0] * self.poly.ngens
-            for j in compress(src._range, m):
-                if where[j] is not None:
-                    big[where[j]] = m[j]
-                elif m[j] > 1 or key is not ONE:
-                    raise NotLinearError(f"{form} is not linear in {src.symbols[j]}")
-                else:
-                    key = src.symbols[j]
-            return tuple(big), key
-
-        terms: dict = {}
-        for key, p in form.terms.items():
-            for m, c in p.items():
-                m, k = move(m, key)
-                terms.setdefault(k, {})[m] = c
-        den = {}
-        for fid, k in form.den.items():
-            f = {}
-            for m, c in src.factors[fid].items():
-                m, key = move(m)
-                if key is not ONE:
-                    raise NotLinearError(f"{key} in a denominator of {form}")
-                f[m] = c
-            den[self.factor_id(self.poly.dtype(f))] = k
-        return Form(self, {k: self.poly.dtype(t) for k, t in terms.items()}, den)
+        den = {self.factor_id(self.lift(src.factors[fid])): k for fid, k in form.den.items()}
+        return Form(self, {k: self.lift(p) for k, p in form.terms.items()}, den)
 
     def constant(self, c) -> "Form":
         c = QQ(c.p, c.q) if isinstance(c, sp.Rational) else QQ(c)
@@ -183,7 +171,7 @@ class FormRing:
         own = PolyRing([s for s, d in zip(self.symbols, p.degrees()) if d > 0], QQ, grevlex)
         c, factors = p.set_ring(own).factor_list()
         for g, mult in factors:
-            g = g.set_ring(self.poly)
+            g = self.lift(g)
             c *= g.LC**mult
             fid = self.factor_id(g)
             exps[fid] = exps.get(fid, 0) + mult

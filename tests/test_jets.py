@@ -205,6 +205,24 @@ class TestRewriteSystem:
         with pytest.raises(ValueError):
             RewriteSystem(space, [r1, r2])
 
+    @pytest.mark.parametrize("case, message", [
+        ("duplicate", "duplicate rule"),
+        ("derivative", "derivatives of one another"),
+        ("other ring", "another ring")])
+    def test_constructor_checks(self, space, case, message):
+        ring = jet_ring(space)
+        one = ring.constant(1)
+        first = RewriteRule(space.jet("u", "x"), ring.zero, one)
+        if case == "duplicate":
+            second = RewriteRule(space.jet("u", "x"), one, one)
+        elif case == "derivative":
+            second = RewriteRule(space.jet("u", "xy"), one, one)
+        else:
+            other = jet_ring(space, [sp.Symbol("c")])
+            second = RewriteRule(space.jet("U", "x"), other.zero, other.constant(1))
+        with pytest.raises(ValueError, match=message):
+            RewriteSystem(space, [first, second])
+
     def test_rule_above_its_lhs_rejected(self, space):
         rhs = to_form(space.jet("u", "xy"), space)
         with pytest.raises(ValueError):

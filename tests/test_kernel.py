@@ -88,6 +88,28 @@ class TestPartialDiff:
                 partial_diff(partial_diff(e, b), a)
 
 
+class TestEmbed:
+    def test_embed_keeps_the_value(self):
+        small = kernel.FormRing({u_x, u_y, alpha})
+        big = kernel.FormRing({u_x, u_y, u_z, alpha})
+        e = (u_y**2 - alpha * u_x) / (u_x + alpha * u_y) / u_x
+        assert big.embed(evaluate(e, small)) == evaluate(e, big)
+
+    def test_unused_generator_may_be_missing(self):
+        small = kernel.FormRing({u_x, u_y})
+        big = kernel.FormRing({u_x, u_z})
+        assert big.embed(evaluate(u_x, small)) == evaluate(u_x, big)
+
+    @pytest.mark.parametrize("e", [u_y * u_x, u_x / (u_y + 1)])
+    def test_missing_generator_rejected(self, e):
+        small = kernel.FormRing({u_x, u_y})
+        big = kernel.FormRing({u_x, u_z})
+        with pytest.raises(ValueError, match="u_y"):
+            big.embed(evaluate(e, small))
+        with pytest.raises(ValueError, match="u_y"):
+            big.lift(small.poly.gens[small.index[u_y]])
+
+
 class TestSubstitute:
     def test_degenerate_after_substitution(self):
         with pytest.raises(DegenerateExpressionError):

@@ -18,13 +18,11 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import sympy as sp
-
 from . import engine, lax
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS, PartialResultError, TwistRelations
-from .kernel import ONE
-from .problem import Problem, ProblemSyntaxError, fmt, parse_basis, parse_problem
+from .kernel import ONE, fmt
+from .problem import Problem, ProblemSyntaxError, parse_basis, parse_problem
 
 
 class CliError(Exception):
@@ -93,7 +91,7 @@ def cmd_linearize(problem: Problem, args) -> dict:
     return {
         "verdict": "PASS",
         "linearization": terms,
-        "applied_to_seed": fmt(op.apply_to("U", problem.space).as_expr()),
+        "applied_to_seed": fmt(op.apply_to("U", problem.space)),
         "timings": {"total": time.monotonic() - t0},
     }
 
@@ -138,7 +136,24 @@ def _verify(problem: Problem, orientations: list[str]) -> dict:
     }
 
 
+def _import_sympy() -> None:
+    """Import sympy, which the solver needs, with the collector off, and
+    freeze its import heap before the collector is switched back on:
+    sympy's import leaves ~50k objects and frees almost none of them, so
+    the collections it would trigger, during the import and after it,
+    are pure cost."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        import sympy  # noqa: F401
+        gc.freeze()
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cmd_solve(problem: Problem, args) -> dict:
+    _import_sympy()
     out_solutions = []
     warnings = list(problem.warnings)
     t0 = time.monotonic()
@@ -197,13 +212,12 @@ def cmd_hierarchy(problem: Problem, args) -> dict:
     if passed:
         space = problem.space
         relset = engine.build_relations(problem.lax, _twist_for(problem, passed[0]), space)
-        exprs = [e.as_expr() for e in relset.relations]
         jets = {k: space.jet_var(k).unknown
                 for rel in relset.relations for k in rel.terms if k is not ONE}
         for j in range(args.k):
-            ren = {s: sp.Symbol(s.name.replace(unknown, f"psi_{j + (unknown == 'Ut')}", 1))
+            ren = {s: s.replace(unknown, f"psi_{j + (unknown == 'Ut')}", 1)
                    for s, unknown in jets.items()}
-            rels += [f"{fmt(e.xreplace(ren))} = 0" for e in exprs]
+            rels += [f"{fmt(e.renamed(ren))} = 0" for e in relset.relations]
     return {**doc, "orientation": passed[0] if passed else None,
             "relations": rels, "levels": args.k,
             "timings": {"total": time.monotonic() - t0}}
@@ -301,8 +315,8 @@ def render_human(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
-    # Keep the import heap (mostly sympy's) out of this run's collections
-    # and out of the collector's pass at interpreter exit.
+    # Keep the import heap out of this run's collections and out of the
+    # collector's pass at interpreter exit.
     gc.freeze()
     args = build_parser().parse_args(argv)
     try:

@@ -20,15 +20,17 @@ From the relations to the residuals everything is a ``kernel.Form`` of
 one JetRing per computation, whose generators include the twist's
 unknown constants.  F, the Lax operators and the twist come as Forms of
 the space's JetRing (an ansatz twist: of that ring with its constants),
-and ``FormRing.embed`` moves them into the computation's ring.  The
-determining equations are made in the solver's ring, the polynomial ring
-of the unknowns over QQ or the field of the residuals' other symbols, in
-one pass that splits each monomial of the residuals' numerators into its
-equation, its monomial and its coefficient.  The solver stays in that
-ring: the branch step factors an equation there, and a closed branch's
-values are ground elements of it, which
-``Solution.twist_functions`` turns into Forms with Form arithmetic.
-Expressions remain only in the VerifyReport.
+and ``FormRing.embed`` moves them into the computation's ring; the
+VerifyReport carries Forms.  Up to here nothing needs sympy.  The
+determining equations are made in the solver's ring, sympy's polynomial
+ring of the unknowns over QQ or the field of the residuals' other
+symbols, in one pass that splits each monomial of the residuals'
+numerators into its equation, its monomial and its coefficient.  The
+solver stays in that ring: the branch step factors an equation there,
+and a closed branch's values are ground elements of it, which
+``Solution.twist_functions`` lifts back with ``FormRing.lift`` and turns
+into Forms with Form arithmetic.  sympy is imported by the functions
+that make and solve the determining system, when they are first called.
 """
 
 from __future__ import annotations
@@ -38,14 +40,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import sympy as sp
-from sympy.polys.domains import QQ
-from sympy.polys.rings import PolyRing
-from sympy.polys.solvers import solve_lin_sys
-
 from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
                    solve_for_leading, total_derivative)
-from .kernel import ONE, Expr, Form
+from .kernel import ONE, Form
 from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
 from .linearize import LinearDifferentialOperator, linearize
 
@@ -190,11 +187,12 @@ def symmetry_residual(lin: LinearDifferentialOperator, sys: RewriteSystem) -> Fo
 
 @dataclass
 class VerifyReport:
+    """The verdict, with both residuals and the assumptions as Forms."""
     passed: bool
     orientation: str
-    compatibility: Expr
-    symmetry: Expr
-    assumptions: tuple[Expr, ...]
+    compatibility: Form
+    symmetry: Form
+    assumptions: tuple[Form, ...]
     timings: dict = field(default_factory=dict)
 
 
@@ -216,9 +214,8 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
     symm = symmetry_residual(lin, sys)
     t3 = time.monotonic()
     timings = {"build": t1 - t0, "compatibility": t2 - t1, "symmetry": t3 - t2}
-    return VerifyReport(compat == 0 and symm == 0, twist.orientation,
-                        compat.as_expr(), symm.as_expr(), sys.assumptions,
-                        timings)
+    return VerifyReport(not compat.terms and not symm.terms, twist.orientation,
+                        compat, symm, sys.assumptions, timings)
 
 
 # -- ansatz and determining system ------------------------------------
@@ -233,7 +230,7 @@ def default_ansatz(F, pair: LaxPair, space: JetSpace) -> dict:
     used = set()
     for s in F.free_symbols.union(*(c.free_symbols for c in coeffs)):
         jv = space.jet_var(s)
-        used.update(jv.index if jv is not None else {s.name} & space.var_syms.keys())
+        used.update(jv.index if jv is not None else {s} & set(space.variables))
     used_vars = [v for v in space.variables if v in used]
     ring = jet_ring(space)
     factors = {c.ring.factors[fid] for c in coeffs for fid in c.den}
@@ -263,7 +260,7 @@ def ansatz_twist(basis: dict, orientation: str) -> tuple[TwistRelations, dict]:
     ring.
 
     Returns the twist and, per slot, the (constant, basis term) pairs."""
-    slot_terms = {(i, s): [(sp.Symbol(f"c{i}{s}_{k}"), term)
+    slot_terms = {(i, s): [(f"c{i}{s}_{k}", term)
                            for k, term in enumerate(basis[(i, s)])] for (i, s) in SLOTS}
     every = [pair for pairs in slot_terms.values() for pair in pairs]
     if not every:
@@ -281,8 +278,7 @@ def derive_determining_system(F, pair: LaxPair, basis: dict,
     constants."""
     twist, slot_terms = ansatz_twist(basis, orientation)
     equations = determining_equations_for_twist(F, pair, twist, space)
-    unknowns = sorted({c for pairs in slot_terms.values() for c, _ in pairs},
-                      key=str)
+    unknowns = sorted({c for pairs in slot_terms.values() for c, _ in pairs})
     return DeterminingSystem(equations, unknowns, slot_terms, orientation)
 
 
@@ -294,21 +290,26 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
     QQ or the field of the other generators in the residuals' numerators.
     Empty iff the twist satisfies both conditions; with an ansatz twist
     these are the determining equations for its constants."""
+    from sympy import Symbol
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import PolyRing
+
     relset = build_relations(pair, twist, space)
     sys, lin = full_system(F, relset, space)
     residuals = (compatibility_residual(relset, sys), symmetry_residual(lin, sys))
     src = relset.relations[0].ring
-    unknowns = sorted(twist.free_constants(space), key=str)
+    unknowns = sorted(twist.free_constants(space))
     present = set().union(*(itertools.compress(src.symbols, p.degrees())
                             for r in residuals for p in r.terms.values()))
-    others = sorted((s for s in present - set(unknowns)
-                     if s != LAMBDA and space.jet_var(s) is None), key=str)
-    ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
+    others = sorted(s for s in present - set(unknowns)
+                    if s != LAMBDA and space.jet_var(s) is None)
+    ring = PolyRing([Symbol(s) for s in unknowns],
+                    QQ.frac_field(*map(Symbol, others)) if others else QQ)
     equations = [eq for r in residuals for eq in _coefficients(r, space, ring)]
     return list(dict.fromkeys(equations))
 
 
-def _coefficients(form: Form, space: JetSpace, ring: PolyRing) -> list:
+def _coefficients(form: Form, space: JetSpace, ring) -> list:
     """The coefficients of a residual's numerator as a polynomial in its
     jets and lam, in the order sympy's Poly over those generators (sorted
     by name) lists them: descending lex.  In one pass each monomial's jet
@@ -319,6 +320,8 @@ def _coefficients(form: Form, space: JetSpace, ring: PolyRing) -> list:
     denominator's when that has several terms."""
     if not form.terms:
         return []
+    from sympy.polys.domains import QQ
+
     src = form.ring
     jet = [s == LAMBDA or space.jet_var(s) is not None for s in src.symbols]
     scale = 1
@@ -326,13 +329,13 @@ def _coefficients(form: Form, space: JetSpace, ring: PolyRing) -> list:
     for p in list(form.terms.values()) + ([den] if len(den) > 1 else []):
         for c in p.values():
             scale = math.lcm(scale, int(c.denominator))
-    gens = sorted((s for s in form.free_symbols
-                   if s not in src.index or jet[src.index[s]]), key=str)
+    gens = sorted(s for s in form.free_symbols
+                  if s not in src.index or jet[src.index[s]])
     where = [src.index.get(g) for g in gens]
     frac = ring.domain.field if ring.domain != QQ else None
     # src's symbol_order sorts by name, as ring's generators and frac's
     # are sorted: compress lists their exponents in ring's and frac's order
-    unknowns, others = set(ring.symbols), set(frac.symbols if frac else ())
+    unknowns, others = set(map(str, ring.symbols)), set(map(str, frac.symbols if frac else ()))
     unknown = [s in unknowns for s in src.symbols]
     other = [s in others for s in src.symbols]
     monomials: dict = {}  # one tuple for each monomial the equations share
@@ -345,7 +348,7 @@ def _coefficients(form: Form, space: JetSpace, ring: PolyRing) -> list:
                     exps[n] = m[i]
             u = tuple(itertools.compress(m, unknown))
             group = groups.setdefault(tuple(exps), {}).setdefault(monomials.setdefault(u, u), {})
-            group[tuple(itertools.compress(m, other))] = c * scale
+            group[tuple(itertools.compress(m, other))] = QQ(int(c * scale))
     one = frac.ring.one if frac else None  # integer coefficients over 1: in lowest terms
     ground = (lambda d: frac.dtype(frac.ring.dtype(d), one)) if frac else (lambda d: d[()])
     return [ring.dtype({m: ground(d) for m, d in groups[k].items()})
@@ -363,9 +366,10 @@ class Solution:
 
         def value(v):
             """A ground element over QQ or QQ(others) as a Form."""
-            if v.ring.domain == QQ:
+            if not v.ring.domain.is_FractionField:
                 return ring.constant(v.LC)
-            num, den = (ring.scalar(ring.lift(p)) for p in (v.LC.numer, v.LC.denom))
+            num, den = (ring.scalar(ring.lift(p, p.ring.symbols))
+                        for p in (v.LC.numer, v.LC.denom))
             return num * den.inverse()
 
         return {slot: ring.combine([(value(self.assignment[c]), t) for c, t in pairs])
@@ -396,6 +400,10 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     only give it back; any unresolved branch raises PartialResultError
     carrying the solutions found.
     """
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import PolyRing
+    from sympy.polys.solvers import solve_lin_sys
+
     unknowns = list(ds.unknowns)
     eqs = [e for e in ds.equations if e]
     ring = eqs[0].ring if eqs else PolyRing(unknowns, QQ)

@@ -2,8 +2,9 @@
 
 Three unknowns live on the jet space: the equation unknown ``u``, a seed
 symmetry ``U`` and its image ``Ut`` (printed as the twisted symmetry).
-Jet variables are plain sympy symbols named ``u_xy``, ``U_t``, ``Ut_zz``
-with multi-indices kept sorted, so ``u_xy`` and ``u_yx`` are one symbol.
+Jet variables, like every symbol of rop, are plain names (``str``):
+``u_xy``, ``U_t``, ``Ut_zz``, with multi-indices kept sorted in the
+ranking's order, so ``u_xy`` and ``u_yx`` name one jet.
 
 Everything from the Lax operators and the relations on is carried as
 ``kernel.Form``, the one canonical form, over a JetRing: the polynomial
@@ -29,12 +30,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 from typing import Iterable, Sequence
 
-import sympy as sp
-
-from .kernel import ONE, Form, FormRing, symbol_order
+from .kernel import ONE, Form, FormRing, Poly, symbol_order
 
 UNKNOWNS = ("u", "U", "Ut")
-LAMBDA = sp.Symbol("lam")
+LAMBDA = "lam"
 
 
 class OrderOverflowError(ValueError):
@@ -60,7 +59,7 @@ class JetVar:
 
 
 class JetSpace:
-    """Registry of independent variables, parameters, and jet symbols.
+    """Registry of independent variables, parameters, and jet names.
 
     The declaration order of the independent variables doubles as the
     ranking: earlier variables rank higher.  The unknown precedence is
@@ -79,13 +78,12 @@ class JetSpace:
         self.variables = tuple(variables)
         self.max_order = int(max_order)
         self._pos = {v: i for i, v in enumerate(self.variables)}
-        self.var_syms = {v: sp.Symbol(v) for v in self.variables}
-        self.params = tuple(sp.Symbol(p) for p in params)
+        self.params = tuple(params)
         self._by_name: dict[str, JetVar] = {}
 
-    # -- jet symbols ---------------------------------------------------
+    # -- jet names -----------------------------------------------------
 
-    def jet(self, unknown: str, index: Iterable[str] = ()) -> sp.Symbol:
+    def jet(self, unknown: str, index: Iterable[str] = ()) -> str:
         if unknown not in UNKNOWNS:
             raise ValueError(f"unknown function {unknown!r}")
         for v in index:
@@ -98,16 +96,16 @@ class JetSpace:
                 "raise the bound with a 'maxorder' line or --max-order")
         name = unknown if not idx else f"{unknown}_{''.join(idx)}"
         self._by_name[name] = JetVar(unknown, idx)
-        return sp.Symbol(name)
+        return name
 
-    def jet_var(self, sym: sp.Symbol) -> JetVar | None:
-        """JetVar behind a symbol, or None for non-jet symbols and for a
+    def jet_var(self, name: str) -> JetVar | None:
+        """JetVar behind a name, or None for non-jet names and for a
         name with its indices out of ranking order (u_yx is not a jet's)."""
-        if sym.name not in self._by_name:
-            self.jet_named(sym.name)  # registers the jet the name denotes
-        return self._by_name.get(sym.name)
+        if name not in self._by_name:
+            self.jet_named(name)  # registers the jet the name denotes
+        return self._by_name.get(name)
 
-    def jet_named(self, name: str) -> sp.Symbol | None:
+    def jet_named(self, name: str) -> str | None:
         """The jet a name such as u_yx denotes, its indices in any order;
         None if the name is not a jet's."""
         head, sep, tail = name.partition("_")
@@ -117,11 +115,11 @@ class JetSpace:
 
     # -- ranking -------------------------------------------------------
 
-    def rank_of(self, sym: sp.Symbol) -> tuple:
+    def rank_of(self, name: str) -> tuple:
         """Key comparable with > ; larger key means higher-ranked jet."""
-        jv = self.jet_var(sym)
+        jv = self.jet_var(name)
         if jv is None:
-            raise ValueError(f"{sym} is not a jet variable")
+            raise ValueError(f"{name} is not a jet variable")
         lex = tuple(sorted((len(self.variables) - self._pos[v] for v in jv.index),
                            reverse=True))
         return (UNKNOWNS.index(jv.unknown), jv.order, lex)
@@ -135,11 +133,11 @@ class JetRing(FormRing):
     u-jets up to the order bound, lam, the parameters and the given
     symbols (the ansatz constants).  U/Ut jets are the keys."""
 
-    def __init__(self, space: JetSpace, symbols: Sequence[sp.Symbol] = ()):
+    def __init__(self, space: JetSpace, symbols: Sequence[str] = ()):
         self.space = space
         u_jets = [space.jet("u", idx) for k in range(space.max_order + 1)
                   for idx in combinations_with_replacement(space.variables, k)]
-        super().__init__([*space.var_syms.values(), *u_jets, LAMBDA,
+        super().__init__([*space.variables, *u_jets, LAMBDA,
                           *space.params, *symbols])
         self.u_jets = frozenset(self.index[s] for s in u_jets)
         self._target_lists: dict[str, list] = {}
@@ -152,7 +150,7 @@ class JetRing(FormRing):
         if t is None:
             space = self.space
             t = [None] * len(self.symbols)
-            t[self.index[space.var_syms[x]]] = -1
+            t[self.index[x]] = -1
             for i in self.u_jets:
                 jv = space.jet_var(self.symbols[i])
                 t[i] = (self.index[space.jet("u", jv.index + (x,))]
@@ -180,7 +178,7 @@ class JetRing(FormRing):
                 k = tuple(shifted)
                 v = out.get(k)
                 out[k] = c * e if v is None else v + c * e
-        return p.new([(k, v) for k, v in out.items() if v])
+        return Poly({k: v for k, v in out.items() if v})
 
 
 _live_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -194,14 +192,13 @@ def _jet_ring(*key) -> JetRing:
     return ring
 
 
-def jet_ring(space: JetSpace, symbols: Iterable[sp.Symbol] = ()) -> JetRing:
+def jet_ring(space: JetSpace, symbols: Iterable[str] = ()) -> JetRing:
     """The JetRing of a space with the given extra generators.  The 16
     rings asked for last are kept; any other is found again for as long
     as it is alive (a Form refers to it), so that the Forms a parsed
     problem holds and those made later on an equal space share one
     ring."""
-    return _jet_ring(space.variables, space.max_order,
-                     tuple(p.name for p in space.params),
+    return _jet_ring(space.variables, space.max_order, space.params,
                      tuple(symbol_order(set(symbols))))
 
 
@@ -240,7 +237,7 @@ class RewriteRule:
     """Solved relation lhs -> rhs with every jet in rhs strictly below
     lhs.  lead is the coefficient of lhs in the relation it was solved
     from, a polynomial Form: the rule holds where lead is nonzero."""
-    lhs: sp.Symbol
+    lhs: str
     rhs: Form
     lead: Form
 
@@ -284,8 +281,8 @@ def solve_for_leading(rel: Form, unknown: str, space: JetSpace) -> RewriteRule:
                     a.setdefault(key, {})[m[:i] + (0,) + m[i + 1:]] = c
                 else:
                     b.setdefault(key, {})[m] = c
-        a = Form(ring, {k: ring.poly.dtype(t) for k, t in a.items()}, {})
-        b = Form(ring, {k: ring.poly.dtype(t) for k, t in b.items()}, {})
+        a = Form(ring, {k: Poly(t) for k, t in a.items()}, {})
+        b = Form(ring, {k: Poly(t) for k, t in b.items()}, {})
     else:
         a = ring.scalar(rel.terms[v])
         b = Form(ring, {k: p for k, p in rel.terms.items() if k != v}, {})
@@ -301,15 +298,15 @@ class RewriteSystem:
     are Forms of the first rule's JetRing.
 
     ``assumptions`` are what the rules hold under: the distinct
-    irreducible factors of their leads, in rule order, as the ring's
-    registry divides them out of each lead.
+    irreducible factors of their leads as polynomial Forms, in rule
+    order, as the ring's registry divides them out of each lead.
     """
 
     def __init__(self, space: JetSpace, rules: Iterable[RewriteRule]):
         rules = list(rules)
         self.space = space
         self.ring = rules[0].rhs.ring
-        self.rules: dict[sp.Symbol, RewriteRule] = {}
+        self.rules: dict[str, RewriteRule] = {}
         for r in rules:
             if r.rhs.ring is not self.ring or r.lead.ring is not self.ring:
                 raise ValueError(f"rule for {r.lhs} is in another ring")
@@ -329,13 +326,13 @@ class RewriteSystem:
         factors: dict[int, None] = {}
         for r in self.rules.values():
             factors.update(dict.fromkeys(r.lead.inverse().den))
-        self.assumptions = tuple(self.ring.factors[fid].as_expr() for fid in factors)
-        self._nf: dict[sp.Symbol, Form] = {}
-        self._match: dict[sp.Symbol, RewriteRule | None] = {}
+        self.assumptions = tuple(self.ring.scalar(self.ring.factors[fid]) for fid in factors)
+        self._nf: dict[str, Form] = {}
+        self._match: dict[str, RewriteRule | None] = {}
         self._reducible = frozenset(i for i in self.ring.u_jets
                                     if self.matching_rule(self.ring.symbols[i]) is not None)
 
-    def matching_rule(self, sym: sp.Symbol) -> RewriteRule | None:
+    def matching_rule(self, sym: str) -> RewriteRule | None:
         if sym in self._match:
             return self._match[sym]
         jv = self.space.jet_var(sym)
@@ -349,7 +346,7 @@ class RewriteSystem:
         self._match[sym] = best
         return best
 
-    def normal_form(self, sym: sp.Symbol) -> Form:
+    def normal_form(self, sym: str) -> Form:
         cached = self._nf.get(sym)
         if cached is not None:
             return cached
@@ -379,7 +376,7 @@ class RewriteSystem:
             return e
         ring = self.ring
         rest = Form(ring, {k: p for k, p in e.terms.items() if k not in reducible}, {})
-        parts = [(Form(ring, {ONE: ring.poly.one}, e.den), rest)]
+        parts = [(Form(ring, {ONE: ring.one}, e.den), rest)]
         parts += [(Form(ring, {ONE: e.terms[k]}, e.den), self.normal_form(k))
                   for k in reducible]
         return ring.combine(parts)
@@ -434,6 +431,6 @@ class RewriteSystem:
                         prod = prod * v
                 products[pat] = prod
             if prod.terms:
-                parts.append((Form(ring, {ONE: ring.poly.dtype(base)}, e.den),
+                parts.append((Form(ring, {ONE: Poly(base)}, e.den),
                               Form(ring, {key: prod.terms[ONE]}, prod.den)))
         return ring.combine(parts)

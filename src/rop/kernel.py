@@ -1,43 +1,54 @@
-"""Exact rational arithmetic and its one canonical form.
+"""Exact rational arithmetic, its one canonical form, and its printer.
 
 Rational functions over QQ are carried as ``Form``s; floating point
-never enters.  A Form is linear over symbols kept outside its ring (the
-``U``/``Ut`` jets, in ``rop.jets``): a sparse map from such a symbol, or
-1, to a numerator ``PolyElement`` of ``FormRing.poly`` (QQ, grevlex in
-``symbol_order``), all over one denominator.  The denominator is an
+never enters, and nothing here needs sympy.  Symbols are plain names
+(``str``).  A polynomial is a ``Poly``: a sparse map from an exponent
+tuple (one entry per generator of its ``FormRing``, in ``symbol_order``)
+to a nonzero ``int`` or ``fractions.Fraction``; its leading term is the
+grevlex one.
+
+A Form is linear over symbols kept outside its ring (the ``U``/``Ut``
+jets, in ``rop.jets``): a sparse map from such a symbol, or ``ONE``, to
+a numerator Poly, all over one denominator.  The denominator is an
 exponent map over the ring's registry of localising factors: irreducible
 polynomials with grevlex leading coefficient 1, registered as they are
 met (the factors of every denominator and of every inverted Form, such
 as the leading coefficients that ``rop.jets`` rules are solved with).
 So no gcd is ever taken: the canonical form is trial division by the
 factors of the denominator, and zero is the empty map.  A new
-denominator is split by the registered factors first; what is left is a
-product of generators if it is a monomial, and is otherwise factored
-once with ``PolyElement.factor_list`` in the polynomial ring of the
-generators it uses.
+denominator is split by the registered factors first; then its monomial
+content is taken out, and a polynomial of degree 1 in some generator is
+split by the factors of its leading coefficient in that generator (see
+``_irreducible_factors``).  Only a polynomial of degree 2 or more in
+every generator is factored with sympy.
 
 Forms are built only with Form arithmetic (``FormRing.symbol``,
 ``FormRing.constant``, sums, products, ``Form.inverse``), as the parser
 reads a problem file; ``FormRing.embed`` moves a Form into a ring with
 more generators, such as the ansatz constants, and ``FormRing.lift``
-moves one polynomial.  ``Form.as_expr`` gives the canonical expression,
-for printed reports only.
+moves one polynomial, also one of sympy's.  ``fmt`` prints a Form as
+sympy's ``sstr`` prints its canonical expression; ``Form.as_expr``
+builds that expression with sympy, for callers that want one.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import compress
 from typing import Callable, Iterable
 
-import sympy as sp
-from sympy.core.sorting import default_sort_key
-from sympy.polys.domains import QQ
-from sympy.polys.orderings import grevlex
-from sympy.polys.rings import PolyElement, PolyRing
 
-Expr = sp.Expr
+class _One:
+    """The key of a Form's part that is not multiplied by a symbol."""
 
-ONE = sp.S.One
+    __slots__ = ()
+
+    def __repr__(self):
+        return "ONE"
+
+
+ONE = _One()
 
 
 class DegenerateExpressionError(ZeroDivisionError):
@@ -49,18 +60,277 @@ class NotLinearError(ValueError):
     its ring."""
 
 
-def symbol_order(symbols: Iterable[sp.Symbol]) -> list[sp.Symbol]:
-    """The single global symbol order used for canonicalization."""
-    return sorted(symbols, key=default_sort_key)
+def symbol_order(symbols: Iterable) -> list:
+    """The single global symbol order used for canonicalization: by name."""
+    return sorted(symbols, key=str)
+
+
+def _grevlex(m: tuple) -> tuple:
+    """Sort key of a monomial in the graded reverse lexicographic order."""
+    return (sum(m), tuple([-e for e in reversed(m)]))
+
+
+def _rational(c):
+    """c (an int, a Fraction or any exact rational with numerator and
+    denominator) as an int or a Fraction."""
+    n, d = int(c.numerator), int(c.denominator)
+    return n if d == 1 else Fraction(n, d)
+
+
+def _quo(a, b):
+    """a / b, an int when it is one."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _rational(Fraction(a) / b)
+
+
+# -- the polynomial ----------------------------------------------------
+
+
+class Poly(dict):
+    """A polynomial over QQ: exponent tuple -> nonzero coefficient.
+    Treated as immutable once built; every operation returns a new Poly."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.items()})
+
+    def __add__(self, other):
+        out = Poly(self)
+        get = out.get
+        for m, c in other.items():
+            v = get(m)
+            if v is None:
+                out[m] = c
+            else:
+                v += c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return out
+
+    def __sub__(self, other):
+        out = Poly(self)
+        get = out.get
+        for m, c in other.items():
+            v = get(m)
+            if v is None:
+                out[m] = -c
+            else:
+                v -= c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return out
+
+    def __mul__(self, other):
+        if len(other) < len(self):
+            self, other = other, self
+        if len(self) == 1:
+            (ma, ca), = self.items()
+            return Poly({tuple([a + b for a, b in zip(ma, mb)]): ca * cb
+                         for mb, cb in other.items()})
+        out = Poly()
+        get = out.get
+        for ma, ca in self.items():
+            for mb, cb in other.items():
+                m = tuple([a + b for a, b in zip(ma, mb)])
+                out[m] = get(m, 0) + ca * cb
+        for m in [m for m, c in out.items() if not c]:
+            del out[m]
+        return out
+
+    def __pow__(self, k: int):
+        out = None
+        base = self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def mul_ground(self, c):
+        return Poly({m: v * c for m, v in self.items()}) if c else Poly()
+
+    def quo_ground(self, c):
+        if c == 1:
+            return self
+        return Poly({m: _quo(v, c) for m, v in self.items()})
+
+    @property
+    def LM(self) -> tuple:
+        return max(self, key=_grevlex)
+
+    @property
+    def LC(self):
+        return self[self.LM]
+
+    def is_ground(self) -> bool:
+        return not self or (len(self) == 1 and not any(next(iter(self))))
+
+    def is_one(self) -> bool:
+        return len(self) == 1 and next(iter(self.values())) == 1 and not any(next(iter(self)))
+
+    def degree(self, i: int) -> int:
+        return max((m[i] for m in self), default=0)
+
+    def degrees(self) -> tuple:
+        return tuple(map(max, zip(*self))) if self else ()
+
+    def diff(self, i: int) -> "Poly":
+        """The partial derivative by the i-th generator."""
+        out = Poly()
+        for m, c in self.items():
+            e = m[i]
+            if e:
+                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+        return out
+
+    def clear_denoms(self) -> tuple:
+        """(d, d * self), d the lcm of the coefficients' denominators."""
+        d = math.lcm(*(c.denominator for c in self.values()))
+        return d, self.mul_ground(d) if d != 1 else self
+
+    def exquo(self, f: "Poly") -> "Poly | None":
+        """self / f if f divides self, else None; f is monic (grevlex)."""
+        p = Poly(self)
+        q = Poly()
+        lm = f.LM
+        rest = [(m, c) for m, c in f.items() if m != lm]
+        while p:
+            m = max(p, key=_grevlex)
+            e = tuple([a - b for a, b in zip(m, lm)])
+            if min(e) < 0:
+                return None
+            c = p.pop(m)
+            q[e] = c
+            get = p.get
+            for mf, cf in rest:
+                k = tuple([a + b for a, b in zip(e, mf)])
+                v = get(k, 0) - c * cf
+                if v:
+                    p[k] = v
+                else:
+                    del p[k]
+        return q
+
+
+def _shift(p: Poly, i: int, k: int) -> Poly:
+    """p times the i-th generator to the power k (k may be negative when
+    every monomial allows it)."""
+    return Poly({m[:i] + (m[i] + k,) + m[i + 1:]: c for m, c in p.items()})
+
+
+# -- factoring ---------------------------------------------------------
+
+
+def _monic(p: Poly) -> Poly:
+    return p.quo_ground(p.LC)
+
+
+def _irreducible_factors(p: Poly) -> list:
+    """(monic irreducible factor, multiplicity) pairs of a nonconstant p.
+
+    The monomial content is taken out first.  A polynomial of degree 1
+    in some generator x, p = a*x + b, is split by the factors of a: each
+    one that divides p (so also b) is divided out as often as it does.
+    What is left is irreducible, since any factor free of x that divides
+    it divides both of its coefficients.  Only a polynomial of degree 2
+    or more in every generator goes to sympy's ``factor_list``."""
+    out = []
+    n = len(next(iter(p)))
+    low = [min(m[i] for m in p) for i in range(n)]
+    for i, k in enumerate(low):
+        if k:
+            out.append((Poly({tuple(int(j == i) for j in range(n)): 1}), k))
+            p = _shift(p, i, -k)
+    if p.is_ground():
+        return out
+    degrees = p.degrees()
+    if 1 not in degrees:
+        return out + _sympy_factors(p)
+    x = degrees.index(1)
+    a = Poly({m[:x] + (0,) + m[x + 1:]: c for m, c in p.items() if m[x]})
+    if not a.is_ground():
+        for g, _k in _irreducible_factors(a):
+            k = 0
+            while (q := p.exquo(g)) is not None:
+                p, k = q, k + 1
+            if k:
+                out.append((g, k))
+    out.append((_monic(p), 1))
+    return out
+
+
+def _sympy_factors(p: Poly) -> list:
+    """The factors of p by sympy's ``factor_list``, made monic."""
+    from sympy import Symbol
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import grevlex
+    from sympy.polys.rings import PolyRing
+
+    used = [i for i, d in enumerate(p.degrees()) if d]
+    n = len(next(iter(p)))
+    ring = PolyRing([Symbol(f"_x{i}") for i in used], QQ, grevlex)
+    q = ring.dtype({tuple(m[i] for i in used): QQ(c.numerator, c.denominator)
+                    for m, c in p.items()})
+    out = []
+    for g, k in q.factor_list()[1]:
+        big = Poly()
+        for m, c in g.items():
+            e = [0] * n
+            for i, d in zip(used, m):
+                e[i] = d
+            big[tuple(e)] = _rational(c)
+        out.append((_monic(big), k))
+    return out
+
+
+def _dense(items: list, u: int):
+    """sympy's dense representation of the polynomial with the given
+    (exponents, coefficient) items in u + 1 variables."""
+    if not items:
+        zero: list = []
+        for _ in range(u):
+            zero = [zero]
+        return zero
+    top = max(e[0] for e, _c in items)
+    if u == 0:
+        coeffs = [0] * (top + 1)
+        for e, c in items:
+            coeffs[top - e[0]] = c
+        return coeffs
+    rows: list = [[] for _ in range(top + 1)]
+    for e, c in items:
+        rows[top - e[0]].append((e[1:], c))
+    return [_dense(r, u - 1) for r in rows]
+
+
+def _factor_list_key(g: Poly, k: int, used: list) -> tuple:
+    """The key by which sympy's ``factor_list`` orders the factor g of
+    multiplicity k of a polynomial in the generators ``used``: the factor
+    is taken primitive over ZZ with a positive lex leading coefficient."""
+    d = math.lcm(*(c.denominator for c in g.values()))
+    items = [(tuple(m[i] for i in used), int(c * d)) for m, c in g.items()]
+    content = math.gcd(*(c for _e, c in items))
+    if max(items)[1] < 0:
+        content = -content
+    items = [(e, c // content) for e, c in items]
+    dense = _dense(items, len(used) - 1)
+    return (len(dense), k, dense)
 
 
 # -- the carrier -------------------------------------------------------
-
-
-def _shift(p: PolyElement, i: int, k: int) -> PolyElement:
-    """p times the i-th generator to the power k (k may be negative when
-    every monomial allows it)."""
-    return p.new([(m[:i] + (m[i] + k,) + m[i + 1:], c) for m, c in p.items()])
 
 
 class FormRing:
@@ -71,40 +341,48 @@ class FormRing:
     registry only grows; a factor's id is its position in it.
     """
 
-    def __init__(self, symbols: Iterable[sp.Symbol]):
-        self.poly = PolyRing(symbol_order(set(symbols)), QQ, grevlex)
-        self.symbols = self.poly.symbols
+    def __init__(self, symbols: Iterable[str]):
+        self.symbols = tuple(symbol_order(set(symbols)))
+        self.ngens = len(self.symbols)
         self.index = {s: i for i, s in enumerate(self.symbols)}
-        self._range = range(self.poly.ngens)
-        self.factors: list[PolyElement] = []
+        self._range = range(self.ngens)
+        self.zero_monom = (0,) * self.ngens
+        self.one = Poly({self.zero_monom: 1})
+        self.factors: list[Poly] = []
         self._gen_of: list[int | None] = []  # generator index of a one-generator factor
         self._support: list[tuple[int, ...]] = []
-        self._ids: dict[PolyElement, int] = {}
+        self._ids: dict[Poly, int] = {}
         self.zero = Form(self, {}, {})
 
     # -- conversion ----------------------------------------------------
 
-    def symbol(self, s: sp.Symbol) -> "Form":
+    def gen(self, i: int) -> Poly:
+        """The i-th generator as a polynomial."""
+        return Poly({self.zero_monom[:i] + (1,) + self.zero_monom[i + 1:]: 1})
+
+    def symbol(self, s: str) -> "Form":
         """The Form of one symbol: a generator of the ring, or else a key."""
         i = self.index.get(s)
         if i is None:
-            return Form(self, {s: self.poly.one}, {})
-        return Form(self, {ONE: self.poly.gens[i]}, {})
+            return Form(self, {s: self.one}, {})
+        return Form(self, {ONE: self.gen(i)}, {})
 
-    def lift(self, p: PolyElement) -> PolyElement:
-        """p, a polynomial over QQ of another ring, as a polynomial of
-        this ring; ValueError names a generator of p that this ring
-        lacks."""
-        where = [self.index.get(s) for s in p.ring.symbols]
-        out = {}
+    def lift(self, p, symbols: Iterable) -> Poly:
+        """p, a polynomial over QQ in the generators named by symbols (a
+        Poly of another ring, or sympy's ``PolyElement``), as a
+        polynomial of this ring; ValueError names a generator of p that
+        this ring lacks."""
+        symbols = [str(s) for s in symbols]
+        where = [self.index.get(s) for s in symbols]
+        out = Poly()
         for m, c in p.items():
-            big = [0] * self.poly.ngens
+            big = [0] * self.ngens
             for j in compress(range(len(m)), m):
                 if where[j] is None:
-                    raise ValueError(f"{p.ring.symbols[j]} is not a generator of the ring")
+                    raise ValueError(f"{symbols[j]} is not a generator of the ring")
                 big[where[j]] = m[j]
-            out[tuple(big)] = c
-        return self.poly.dtype(out)
+            out[tuple(big)] = _rational(c)
+        return out
 
     def embed(self, form: "Form") -> "Form":
         """form as a Form of this ring, whose generators include those
@@ -116,27 +394,30 @@ class FormRing:
         src = form.ring
         if src is self:
             return form
-        den = {self.factor_id(self.lift(src.factors[fid])): k for fid, k in form.den.items()}
-        return Form(self, {k: self.lift(p) for k, p in form.terms.items()}, den)
+        den = {self.factor_id(self.lift(src.factors[fid], src.symbols)): k
+               for fid, k in form.den.items()}
+        return Form(self, {k: self.lift(p, src.symbols) for k, p in form.terms.items()}, den)
 
     def constant(self, c) -> "Form":
-        c = QQ(c.p, c.q) if isinstance(c, sp.Rational) else QQ(c)
-        return Form(self, {ONE: self.poly.ground_new(c)}, {}) if c else self.zero
+        """The Form of an exact rational: an int, a Fraction or any
+        number with an integer numerator and denominator."""
+        c = _rational(c)
+        return Form(self, {ONE: Poly({self.zero_monom: c})}, {}) if c else self.zero
 
-    def scalar(self, p: PolyElement) -> "Form":
+    def scalar(self, p: Poly) -> "Form":
         """The Form of a polynomial of the ring."""
         return Form(self, {ONE: p}, {}) if p else self.zero
 
-    def den_poly(self, den: dict) -> PolyElement:
+    def den_poly(self, den: dict) -> Poly:
         """The expanded product of a denominator's factors."""
-        return self._scale(self.poly.one, den)
+        return self._scale(self.one, den)
 
     # -- factors -------------------------------------------------------
 
-    def factor_id(self, f: PolyElement) -> int:
+    def factor_id(self, f: Poly) -> int:
         """Id of the registered factor associate to the irreducible f,
         registering it if it is new."""
-        f = f.quo_ground(f.LC)
+        f = _monic(f)
         fid = self._ids.get(f)
         if fid is None:
             fid = len(self.factors)
@@ -148,34 +429,33 @@ class FormRing:
                                        if any(m[i] for m in f)))
         return fid
 
-    def _exquo(self, p: PolyElement, fid: int) -> PolyElement | None:
+    def _exquo(self, p: Poly, fid: int) -> Poly | None:
         """p / factors[fid] if it divides p, else None; a factor that is
         one generator is handled by the callers."""
         f = self.factors[fid]
         if not all(p.degree(j) >= f.degree(j) for j in self._support[fid]):
             return None
-        q, rem = p.div(f)
-        return None if rem else q
+        return p.exquo(f)
 
-    def _factor(self, p: PolyElement) -> tuple:
+    def _factor(self, p: Poly) -> tuple:
         """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.
-        Registered factors are divided out first; the rest is factored
-        in the ring of the generators it uses and its factors registered."""
+        Registered factors are divided out first; the irreducible factors
+        of the rest are registered in the order sympy's ``factor_list``
+        would list them in the ring of the generators it uses."""
         exps: dict[int, int] = {}
         for fid in range(len(self.factors)):
             k, (p,) = self._cancel((p,), fid, None)
             if k:
                 exps[fid] = k
-        if p.is_ground:
+        if p.is_ground():
             return p.LC, exps
-        own = PolyRing([s for s, d in zip(self.symbols, p.degrees()) if d > 0], QQ, grevlex)
-        c, factors = p.set_ring(own).factor_list()
-        for g, mult in factors:
-            g = self.lift(g)
-            c *= g.LC**mult
+        used = [i for i, d in enumerate(p.degrees()) if d]
+        found = _irreducible_factors(p)
+        found.sort(key=lambda gk: _factor_list_key(gk[0], gk[1], used))
+        for g, mult in found:
             fid = self.factor_id(g)
             exps[fid] = exps.get(fid, 0) + mult
-        return c, exps
+        return p.LC, exps
 
     def _cancel(self, polys: tuple, fid: int, limit: int | None) -> tuple:
         """(k, quotients): f = factors[fid] divided k times out of every
@@ -198,7 +478,7 @@ class FormRing:
             polys, k = tuple(quotients), k + 1
         return k, polys
 
-    def _scale(self, p: PolyElement, exps: dict) -> PolyElement:
+    def _scale(self, p: Poly, exps: dict) -> Poly:
         """p times prod(factors[f]**exps[f])."""
         for fid, k in exps.items():
             if k:
@@ -240,8 +520,9 @@ class FormRing:
         for (s, f), d in zip(parts, dens):
             factor = self._scale(s.terms[ONE], {fid: common[fid] - d.get(fid, 0)
                                                 for fid in common})
+            one = factor.is_one()
             for key, p in f.terms.items():
-                q = p if factor.is_one else factor * p
+                q = p if one else factor * p
                 terms[key] = terms[key] + q if key in terms else q
         return self._reduced(terms, common)
 
@@ -258,7 +539,7 @@ def _add_exps(a: dict, b: dict) -> dict:
 class Form:
     """A canonical rational function linear over the symbols outside its
     ring: sum(terms[k] * k) / prod(factors[f]**den[f]), with k a symbol
-    outside the ring or 1.  Immutable; build Forms with FormRing."""
+    outside the ring or ONE.  Immutable; build Forms with FormRing."""
 
     __slots__ = ("ring", "terms", "den")
     __hash__ = None
@@ -288,9 +569,13 @@ class Form:
         if isinstance(other, Form):
             return (self.ring is other.ring and self.den == other.den
                     and self.terms == other.terms)
-        if other == 0:
-            return not self.terms
+        if isinstance(other, (int, Fraction)):
+            return self == self.ring.constant(other)
         return self.as_expr() == other
+
+    def renamed(self, names: dict) -> "Form":
+        """The Form with each key k replaced by names.get(k, k)."""
+        return Form(self.ring, {names.get(k, k): p for k, p in self.terms.items()}, self.den)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -299,7 +584,7 @@ class Form:
             if other.ring is not self.ring:
                 raise ValueError("Forms of different rings")
             return other
-        if isinstance(other, int) or isinstance(other, sp.Rational):
+        if isinstance(other, (int, Fraction)):
             return self.ring.constant(other)
         return None
 
@@ -344,8 +629,8 @@ class Form:
         num = self.ring.den_poly(self.den).quo_ground(c)
         return Form(self.ring, {ONE: num}, exps)
 
-    def derive(self, d: Callable[[PolyElement], PolyElement],
-               dkey: Callable[[sp.Symbol], sp.Symbol | None]) -> "Form":
+    def derive(self, d: Callable[[Poly], Poly],
+               dkey: Callable[[str], str | None]) -> "Form":
         """Image under the derivation that is d on the ring and maps a
         key k to the key dkey(k) (None for the constant 1).  Quotient
         rule over the factors of the denominator that d does not kill."""
@@ -375,33 +660,137 @@ class Form:
 
     # -- boundary ------------------------------------------------------
 
-    def as_expr(self) -> sp.Expr:
-        """The canonical expression: the expanded numerator over the
-        expanded product of the denominator's factors."""
-        if not self.terms:
-            return sp.S.Zero
-        syms = self.ring.symbols
-        to_sympy = QQ.to_sympy
-        args = []
-        for key, p in self.terms.items():
-            for m, c in p.items():
-                t = [to_sympy(c)]
-                t.extend(sp.Pow(syms[i], m[i]) for i in compress(self.ring._range, m))
-                if key is not ONE:
-                    t.append(key)
-                args.append(sp.Mul(*t))
-        num = sp.Add(*args)
+    def as_expr(self):
+        """The canonical expression, built with sympy: the expanded
+        numerator over the expanded product of the denominator's
+        factors."""
+        import sympy as sp
+
+        syms = [sp.Symbol(s) for s in self.ring.symbols]
+
+        def expr(terms):
+            args = []
+            for key, p in terms.items():
+                for m, c in p.items():
+                    t = [sp.Rational(c.numerator, c.denominator)]
+                    t.extend(sp.Pow(syms[i], m[i]) for i in compress(self.ring._range, m))
+                    if key is not ONE:
+                        t.append(sp.Symbol(key))
+                    args.append(sp.Mul(*t))
+            return sp.Add(*args)
+
+        num = expr(self.terms)
         if not self.den:
             return num
-        return num / self.ring.den_poly(self.den).as_expr()
+        return num / expr({ONE: self.ring.den_poly(self.den)})
 
     def _sympy_(self):
         """sympify(form) is form.as_expr()."""
         return self.as_expr()
 
-    def as_numer_denom(self) -> tuple[sp.Expr, sp.Expr]:
+    def as_numer_denom(self) -> tuple:
         """Numerator and denominator of as_expr(), as sympy gives them."""
         return self.as_expr().as_numer_denom()
 
     def __repr__(self):
-        return f"Form({self.as_expr()})"
+        return f"Form({fmt(self)})"
+
+
+# -- printing ----------------------------------------------------------
+#
+# A printed Form is what sympy's ``sstr`` prints for ``as_expr()``, with
+# ``^`` for ``**``.  A term is (coefficient, [(name, exponent), ...]) with
+# the names sorted.  A sum lists its terms by the lex order of their
+# exponents over the sorted names, largest first, except that a positive
+# constant goes before a single negative factor (``1 - u_x``).  A
+# quotient prints the numerator's integer, the numerator's factors, then
+# after ``/`` the coefficient's denominator and the denominator's factors,
+# or its sum in parentheses.
+
+
+def _power(name: str, e: int) -> str:
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _product(c, factors: list) -> tuple:
+    """(sign, the printed factors above the line, the integer below it)
+    of c times the factors."""
+    sign = "-" if c < 0 else ""
+    c = abs(c)
+    above = [str(c.numerator)] if c.numerator != 1 else []
+    return sign, above + [_power(n, e) for n, e in factors], c.denominator
+
+
+def _term(c, factors: list) -> str:
+    if not factors:
+        return str(c)
+    sign, above, q = _product(c, factors)
+    return sign + "*".join(above) + (f"/{q}" if q != 1 else "")
+
+
+def _sorted_terms(ring: FormRing, terms: dict) -> list:
+    """The terms of sum(terms[k] * k) in printed order."""
+    out = []
+    names = set()
+    for key, p in terms.items():
+        for m, c in p.items():
+            factors = [(ring.symbols[i], m[i]) for i in compress(ring._range, m)]
+            if key is not ONE:
+                factors.append((key, 1))
+                factors.sort()
+            names.update(n for n, _e in factors)
+            out.append((c, factors))
+    if len(out) == 1:
+        return out
+    where = {n: i for i, n in enumerate(sorted(names))}
+
+    def lex(term):
+        exps = [0] * len(where)
+        for n, e in term[1]:
+            exps[where[n]] = e
+        return exps
+
+    out.sort(key=lex, reverse=True)
+    if len(out) == 2:
+        (c0, f0), (c1, f1) = out
+        if not f1 and c1 > 0 and c0 < 0 and len(f0) == 1:
+            out.reverse()
+    return out
+
+
+def _sum(terms: list) -> str:
+    """One term, or a sum of terms in printed order."""
+    out = _term(*terms[0])
+    for t in terms[1:]:
+        s = _term(*t)
+        out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
+    return out
+
+
+def fmt(form: Form) -> str:
+    """The canonical expression of a Form, printed as sympy's ``sstr``
+    prints ``form.as_expr()`` but with ``^`` for powers."""
+    if not form.terms:
+        return "0"
+    ring = form.ring
+    num = _sorted_terms(ring, form.terms)
+    if not form.den:
+        return _sum(num)
+    den = _sorted_terms(ring, {ONE: ring.den_poly(form.den)})
+    monomial = len(den) == 1
+    if monomial:
+        below = [_power(n, e) for n, e in den[0][1]]
+    else:
+        below = [f"({_sum(den)})"]
+    if len(num) > 1:
+        above = [f"({_sum(num)})"]
+        sign = ""
+    else:
+        c, factors = num[0]
+        if c == 1 and not factors and monomial and len(below) == 1 and den[0][1][0][1] > 1:
+            return "%s^(-%d)" % den[0][1][0]  # a lone power: sympy's Pow printer
+        sign, above, q = _product(c, factors)
+        if q != 1:
+            below.insert(0, str(q))
+    text = sign + ("*".join(above) or "1")
+    return text + (f"/{below[0]}" if len(below) == 1 else f"/({'*'.join(below)})")

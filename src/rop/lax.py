@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .jets import LAMBDA, JetSpace, RewriteSystem, solve_for_leading, total_derivative
-from .kernel import Expr, Form, FormRing
+from .kernel import Form, FormRing, fmt
 
 
 class NotLambdaLinearError(ValueError):
@@ -129,15 +129,14 @@ def _lambda_parts(c: Form) -> tuple[Form, Form]:
     k = ring.index[LAMBDA]
     if any(ring.factors[fid].degree(k) for fid in c.den):
         raise NotLambdaLinearError(
-            f"coefficient {c.as_expr()} is not polynomial in the spectral parameter")
+            f"coefficient {fmt(c)} is not polynomial in the spectral parameter")
     degree = max((p.degree(k) for p in c.terms.values()), default=0)
     if degree > 1:
         raise NotLambdaLinearError(
-            f"coefficient {c.as_expr()} has spectral-parameter degree {degree}; "
+            f"coefficient {fmt(c)} has spectral-parameter degree {degree}; "
             "try rewriting the pair in a lambda-linear form first")
-    lam = ring.poly.gens[k]
-    hi = c.derive(lambda p: p.diff(lam), lambda _key: None)
-    return hi, c - hi * ring.scalar(lam)
+    hi = c.derive(lambda p: p.diff(k), lambda _key: None)
+    return hi, c - hi * ring.symbol(LAMBDA)
 
 
 def split_lax_operator(op: FirstOrderOperator,
@@ -189,10 +188,12 @@ class LaxPair:
 
 @dataclass
 class LaxReport:
+    """The verdict, with the nonzero residuals, the multipliers and the
+    assumptions as Forms."""
     passed: bool
-    residuals: list[Expr] = field(default_factory=list)
-    multipliers: tuple[Expr, Expr] | None = None
-    assumptions: tuple[Expr, ...] = ()
+    residuals: list[Form] = field(default_factory=list)
+    multipliers: tuple[Form, Form] | None = None
+    assumptions: tuple[Form, ...] = ()
     note: str = ""
 
 
@@ -248,5 +249,4 @@ def check_lax(pair: LaxPair, F: Form, space: JetSpace) -> LaxReport:
     free = not residuals and not closure(lambda f: f)[2]
     if free:
         note += "; the pair closes without F = 0, so it does not encode the equation"
-    return LaxReport(not residuals and not free, [r.as_expr() for r in residuals],
-                     (a.as_expr(), b.as_expr()), sys.assumptions, note)
+    return LaxReport(not residuals and not free, residuals, (a, b), sys.assumptions, note)

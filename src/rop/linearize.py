@@ -49,14 +49,14 @@ def linearize(F: Form, space: JetSpace) -> LinearDifferentialOperator:
     derivatives of F with respect to each jet variable present."""
     ring = F.ring
     coeffs = []
-    for s in sorted(F.free_symbols, key=str):
+    for s in sorted(F.free_symbols):
         jv = space.jet_var(s)
         if jv is None:
             continue
         if jv.unknown != "u":
             raise WrongUnknownError(f"F depends on {s}, not a u-jet")
-        gen = ring.poly.gens[ring.index[s]]
-        c = F.derive(lambda p: p.diff(gen), lambda _key: None)
+        i = ring.index[s]
+        c = F.derive(lambda p: p.diff(i), lambda _key: None)
         if c != 0:
             coeffs.append((jv.index, c))
     coeffs.sort(key=lambda pair: (len(pair[0]), pair[0]))

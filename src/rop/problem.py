@@ -31,12 +31,10 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import sympy as sp
-
 from . import kernel
 from .engine import ORIENTATIONS, SLOTS, TwistRelations, check_twist_function
 from .jets import UNKNOWNS, JetSpace, jet_ring, total_derivative
-from .kernel import ONE, Form
+from .kernel import ONE, Form, Poly
 from .lax import LAMBDA, FirstOrderOperator, LaxPair, split_lax_operator
 
 _TOKEN = re.compile(r"\s*(\*\*|[A-Za-z][A-Za-z0-9_]*|\d+|[-+*/^(),=])")
@@ -77,10 +75,6 @@ class Problem:
     warnings: list = field(default_factory=list)
 
 
-def fmt(e) -> str:
-    return sp.sstr(sp.sympify(e)).replace("**", "^")
-
-
 def _tokenize(text: str, line_no: int):
     tokens, pos = [], 0
     while pos < len(text):
@@ -104,8 +98,7 @@ class _ExprParser:
         self.i = 0
         self.space = space
         self.ring = jet_ring(space)
-        self.symbols = {"lam": LAMBDA, **{p.name: p for p in space.params},
-                        **space.var_syms}  # the names are distinct (_declare)
+        self.names = {LAMBDA, *space.params, *space.variables}  # distinct (_declare)
         self.lets = lets
         self.line = line_no
         self.allow_bare_d = allow_bare_d
@@ -178,12 +171,11 @@ class _ExprParser:
         if self.peek() not in ("^", "**"):
             return base
         self.next()
-        k = self.unary()
-        if not isinstance(k, Form) or not k.as_expr().is_Integer:
+        k = _integer(self.unary())
+        if k is None:
             raise ProblemSyntaxError("exponent must be an integer", self.line)
         if isinstance(base, FirstOrderOperator):
             self.not_first_order()
-        k = int(k.as_expr())
         if k < 0:
             base, k = base.inverse(), -k
         out = self.ring.constant(1)
@@ -206,7 +198,7 @@ class _ExprParser:
     def name(self, tok, col):
         if tok.startswith("D_"):
             v = tok[2:]
-            if v not in self.space.var_syms:
+            if v not in self.space.variables:
                 raise ProblemSyntaxError(f"unknown direction in {tok!r}", self.line, col)
             if self.peek() == "(":
                 self.next()
@@ -221,13 +213,26 @@ class _ExprParser:
             return FirstOrderOperator.make(self.ring.zero, {v: self.ring.constant(1)})
         if tok in self.lets:
             return self.lets[tok]
-        sym = self.symbols.get(tok) or self.space.jet_named(tok)
+        sym = tok if tok in self.names else self.space.jet_named(tok)
         if sym is not None:
             return self.ring.symbol(sym)
         if len(tok) == 1 and tok.isalpha():
             raise ProblemSyntaxError(
                 f"unknown symbol {tok!r} (not a declared variable)", self.line, col)
         raise ProblemSyntaxError(f"unknown symbol {tok!r}", self.line, col)
+
+
+def _integer(e) -> int | None:
+    """The value of a Form that is an integer constant, else None."""
+    if not isinstance(e, Form) or e.den or not e.is_scalar():
+        return None
+    p = e.terms.get(ONE)
+    if p is None:
+        return 0
+    if len(p) != 1:
+        return None
+    (m, c), = p.items()
+    return int(c) if not any(m) and c.denominator == 1 else None
 
 
 _SLOT_RE = re.compile(r"f([12])_([01])")
@@ -323,7 +328,7 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                 if not e.is_scalar() or LAMBDA in e.free_symbols:
                     raise ProblemSyntaxError("the equation must be free of lam, U and Ut",
                                              line_no)
-                F = ring.scalar(e.terms.get(ONE, ring.poly.zero).clear_denoms()[1])
+                F = ring.scalar(e.terms.get(ONE, Poly()).clear_denoms()[1])
             elif head == "lax":
                 op = parser(rest, allow_bare_d=True).parse()
                 if not isinstance(op, FirstOrderOperator) or not op.dirs:

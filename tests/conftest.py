@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,9 +45,9 @@ def evaluate(e, ring):
     sums, products and integer powers are taken in the ring."""
     e = sp.sympify(e)
     if e.is_Symbol:
-        return ring.symbol(e)
+        return ring.symbol(e.name)
     if e.is_Rational:
-        return ring.constant(e)
+        return ring.constant(Fraction(e.p, e.q))
     if e.is_Add:
         one = ring.constant(1)
         return ring.combine([(one, evaluate(a, ring)) for a in e.args])
@@ -73,21 +74,28 @@ def to_form(e, space):
     any symbol of e that is neither a jet, an independent variable, lam
     nor a parameter as an extra generator."""
     e = sp.sympify(e)
-    known = {LAMBDA, *space.params, *space.var_syms.values()}
-    return evaluate(e, jet_ring(space, [s for s in e.free_symbols
-                                        if s not in known and space.jet_var(s) is None]))
+    known = {LAMBDA, *space.params, *space.variables}
+    return evaluate(e, jet_ring(space, [s.name for s in e.free_symbols
+                                        if s.name not in known
+                                        and space.jet_var(s.name) is None]))
 
 
 def canonical(e) -> sp.Expr:
     """The kernel's canonical form of an expression, through a Form of
     the ring of its own symbols."""
     e = sp.sympify(e)
-    return evaluate(e, FormRing(e.free_symbols)).as_expr()
+    return evaluate(e, FormRing(s.name for s in e.free_symbols)).as_expr()
 
 
 def jets_in(space, e) -> list:
     """The jets among the symbols of an expression."""
-    return [s for s in sp.sympify(e).free_symbols if space.jet_var(s) is not None]
+    return [s for s in sp.sympify(e).free_symbols if space.jet_var(s.name) is not None]
+
+
+def jet_symbols(space):
+    """space.jet, giving the jet as a sympy symbol, for building
+    reference expressions."""
+    return lambda unknown, index=(): sp.Symbol(space.jet(unknown, index))
 
 
 def zero_twist(space, orientation="forward"):

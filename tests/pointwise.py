@@ -136,11 +136,11 @@ def reference_total_derivative(e, x: str, space: JetSpace) -> sp.Expr:
     """D_x of an expression through sp.diff: explicit x-dependence plus
     the chain rule over every jet present."""
     e = sp.sympify(e)
-    out = sp.diff(e, space.var_syms[x])
+    out = sp.diff(e, sp.Symbol(x))
     for s in e.free_symbols:
-        jv = space.jet_var(s)
+        jv = space.jet_var(s.name)
         if jv is not None:
-            out += sp.diff(e, s) * space.jet(jv.unknown, jv.index + (x,))
+            out += sp.diff(e, s) * sp.Symbol(space.jet(jv.unknown, jv.index + (x,)))
     return normalize(out)
 
 
@@ -211,9 +211,9 @@ def first_variation_defect(F, space: JetSpace, seed: str = "U") -> sp.Expr:
     eps = sp.Symbol("_eps")
     shift = {}
     for s in F.free_symbols:
-        jv = space.jet_var(s)
+        jv = space.jet_var(s.name)
         if jv is not None and jv.unknown == "u":
-            shift[s] = s + eps * space.jet(seed, jv.index)
+            shift[s] = s + eps * sp.Symbol(space.jet(seed, jv.index))
     shifted = F.xreplace(shift)
     lin = linearize(to_form(F, space), space).apply_to(seed, space).as_expr()
     defect = sp.cancel(sp.together(shifted - F - eps * lin))

@@ -12,6 +12,7 @@ import sympy as sp
 from rop import engine
 from rop.cli import main
 
+from conftest import jet_symbols
 from pointwise import equal
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -131,7 +132,7 @@ class TestOtherCommands:
         assert doc["verdict"] == "PASS"
         [sol] = doc["solutions"]
         assert sol["reverified"] is True
-        j = dfkn2.space.jet
+        j = jet_symbols(dfkn2.space)
         twist = {k: sp.sympify(v.replace("^", "**")) for k, v in sol["twist"].items()}
         assert equal(twist["f1_1"], -j("u", "xz") / j("u", "x"))
         assert equal(twist["f2_1"], -j("u", "xx") / j("u", "x"))
@@ -176,7 +177,7 @@ class TestOtherCommands:
         doc = json.loads(out)
         assert doc["verdict"] == "PASS" and doc["orientation"] == "forward"
         assert len(doc["relations"]) == 4
-        j = dfkn2.space.jet
+        j = jet_symbols(dfkn2.space)
         for level, rel in ((0, doc["relations"][0]), (1, doc["relations"][3])):
             assert rel.endswith(" = 0") and "Ut" not in rel
             e = sp.sympify(rel[:-len(" = 0")].replace("^", "**"))
@@ -436,3 +437,32 @@ def test_import_leaves_the_collector_as_found(enabled):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout == f"{enabled}\n"
+
+
+# The command line's check of a given twist needs no sympy: only solve
+# imports it.  Each run is a fresh interpreter, since an import is cached.
+WITHOUT_SYMPY = ("import sys\nfrom rop import cli\ncode = cli.main(sys.argv[1:])\n"
+                 "sys.exit(3 if 'sympy' in sys.modules else code)")
+
+
+@pytest.mark.parametrize("command", [["lax-check"], ["verify"], ["linearize"],
+                                     ["hierarchy", "--k", "2"]],
+                         ids=["lax-check", "verify", "linearize", "hierarchy"])
+@pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEM_DIR.glob("*.rop")))
+def test_command_runs_without_sympy(problem, command):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY, command[0],
+                           str(PROBLEM_DIR / f"{problem}.rop"), *command[1:], "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "PASS"
+
+
+def test_failing_verify_runs_without_sympy(tmp_path):
+    wrong = tmp_path / "heavenly2-wrong.rop"
+    wrong.write_text(Path(HEAVENLY2).read_text().replace("twist f1_0 = 0\n",
+                                                         "twist f1_0 = u_xx\n"))
+    assert wrong.read_text() != Path(HEAVENLY2).read_text()
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY, "verify", str(wrong),
+                           "--json"], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "FAIL"

@@ -2,12 +2,16 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import grevlex
+from sympy.polys.rings import PolyRing
 
 from rop import kernel
+from rop.engine import build_relations
 from rop.kernel import DegenerateExpressionError
-from rop.problem import ProblemSyntaxError, fmt, parse_problem
+from rop.problem import ProblemSyntaxError, parse_problem
 
 import pointwise
 from conftest import canonical, evaluate, random_poly, random_rational
@@ -54,7 +58,7 @@ class TestNormalize:
     def test_non_rational_input_rejected(self, e):
         # the parser, the one way into a Form, admits only rational input
         text = ("problem p\nvars x y z\nequation u_xy = 0\nlax D_x - lam*D_y\n"
-                f"lax D_y - lam*D_z\ntwist f1_0 = {fmt(e)}\n")
+                f"lax D_y - lam*D_z\ntwist f1_0 = {sp.sstr(e).replace('**', '^')}\n")
         with pytest.raises(ProblemSyntaxError) as exc:
             parse_problem(text)
         assert exc.value.line == 6
@@ -63,9 +67,9 @@ class TestNormalize:
 def partial_diff(e, s: sp.Symbol) -> sp.Expr:
     """The partial derivative as linearize takes it: Form.derive with the
     partial derivative of the polynomial ring, which every key ignores."""
-    ring = kernel.FormRing(sp.sympify(e).free_symbols | {s})
-    gen = ring.poly.gens[ring.index[s]]
-    return evaluate(e, ring).derive(lambda p: p.diff(gen), lambda _key: None).as_expr()
+    ring = kernel.FormRing({t.name for t in sp.sympify(e).free_symbols | {s}})
+    i = ring.index[s.name]
+    return evaluate(e, ring).derive(lambda p: p.diff(i), lambda _key: None).as_expr()
 
 
 class TestPartialDiff:
@@ -90,24 +94,24 @@ class TestPartialDiff:
 
 class TestEmbed:
     def test_embed_keeps_the_value(self):
-        small = kernel.FormRing({u_x, u_y, alpha})
-        big = kernel.FormRing({u_x, u_y, u_z, alpha})
+        small = kernel.FormRing({"u_x", "u_y", "alpha"})
+        big = kernel.FormRing({"u_x", "u_y", "u_z", "alpha"})
         e = (u_y**2 - alpha * u_x) / (u_x + alpha * u_y) / u_x
         assert big.embed(evaluate(e, small)) == evaluate(e, big)
 
     def test_unused_generator_may_be_missing(self):
-        small = kernel.FormRing({u_x, u_y})
-        big = kernel.FormRing({u_x, u_z})
+        small = kernel.FormRing({"u_x", "u_y"})
+        big = kernel.FormRing({"u_x", "u_z"})
         assert big.embed(evaluate(u_x, small)) == evaluate(u_x, big)
 
     @pytest.mark.parametrize("e", [u_y * u_x, u_x / (u_y + 1)])
     def test_missing_generator_rejected(self, e):
-        small = kernel.FormRing({u_x, u_y})
-        big = kernel.FormRing({u_x, u_z})
+        small = kernel.FormRing({"u_x", "u_y"})
+        big = kernel.FormRing({"u_x", "u_z"})
         with pytest.raises(ValueError, match="u_y"):
             big.embed(evaluate(e, small))
         with pytest.raises(ValueError, match="u_y"):
-            big.lift(small.poly.gens[small.index[u_y]])
+            big.lift(small.gen(small.index["u_y"]), small.symbols)
 
 
 class TestSubstitute:
@@ -246,7 +250,7 @@ def test_form_matches_normalize(seed):
     # a fresh ring per example, so lam*u_x + u_y is first met when the
     # second fraction is converted, after the first one's factors
     rng = random.Random(seed)
-    ring = kernel.FormRing([u_x, u_s, u_y, u_z, alpha, lam])
+    ring = kernel.FormRing(["u_x", "u_s", "u_y", "u_z", "alpha", "lam"])
     a = _fraction(rng, LOCALISING, keys=(U, Ut_x))
     b = _fraction(rng, LOCALISING + [MET_LATER])
     fa, fb = evaluate(a, ring), evaluate(b, ring)
@@ -263,10 +267,139 @@ def test_inverse_registers_the_factors_on_their_generators():
     # generators the polynomial does not use sit between those it does,
     # so a factor mapped back by position lands on the wrong ones
     beta, u_xy = sp.symbols("beta u_xy")
-    ring = kernel.FormRing([alpha, beta, u_x, u_xy, u_y, u_yz, u_z])
+    ring = kernel.FormRing(["alpha", "beta", "u_x", "u_xy", "u_y", "u_yz", "u_z"])
     e = (alpha - 1) * (u_x + u_y) * u_z**2
     inverse = evaluate(e, ring).inverse()
     want = dict(sp.factor_list(e)[1])
-    assert {ring.factors[fid].as_expr(): k for fid, k in inverse.den.items()} == want
+    assert {ring.scalar(ring.factors[fid]).as_expr(): k
+            for fid, k in inverse.den.items()} == want
     assert len(ring.factors) == len(want)
-    assert inverse.terms == {kernel.ONE: ring.poly.one}
+    assert inverse.terms == {kernel.ONE: ring.one}
+
+
+# -- the printer against sympy's ------------------------------------------
+
+PRINT_NAMES = ["alpha", "lam", "u_x", "u_y", "u_z"]
+PRINT_KEYS = ["U", "Ut_x"]
+PRINT_DENOMINATORS = ["u_x", "u_y**2", "u_x + u_y", "u_y - 2*u_z", "alpha*lam - alpha - 1",
+                      "3*u_x - alpha*u_z", "lam + 1", "u_x**2 + u_z"]
+
+
+def _sstr(form) -> str:
+    return sp.sstr(form.as_expr()).replace("**", "^")
+
+
+def _random_printed_form(rng, ring):
+    """A sum of one to four terms, each a rational times a monomial in
+    the generators, some times a key, over zero to two factors from
+    PRINT_DENOMINATORS; the leading coefficients take either sign."""
+    sym = {n: ring.symbol(n) for n in PRINT_NAMES + PRINT_KEYS}
+    num = ring.zero
+    for _ in range(rng.randint(1, 4)):
+        term = ring.constant(kernel.Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                                             rng.choice([1, 1, 2, 3])))
+        for _ in range(rng.randint(0, 3)):
+            term = term * sym[rng.choice(PRINT_NAMES)]
+        if rng.random() < 0.3:
+            term = term * sym[rng.choice(PRINT_KEYS)]
+        num = num + term
+    for _ in range(rng.randint(0, 2)):
+        num = num * evaluate(rng.choice(PRINT_DENOMINATORS), ring).inverse()
+    return num
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_printer_matches_sympy(seed):
+    rng = random.Random(seed)
+    ring = kernel.FormRing(PRINT_NAMES)
+    form = _random_printed_form(rng, ring)
+    assert kernel.fmt(form) == _sstr(form)
+
+
+@pytest.mark.parametrize("text", [
+    "1 - u_x", "2 - lam", "u_y/(2*u_x)", "3*u_y/(2*(u_x + u_y))",
+    "(u_y/2 + u_z)/(u_x^2*u_y)", "(-u_y - u_z)/(u_x + u_y)", "0", "-1/2",
+    "u_x^(-2)", "1/u_x", "-1/u_x^2", "1/(2*u_x)", "1/(u_x + u_y)", "1 - u_x^2",
+    "-u_x*u_y + 1", "-u_x - 1", "U*u_x/(u_x + u_y)"])
+def test_printer_shapes(text):
+    # sympy's two-term Add special case (a positive constant before one
+    # negative factor), a lone power, and both kinds of denominator
+    e = sp.sympify(text.replace("^", "**"))
+    form = evaluate(e, kernel.FormRing(s.name for s in e.free_symbols if s.name != "U"))
+    assert kernel.fmt(form) == text == _sstr(form)
+
+
+def test_renamed_keys_sort_by_their_new_names(dfkn2):
+    # as rop hierarchy prints a level: psi_1 sorts after alpha and before
+    # u_x, where Ut sorted first
+    relset = build_relations(dfkn2.lax, dfkn2.twist, dfkn2.space)
+    for e in relset.relations:
+        names = {k: k.replace("Ut", "psi_1", 1).replace("U", "psi_0", 1)
+                 for k in e.terms if k is not kernel.ONE}
+        want = e.as_expr().xreplace({sp.Symbol(k): sp.Symbol(v) for k, v in names.items()})
+        assert kernel.fmt(e.renamed(names)) == sp.sstr(want).replace("**", "^")
+
+
+# -- factoring against sympy's factor_list ------------------------------------
+
+FACTOR_NAMES = ["alpha", "lam", "u_x", "u_y", "u_z"]
+
+
+def _degree_one_factor(rng):
+    """a*x + b, x a random generator and a, b small polynomials in others."""
+    x = rng.choice(FACTOR_NAMES)
+    others = [sp.Symbol(n) for n in FACTOR_NAMES if n != x]
+    a = random_poly(rng, others, terms=2, degree=1)
+    while a == 0:
+        a = random_poly(rng, others, terms=2, degree=1)
+    return sp.expand(a * sp.Symbol(x) + random_poly(rng, others, terms=2, degree=2))
+
+
+def _factor_like_sympy(e):
+    """(program, sympy) for the polynomial e, each as (unit, [(factor,
+    multiplicity), ...]) with the factors monic (grevlex) in the order
+    they are registered."""
+    used = sorted((s.name for s in e.free_symbols))
+    ring = kernel.FormRing(FACTOR_NAMES)
+    c, exps = ring._factor(evaluate(e, ring).terms[kernel.ONE])
+    got = (c, [(ring.factors[fid], k) for fid, k in exps.items()])
+    own = PolyRing(used, QQ, grevlex)
+    unit, factors = own.from_expr(e).factor_list()
+    want = []
+    for g, k in factors:
+        unit *= g.LC**k
+        want.append((ring.lift(g.quo_ground(g.LC), own.symbols), k))
+    return got, (unit, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32))
+def test_factoring_matches_factor_list(seed):
+    rng = random.Random(seed)
+    e = rng.choice([1, -2, sp.Rational(3, 2)])
+    for _ in range(rng.randint(1, 3)):
+        e *= _degree_one_factor(rng)**rng.randint(1, 2)
+    if rng.random() < 0.5:
+        e *= sp.Symbol(rng.choice(FACTOR_NAMES))**rng.randint(1, 2)
+    e = sp.expand(e)
+    assume(not e.is_number)
+    got, want = _factor_like_sympy(e)
+    assert got == want
+
+
+@pytest.mark.parametrize("text,fallback", [
+    ("lam*(u_y - u_z)*(alpha*lam - alpha - 1)", 0),  # dfkn3's Lax polynomial
+    ("u_x**2 + u_y**2", 1), ("u_x**2 - u_y**2", 1),
+    # degree 1 in u_z, whose coefficient has no generator of degree 1
+    ("(u_x**2 + u_y**2)*u_z + 1", 1), ("(u_x**2 - u_y**2)*(u_z + 1)", 1),
+    ("(u_x + u_y)*(u_x - lam*u_y)", 0)])
+def test_factoring_falls_back_only_without_a_degree_one_generator(
+        text, fallback, monkeypatch):
+    calls = []
+    sympy_factors = kernel._sympy_factors
+    monkeypatch.setattr(kernel, "_sympy_factors",
+                        lambda p: calls.append(p) or sympy_factors(p))
+    got, want = _factor_like_sympy(sp.expand(sp.sympify(text)))
+    assert got == want
+    assert len(calls) == fallback

@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rop.jets import JetSpace, OrderOverflowError
-from rop.kernel import DegenerateExpressionError
-from rop.problem import (ProblemSyntaxError, _ExprParser, _tokenize, fmt, parse_basis,
+from rop.kernel import DegenerateExpressionError, FormRing, fmt
+from rop.problem import (ProblemSyntaxError, _ExprParser, _tokenize, parse_basis,
                          parse_problem)
 
-from conftest import jets_in
+from conftest import jet_symbols, jets_in
 from pointwise import equal, normalize, reference_total_derivative
 
 MINIMAL = """\
@@ -25,7 +25,7 @@ class TestParsing:
         prob = parse_problem(MINIMAL)
         assert prob.name == "demo"
         assert prob.space.variables == ("x", "y", "z")
-        j = prob.space.jet
+        j = jet_symbols(prob.space)
         assert normalize(prob.F - j("u", "x") * j("u", "yz")
                          + j("u", "y") * j("u", "xz")) == 0
         assert prob.twist is None
@@ -40,7 +40,7 @@ class TestParsing:
         # equation was given via D_z(u_y/u_x) - D_x(u_t/u_x), cleared of
         # the u_x^2 denominator
         s = dfkn2.space
-        j = s.jet
+        j = jet_symbols(s)
         expected = (j("u", "x") * j("u", "yz") - j("u", "y") * j("u", ("z", "x"))
                     - j("u", "x") * j("u", ("t", "x")) + j("u", "t") * j("u", "xx"))
         assert normalize(dfkn2.F - expected) == 0 or \
@@ -49,7 +49,7 @@ class TestParsing:
     def test_let_substitution(self, dfkn3):
         # twist slots were written via lets; all four resolved to
         # u-jet expressions with the parameter
-        alpha = dfkn3.space.params[0]
+        alpha = sp.Symbol(dfkn3.space.params[0])
         for slot, e in dfkn3.twist.f.items():
             assert not sp.sympify(e).free_symbols - set(
                 jets_in(dfkn3.space, e)) - {alpha}
@@ -68,16 +68,16 @@ class TestParsing:
         text = MINIMAL + "twist f1_1 = -u_xy/u_x\n"
         prob = parse_problem(text)
         assert prob.twist.f[(1, 0)] == 0
-        assert equal(prob.twist.f[(1, 1)],
-                     -prob.space.jet("u", "xy") / prob.space.jet("u", "x"))
+        j = jet_symbols(prob.space)
+        assert equal(prob.twist.f[(1, 1)], -j("u", "xy") / j("u", "x"))
 
     def test_max_order_override(self):
         prob = parse_problem(MINIMAL, max_order=3)
         assert prob.space.max_order == 3
 
     def test_basis_uses_the_problems_lets_and_params(self, dfkn3):
-        j = dfkn3.space.jet
-        alpha = dfkn3.space.params[0]
+        j = jet_symbols(dfkn3.space)
+        alpha = sp.Symbol(dfkn3.space.params[0])
         basis = parse_basis("# a basis file\nansatz f2_1 = m, alpha*u_xx/u_x\n", dfkn3)
         assert list(basis) == [(2, 1)]
         m, second = basis[(2, 1)]
@@ -188,8 +188,9 @@ class TestErrors:
 
 
 def test_fmt_uses_caret():
-    x = sp.Symbol("u_x")
-    assert fmt(x**2 / 3) == "u_x^2/3"
+    ring = FormRing(["u_x"])
+    x = ring.symbol("u_x")
+    assert fmt(x * x * ring.constant(3).inverse()) == "u_x^2/3"
 
 
 # -- the parser against sympy's reading of the same text --------------------

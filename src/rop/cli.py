@@ -136,24 +136,7 @@ def _verify(problem: Problem, orientations: list[str]) -> dict:
     }
 
 
-def _import_sympy() -> None:
-    """Import sympy, which the solver needs, with the collector off, and
-    freeze its import heap before the collector is switched back on:
-    sympy's import leaves ~50k objects and frees almost none of them, so
-    the collections it would trigger, during the import and after it,
-    are pure cost."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        import sympy  # noqa: F401
-        gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def cmd_solve(problem: Problem, args) -> dict:
-    _import_sympy()
     out_solutions = []
     warnings = list(problem.warnings)
     t0 = time.monotonic()

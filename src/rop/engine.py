@@ -21,16 +21,17 @@ one JetRing per computation, whose generators include the twist's
 unknown constants.  F, the Lax operators and the twist come as Forms of
 the space's JetRing (an ansatz twist: of that ring with its constants),
 and ``FormRing.embed`` moves them into the computation's ring; the
-VerifyReport carries Forms.  Up to here nothing needs sympy.  The
-determining equations are made in the solver's ring, sympy's polynomial
-ring of the unknowns over QQ or the field of the residuals' other
-symbols, in one pass that splits each monomial of the residuals'
-numerators into its equation, its monomial and its coefficient.  The
-solver stays in that ring: the branch step factors an equation there,
-and a closed branch's values are ground elements of it, which
-``Solution.twist_functions`` lifts back with ``FormRing.lift`` and turns
-into Forms with Form arithmetic.  sympy is imported by the functions
-that make and solve the determining system, when they are first called.
+VerifyReport carries Forms.  The determining equations are made in the
+solver's ring, in one pass that splits each monomial of the residuals'
+numerators into its equation, its monomial and its coefficient: an
+equation is a ``kernel.Poly`` over the unknowns, with coefficients in QQ
+or, when the residuals hold parameters or independent variables, scalar
+Forms of one FormRing of those.  The solver stays in that ring: a row
+reduction of its own, a substitution of the solved values, and the
+kernel's factoring for the branch step; a closed branch's values are
+rationals or scalar Forms, which ``Solution.twist_functions`` turns into
+Forms of the basis terms' ring.  sympy is imported only by the kernel,
+to factor an equation that has no unknown of degree 1.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
                    solve_for_leading, total_derivative)
-from .kernel import ONE, Form
+from .kernel import (ONE, Form, FormRing, Poly, _dense, _irreducible_factors,
+                     _primitive)
 from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
 from .linearize import LinearDifferentialOperator, linearize
 
@@ -244,14 +247,23 @@ def default_ansatz(F, pair: LaxPair, space: JetSpace) -> dict:
 
 @dataclass
 class DeterminingSystem:
-    """Equations for the ansatz constants (the unknowns): elements of the
-    solver's ring, whose generators are the unknowns and whose domain is
-    QQ or the field of the parameters and independent variables they
-    hold; their common zeros give the twists of the ansatz that pass."""
+    """Equations for the ansatz constants (the unknowns), elements of the
+    solver's ring: Polys over the unknowns, whose coefficients lie in QQ
+    (ints and Fractions) or in the field of the parameters and
+    independent variables they hold (scalar Forms of one FormRing of
+    those symbols).  Their common zeros give the twists of the ansatz
+    that pass."""
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
     orientation: str
+
+    @property
+    def domain(self) -> FormRing | None:
+        """The FormRing whose scalar Forms are the coefficients, or None
+        over QQ (so also with no equations)."""
+        c = next((c for e in self.equations for c in e.values()), None)
+        return c.ring if isinstance(c, Form) else None
 
 
 def ansatz_twist(basis: dict, orientation: str) -> tuple[TwistRelations, dict]:
@@ -285,79 +297,76 @@ def derive_determining_system(F, pair: LaxPair, basis: dict,
 def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
                                     space: JetSpace) -> list:
     """Coefficient of every monomial in the parametric jets (and lam, if
-    present) across both residuals, each once, in the solver's ring
-    ``PolyRing(unknowns, K)``: the twist's constants sorted by name, over
-    QQ or the field of the other generators in the residuals' numerators.
-    Empty iff the twist satisfies both conditions; with an ansatz twist
-    these are the determining equations for its constants."""
-    from sympy import Symbol
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import PolyRing
-
+    present) across both residuals, each once, in the solver's ring:
+    Polys over the twist's constants sorted by name, with coefficients in
+    QQ or, when the residuals' numerators hold other symbols, scalar
+    Forms of one FormRing of those.  Empty iff the twist satisfies both
+    conditions; with an ansatz twist these are the determining equations
+    for its constants."""
     relset = build_relations(pair, twist, space)
     sys, lin = full_system(F, relset, space)
     residuals = (compatibility_residual(relset, sys), symmetry_residual(lin, sys))
-    src = relset.relations[0].ring
-    unknowns = sorted(twist.free_constants(space))
-    present = set().union(*(itertools.compress(src.symbols, p.degrees())
-                            for r in residuals for p in r.terms.values()))
-    others = sorted(s for s in present - set(unknowns)
-                    if s != LAMBDA and space.jet_var(s) is None)
-    ring = PolyRing([Symbol(s) for s in unknowns],
-                    QQ.frac_field(*map(Symbol, others)) if others else QQ)
-    equations = [eq for r in residuals for eq in _coefficients(r, space, ring)]
-    return list(dict.fromkeys(equations))
+    return list(dict.fromkeys(_coefficients(residuals, space,
+                                            twist.free_constants(space))))
 
 
-def _coefficients(form: Form, space: JetSpace, ring) -> list:
-    """The coefficients of a residual's numerator as a polynomial in its
-    jets and lam, in the order sympy's Poly over those generators (sorted
-    by name) lists them: descending lex.  In one pass each monomial's jet
-    and lam exponents pick its equation, its unknowns' exponents its
-    monomial in ring, and the rest its coefficient in ring's domain.  The
-    numerator is the one ``as_numer_denom`` gives: it carries the lcm of
-    the denominators of the numerator's coefficients, and of the
-    denominator's when that has several terms."""
-    if not form.terms:
+def _coefficients(residuals, space: JetSpace, unknowns: set) -> list:
+    """The coefficients of each residual's numerator as a polynomial in
+    its jets and lam, in the order sympy's Poly over those generators
+    (sorted by name) lists them: descending lex, as Polys over the
+    unknowns.  In one pass each monomial's jet and lam exponents pick
+    its coefficient, its unknowns' exponents its monomial there, and its
+    exponents of the ring's other generators (the parameters and
+    independent variables) its place in that monomial's coefficient.
+    The others that some coefficient holds, sorted by name, are then the
+    generators of the FormRing whose scalar Forms are the coefficients;
+    with none the coefficients are integers.  The numerator is the one
+    ``as_numer_denom`` gives: it carries the lcm of the denominators of
+    the numerator's coefficients, and of the denominator's when that has
+    several terms."""
+    residuals = [r for r in residuals if r.terms]
+    if not residuals:
         return []
-    from sympy.polys.domains import QQ
-
-    src = form.ring
+    src = residuals[0].ring
     jet = [s == LAMBDA or space.jet_var(s) is not None for s in src.symbols]
-    scale = 1
-    den = src.den_poly(form.den)
-    for p in list(form.terms.values()) + ([den] if len(den) > 1 else []):
-        for c in p.values():
-            scale = math.lcm(scale, int(c.denominator))
-    gens = sorted(s for s in form.free_symbols
-                  if s not in src.index or jet[src.index[s]])
-    where = [src.index.get(g) for g in gens]
-    frac = ring.domain.field if ring.domain != QQ else None
-    # src's symbol_order sorts by name, as ring's generators and frac's
-    # are sorted: compress lists their exponents in ring's and frac's order
-    unknowns, others = set(map(str, ring.symbols)), set(map(str, frac.symbols if frac else ()))
     unknown = [s in unknowns for s in src.symbols]
-    other = [s in others for s in src.symbols]
+    other = [not (j or u) for j, u in zip(jet, unknown)]
+    groups = []
     monomials: dict = {}  # one tuple for each monomial the equations share
-    groups: dict = {}
-    for key, p in form.terms.items():
-        exps = [int(g == key) if i is None else 0 for g, i in zip(gens, where)]
-        for m, c in p.items():
-            for n, i in enumerate(where):
-                if i is not None:
-                    exps[n] = m[i]
-            u = tuple(itertools.compress(m, unknown))
-            group = groups.setdefault(tuple(exps), {}).setdefault(monomials.setdefault(u, u), {})
-            group[tuple(itertools.compress(m, other))] = QQ(int(c * scale))
-    one = frac.ring.one if frac else None  # integer coefficients over 1: in lowest terms
-    ground = (lambda d: frac.dtype(frac.ring.dtype(d), one)) if frac else (lambda d: d[()])
-    return [ring.dtype({m: ground(d) for m, d in groups[k].items()})
-            for k in sorted(groups, reverse=True)]
+    met: dict = {}  # the others' exponent tuples met
+    for form in residuals:
+        scale = 1
+        den = src.den_poly(form.den)
+        for p in list(form.terms.values()) + ([den] if len(den) > 1 else []):
+            for c in p.values():
+                scale = math.lcm(scale, c.denominator)
+        gens = sorted(s for s in form.free_symbols
+                      if s not in src.index or jet[src.index[s]])
+        where = [src.index.get(g) for g in gens]
+        out: dict = {}
+        for key, p in form.terms.items():
+            exps = [int(g == key) if i is None else 0 for g, i in zip(gens, where)]
+            for m, c in p.items():
+                for n, i in enumerate(where):
+                    if i is not None:
+                        exps[n] = m[i]
+                u = tuple(itertools.compress(m, unknown))
+                e = tuple(itertools.compress(m, other))
+                group = out.setdefault(tuple(exps), {}).setdefault(monomials.setdefault(u, u), {})
+                group[met.setdefault(e, e)] = int(c * scale)
+        groups += [out[k] for k in sorted(out, reverse=True)]
+    used = [any(column) for column in zip(*met)]
+    if not any(used):
+        return [Poly({m: c for m, d in g.items() for c in d.values()}) for g in groups]
+    domain = FormRing(itertools.compress(itertools.compress(src.symbols, other), used))
+    short = {e: tuple(itertools.compress(e, used)) for e in met}
+    return [Poly({m: domain.scalar(Poly({short[e]: c for e, c in d.items()}))
+                  for m, d in g.items()}) for g in groups]
 
 
 @dataclass
 class Solution:
-    assignment: dict  # constant -> ground element of the solver's ring
+    assignment: dict  # constant -> value: a rational or a scalar Form
     free: tuple = ()
 
     def twist_functions(self, ds: DeterminingSystem) -> dict:
@@ -365,12 +374,7 @@ class Solution:
         ring = next(t.ring for pairs in ds.slot_terms.values() for _, t in pairs)
 
         def value(v):
-            """A ground element over QQ or QQ(others) as a Form."""
-            if not v.ring.domain.is_FractionField:
-                return ring.constant(v.LC)
-            num, den = (ring.scalar(ring.lift(p, p.ring.symbols))
-                        for p in (v.LC.numer, v.LC.denom))
-            return num * den.inverse()
+            return ring.embed(v) if isinstance(v, Form) else ring.constant(v)
 
         return {slot: ring.combine([(value(self.assignment[c]), t) for c, t in pairs])
                 for slot, pairs in ds.slot_terms.items()}
@@ -380,62 +384,63 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: rounds of linear elimination, then bounded
     branching on factors of the remaining nonlinear equations.
 
-    The equations are elements of the ring of the unknowns over QQ, or
-    over the field of rational functions in the other symbols, and every
-    step stays in that ring (``PolyRing(unknowns, QQ)`` when there are no
-    equations).  A round hands every equation of total degree at most 1 in
-    the unknowns to one ``solve_lin_sys`` call, which reduces them to
-    their unique reduced row echelon form, and substitutes the values into
-    the nonlinear equations and into every solved value, so no solved
-    value holds a solved unknown; rounds repeat while an equation is
-    linear.  A nonlinear equation is never pivoted on: the branch step
-    takes the equation with the fewest terms in the unknowns, the first of
-    those on a tie, and descends once into each of its irreducible factors
-    in the ring (``factor_list``); content in the other symbols is a unit
-    of the domain and is dropped.  Every branch that closes yields one
-    Solution, each value a ground element of the ring; remaining
-    unconstrained constants are reported free and set to zero.
-    A branch is left unresolved when the branch bound is spent, or when
-    an irreducible nonlinear equation remains, so that branching would
-    only give it back; any unresolved branch raises PartialResultError
-    carrying the solutions found.
+    The equations are Polys over the unknowns with coefficients in QQ or
+    in the field of rational functions in the other symbols, and every
+    step stays in that ring.  A round brings every equation of total
+    degree at most 1 in the unknowns to its unique reduced row echelon
+    form (``_row_reduce``, columns in the unknowns' order), and
+    substitutes the values into the nonlinear equations and into every
+    solved value, so no solved value holds a solved unknown; rounds
+    repeat while an equation is linear.  A nonlinear equation is never
+    pivoted on: the branch step takes the equation with the fewest terms
+    in the unknowns, the first of those on a tie, and descends once into
+    each of its irreducible factors that hold unknowns, in the order
+    sympy's ``factor_list`` lists them (``_branch_factors``).  Every
+    branch that closes yields one Solution, each value a rational or a
+    scalar Form; remaining unconstrained constants are reported free and
+    set to zero.  A branch is left unresolved when the branch bound is
+    spent, or when an irreducible nonlinear equation remains, so that
+    branching would only give it back; any unresolved branch raises
+    PartialResultError carrying the solutions found.
     """
-    from sympy.polys.domains import QQ
-    from sympy.polys.rings import PolyRing
-    from sympy.polys.solvers import solve_lin_sys
-
     unknowns = list(ds.unknowns)
-    eqs = [e for e in ds.equations if e]
-    ring = eqs[0].ring if eqs else PolyRing(unknowns, QQ)
+    n = len(unknowns)
+    domain = ds.domain
+    zero = domain.zero if domain is not None else 0
+    constant = (0,) * n
 
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
 
     def emit(solved: dict):
-        free = tuple(c for c, g in zip(unknowns, ring.gens) if g not in solved)
-        zero = [(g, ring.zero) for g in ring.gens if g not in solved]
-        assignment = {c: solved[g].compose(zero) if g in solved else ring.zero
-                      for c, g in zip(unknowns, ring.gens)}
+        free = tuple(c for i, c in enumerate(unknowns) if i not in solved)
+        assignment = {c: solved[i].get(constant, zero) if i in solved else zero
+                      for i, c in enumerate(unknowns)}
         key = tuple(assignment.values())
         if key not in seen:
             seen.add(key)
             solutions.append(Solution(assignment, free))
 
     def descend(eqs: list, solved: dict):
-        while linear := [e for e in eqs if e.is_linear]:
-            values = solve_lin_sys(linear, ring)
+        while True:
+            parts = ([], [])  # nonlinear, linear
+            for e in eqs:
+                parts[all(sum(m) <= 1 for m in e)].append(e)
+            nonlinear, linear = parts
+            if not linear:
+                break
+            values = _row_reduce(linear, n)
             if values is None:
                 return  # inconsistent
-            compose = [(g, ring(v)) for g, v in values.items()]
-            solved = {g: v.compose(compose) for g, v in solved.items()} | dict(compose)
-            eqs = [x for x in (e.compose(compose) for e in eqs if not e.is_linear) if x]
+            substitute = _substitution(values)
+            solved = {i: substitute(v) for i, v in solved.items()} | values
+            eqs = [x for x in map(substitute, nonlinear) if x]
         if not eqs:
             emit(solved)
             return
         eq = min(eqs, key=len)
-        # a factor free of the unknowns is a unit of the domain: not listed
-        factors = eq.factor_list()[1]
+        factors = _branch_factors(eq, n, domain)
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
             return
@@ -447,10 +452,130 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
             budget[0] -= 1
             descend([f] + rest, dict(solved))
 
-    descend(eqs, {})
+    descend([e for e in ds.equations if e], {})
     if unresolved:
         raise PartialResultError(
             f"{len(unresolved)} unresolved branch(es): the branch bound was "
             "spent, or an irreducible nonlinear equation remained",
             solutions, unresolved)
     return solutions
+
+
+def _row_reduce(eqs: list, n: int) -> dict | None:
+    """The reduced row echelon form of equations of total degree at most
+    1 in n unknowns, columns in the unknowns' order: {pivot's index: its
+    value}, each value a Poly affine in the unknowns left free; None if
+    the equations are inconsistent.  Sparse Gauss-Jordan: each equation
+    is reduced by the pivot rows before it, takes its first unknown left
+    as its pivot, and that pivot is eliminated from the rows before it,
+    whose own pivots therefore stay their first unknowns.  The form is
+    unique, so the values do not depend on the equations' order."""
+    rows: dict = {}  # pivot -> {column: coefficient}, its own 1 left out; column n: constant
+    for eq in eqs:
+        row = {(m.index(1) if any(m) else n): c for m, c in eq.items()}
+        for p in [p for p in row if p in rows]:
+            _add_multiple(row, -row.pop(p), rows[p])
+        columns = [j for j in row if j != n]
+        if not columns:
+            if row:
+                return None  # a nonzero constant
+            continue
+        p = min(columns)
+        lead = row.pop(p)
+        if lead != 1:
+            inverse = lead.inverse() if isinstance(lead, Form) else Fraction(1, lead)
+            row = {j: c * inverse for j, c in row.items()}
+        for other in rows.values():
+            if p in other:
+                _add_multiple(other, -other.pop(p), row)
+        rows[p] = row
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n + 1)]
+    return {p: Poly({units[j]: -c for j, c in row.items()}) for p, row in rows.items()}
+
+
+def _add_multiple(row: dict, a, other: dict) -> None:
+    """row += a * other, in place, dropping zeros."""
+    for j, c in other.items():
+        v = row.get(j)
+        v = a * c if v is None else v + a * c
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _substitution(values: dict):
+    """The map that puts values (index of an unknown -> Poly) for their
+    unknowns into a Poly, all at once."""
+    powers: dict = {}
+
+    def substitute(p: Poly) -> Poly:
+        out: dict = {}
+        for m, c in p.items():
+            hit = [i for i in itertools.compress(range(len(m)), m) if i in values]
+            if not hit:
+                v = out.get(m)
+                out[m] = c if v is None else v + c
+                continue
+            kept = list(m)
+            term = None
+            for i in hit:
+                kept[i] = 0
+                power = powers.get((i, m[i]))
+                if power is None:
+                    power = powers[i, m[i]] = values[i] ** m[i]
+                term = power if term is None else term * power
+            kept = tuple(kept)
+            for k, a in term.items():
+                k = tuple([x + y for x, y in zip(kept, k)])
+                v = out.get(k)
+                out[k] = a * c if v is None else v + a * c
+        return Poly({m: c for m, c in out.items() if c})
+
+    return substitute
+
+
+def _branch_factors(eq: Poly, n: int, domain: FormRing | None) -> list:
+    """The (factor, multiplicity) pairs of a nonlinear equation in n
+    unknowns that sympy's ``factor_list`` gives in ``PolyRing(unknowns,
+    K)``, K being QQ or the field of domain's symbols, in its order.
+
+    Over QQ(others) the numerator, cleared of the coefficients'
+    denominators, is factored in the unknowns and the others, and the
+    factors free of the unknowns, units of K, are dropped.  Each factor
+    is primitive over ZZ with a positive leading coefficient in lex
+    order over the unknowns, then the others.  The factors are listed by
+    sympy's ``_sort_factors`` key: the dense form over all n unknowns,
+    whose entries over QQ(others) are ordered as sympy orders fraction
+    field elements with denominator 1, by their numerators' term count
+    and then their terms in descending lex order."""
+    if domain is None:
+        p = eq
+    else:
+        common: dict = {}
+        for c in eq.values():
+            for fid, k in c.den.items():
+                common[fid] = max(common.get(fid, 0), k)
+        p = Poly()
+        for m, c in eq.items():
+            missing = {fid: k - c.den.get(fid, 0) for fid, k in common.items()}
+            for e, a in domain._scale(c.terms[ONE], missing).items():
+                p[m + e] = a
+    out = []
+    for g, k in _irreducible_factors(p):
+        if all(not any(m[:n]) for m in g):
+            continue
+        g = _primitive(g)
+        if domain is None:
+            items = list(g.items())
+            f = g
+        else:
+            coeffs: dict = {}
+            for m, c in g.items():
+                coeffs.setdefault(m[:n], Poly())[m[n:]] = c
+            items = [(u, (len(q), sorted(q.items(), reverse=True))) for u, q in coeffs.items()]
+            f = Poly({u: domain.scalar(q) for u, q in coeffs.items()})
+        dense = _dense(items, n - 1, 0 if domain is None else (0, []))
+        out.append(((len(dense), k, dense), f))
+    out.sort(key=lambda kf: kf[0])
+    return [(f, key[1]) for key, f in out]

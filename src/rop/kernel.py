@@ -5,7 +5,9 @@ never enters, and nothing here needs sympy.  Symbols are plain names
 (``str``).  A polynomial is a ``Poly``: a sparse map from an exponent
 tuple (one entry per generator of its ``FormRing``, in ``symbol_order``)
 to a nonzero ``int`` or ``fractions.Fraction``; its leading term is the
-grevlex one.
+grevlex one.  Its sums and products need only field arithmetic and
+truth of the coefficients, so the solver of ``rop.engine`` also keeps
+polynomials over a field of scalar Forms as Polys.
 
 A Form is linear over symbols kept outside its ring (the ``U``/``Ut``
 jets, in ``rop.jets``): a sparse map from such a symbol, or ``ONE``, to
@@ -26,9 +28,10 @@ Forms are built only with Form arithmetic (``FormRing.symbol``,
 ``FormRing.constant``, sums, products, ``Form.inverse``), as the parser
 reads a problem file; ``FormRing.embed`` moves a Form into a ring with
 more generators, such as the ansatz constants, and ``FormRing.lift``
-moves one polynomial, also one of sympy's.  ``fmt`` prints a Form as
-sympy's ``sstr`` prints its canonical expression; ``Form.as_expr``
-builds that expression with sympy, for callers that want one.
+moves one polynomial.  A Form is true when it is nonzero and hashes by
+its canonical form.  ``fmt`` prints a Form as sympy's ``sstr`` prints
+its canonical expression; ``Form.as_expr`` builds that expression with
+sympy, for callers that want one.
 """
 
 from __future__ import annotations
@@ -90,8 +93,9 @@ def _quo(a, b):
 
 
 class Poly(dict):
-    """A polynomial over QQ: exponent tuple -> nonzero coefficient.
-    Treated as immutable once built; every operation returns a new Poly."""
+    """A polynomial: exponent tuple -> nonzero coefficient, a rational
+    or, in the engine's solver, a scalar Form.  Treated as immutable once
+    built; every operation returns a new Poly."""
 
     __slots__ = ()
 
@@ -296,36 +300,41 @@ def _sympy_factors(p: Poly) -> list:
     return out
 
 
-def _dense(items: list, u: int):
+def _dense(items: list, u: int, zero=0):
     """sympy's dense representation of the polynomial with the given
-    (exponents, coefficient) items in u + 1 variables."""
+    (exponents, coefficient) items in u + 1 variables; zero stands for a
+    missing coefficient."""
     if not items:
-        zero: list = []
+        out: list = []
         for _ in range(u):
-            zero = [zero]
-        return zero
+            out = [out]
+        return out
     top = max(e[0] for e, _c in items)
     if u == 0:
-        coeffs = [0] * (top + 1)
+        coeffs = [zero] * (top + 1)
         for e, c in items:
             coeffs[top - e[0]] = c
         return coeffs
     rows: list = [[] for _ in range(top + 1)]
     for e, c in items:
         rows[top - e[0]].append((e[1:], c))
-    return [_dense(r, u - 1) for r in rows]
+    return [_dense(r, u - 1, zero) for r in rows]
+
+
+def _primitive(g: Poly) -> Poly:
+    """g as sympy's ``factor_list`` gives a factor: primitive over ZZ,
+    with a positive leading coefficient in lex order."""
+    d = math.lcm(*(c.denominator for c in g.values()))
+    content = math.gcd(*(int(c * d) for c in g.values()))
+    if g[max(g)] < 0:
+        content = -content
+    return Poly({m: int(c * d) // content for m, c in g.items()})
 
 
 def _factor_list_key(g: Poly, k: int, used: list) -> tuple:
     """The key by which sympy's ``factor_list`` orders the factor g of
-    multiplicity k of a polynomial in the generators ``used``: the factor
-    is taken primitive over ZZ with a positive lex leading coefficient."""
-    d = math.lcm(*(c.denominator for c in g.values()))
-    items = [(tuple(m[i] for i in used), int(c * d)) for m, c in g.items()]
-    content = math.gcd(*(c for _e, c in items))
-    if max(items)[1] < 0:
-        content = -content
-    items = [(e, c // content) for e, c in items]
+    multiplicity k of a polynomial in the generators ``used``."""
+    items = [(tuple(m[i] for i in used), c) for m, c in _primitive(g).items()]
     dense = _dense(items, len(used) - 1)
     return (len(dense), k, dense)
 
@@ -368,11 +377,10 @@ class FormRing:
         return Form(self, {ONE: self.gen(i)}, {})
 
     def lift(self, p, symbols: Iterable) -> Poly:
-        """p, a polynomial over QQ in the generators named by symbols (a
-        Poly of another ring, or sympy's ``PolyElement``), as a
-        polynomial of this ring; ValueError names a generator of p that
-        this ring lacks."""
-        symbols = [str(s) for s in symbols]
+        """p, a Poly over QQ in the generators named by symbols (those
+        of another ring), as a polynomial of this ring; ValueError names
+        a generator of p that this ring lacks."""
+        symbols = tuple(symbols)
         where = [self.index.get(s) for s in symbols]
         out = Poly()
         for m, c in p.items():
@@ -539,10 +547,11 @@ def _add_exps(a: dict, b: dict) -> dict:
 class Form:
     """A canonical rational function linear over the symbols outside its
     ring: sum(terms[k] * k) / prod(factors[f]**den[f]), with k a symbol
-    outside the ring or ONE.  Immutable; build Forms with FormRing."""
+    outside the ring or ONE.  Immutable; build Forms with FormRing.  A
+    Form is true when it is nonzero, and it hashes by its canonical
+    form; one equal to a rational number hashes as that number."""
 
     __slots__ = ("ring", "terms", "den")
-    __hash__ = None
 
     def __init__(self, ring: FormRing, terms: dict, den: dict):
         self.ring = ring
@@ -553,6 +562,17 @@ class Form:
 
     def is_scalar(self) -> bool:
         return all(k is ONE for k in self.terms)
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __hash__(self):
+        if not self.terms:
+            return hash(0)
+        p = self.terms.get(ONE)
+        if not self.den and len(self.terms) == 1 and p is not None and p.is_ground():
+            return hash(p.LC)
+        return hash((frozenset(self.terms.items()), frozenset(self.den.items())))
 
     @property
     def free_symbols(self) -> set:
@@ -598,6 +618,8 @@ class Form:
             return self
         one = self.ring.constant(1)
         return self.ring.combine([(one, self), (one, other)])
+
+    __radd__ = __add__
 
     def __neg__(self):
         return Form(self.ring, {k: -p for k, p in self.terms.items()}, self.den)

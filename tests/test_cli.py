@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -439,22 +440,61 @@ def test_import_leaves_the_collector_as_found(enabled):
     assert proc.stdout == f"{enabled}\n"
 
 
-# The command line's check of a given twist needs no sympy: only solve
-# imports it.  Each run is a fresh interpreter, since an import is cached.
+# No command imports sympy on the shipped problems: only a polynomial
+# with no generator of degree 1 is factored with it.  Each run is a fresh
+# interpreter, since an import is cached.
 WITHOUT_SYMPY = ("import sys\nfrom rop import cli\ncode = cli.main(sys.argv[1:])\n"
                  "sys.exit(3 if 'sympy' in sys.modules else code)")
 
 
-@pytest.mark.parametrize("command", [["lax-check"], ["verify"], ["linearize"],
-                                     ["hierarchy", "--k", "2"]],
-                         ids=["lax-check", "verify", "linearize", "hierarchy"])
-@pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEM_DIR.glob("*.rop")))
-def test_command_runs_without_sympy(problem, command):
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY, command[0],
-                           str(PROBLEM_DIR / f"{problem}.rop"), *command[1:], "--json"],
+def _passes_without_sympy(*argv):
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SYMPY, *argv, "--json"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("command", [["lax-check"], ["verify"], ["linearize"],
+                                     ["hierarchy", "--k", "2"],
+                                     ["solve", "--orientation", "both"]],
+                         ids=["lax-check", "verify", "linearize", "hierarchy", "solve"])
+@pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEM_DIR.glob("*.rop")))
+def test_command_runs_without_sympy(problem, command):
+    _passes_without_sympy(command[0], str(PROBLEM_DIR / f"{problem}.rop"), *command[1:])
+
+
+# The paper's twists as basis terms u_pq/u_x per slot, and the number of
+# terms per slot of a reduced ansatz.
+PAPER_TERMS = {"dfkn2": ({"f1_1": ["u_xz"], "f2_1": ["u_xx"]}, 4),
+               "dfkn3": ({"f1_0": ["u_xy", "u_xz"], "f1_1": ["u_xy", "u_xz"],
+                          "f2_0": ["u_xz", "u_tx"], "f2_1": ["u_xz", "u_tx"]}, 2)}
+
+
+def _reduced_ansatz(name, seed):
+    """The problem without its twist, with per slot the paper's terms and
+    distractors u_pq/u_x from the default basis, the same ones for every
+    seed, each with a seeded sign."""
+    text = (PROBLEM_DIR / f"{name}.rop").read_text()
+    paper, size = PAPER_TERMS[name]
+    variables = re.search(r"^vars (.*)$", text, flags=re.M).group(1).split()
+    pool = [f"u_{''.join(sorted(p + q))}" for i, p in enumerate(variables)
+            for q in variables[i:]]
+    rng = random.Random(seed)
+    lines = [line for line in text.splitlines() if line.split(" ", 1)[0] != "twist"]
+    for k, slot in enumerate(("f1_0", "f1_1", "f2_0", "f2_1")):
+        terms = paper.get(slot, [])
+        rest = [j for j in pool if j not in terms]
+        chosen = set(terms) | set((rest[3 * k:] + rest[:3 * k])[:size - len(terms)])
+        lines.append(f"ansatz {slot} = " + ", ".join(
+            f"({rng.choice(('1', '-1'))})*{j}/u_x" for j in pool if j in chosen))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_TERMS))
+def test_solve_on_a_reduced_ansatz_runs_without_sympy(tmp_path, name):
+    path = tmp_path / f"{name}-ansatz.rop"
+    path.write_text(_reduced_ansatz(name, 1))
+    _passes_without_sympy("solve", str(path))
 
 
 def test_failing_verify_runs_without_sympy(tmp_path):

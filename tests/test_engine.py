@@ -1,10 +1,11 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyRing
@@ -141,9 +142,8 @@ class TestDeterminingSystem:
                              + "ansatz f2_1 = u_xx/u_x, t*u_xx/u_x\n")
         basis = {**default_ansatz(prob.F, prob.lax, prob.space), **prob.ansatz}
         ds = engine.derive_determining_system(prob.F, prob.lax, basis, "forward", prob.space)
-        t, x = sp.symbols("t x")
-        assert {e.ring for e in ds.equations} == \
-            {PolyRing(ds.unknowns, QQ.frac_field(t, x))}
+        assert ds.domain.symbols == ("t", "x")
+        assert all(c.ring is ds.domain for e in ds.equations for c in e.values())
         [sol] = solve_determining(ds)
         fs = sol.twist_functions(ds)
         assert verify(prob.F, prob.lax, TwistRelations(fs, "forward"), prob.space).passed
@@ -178,20 +178,34 @@ class TestDeterminingSystem:
 
 
 def _synthetic(eqs, names):
-    """The expression equations as elements of the solver's ring: the
-    unknowns over QQ, or over the field of the equations' other symbols."""
+    """The expression equations as elements of the solver's ring: Polys
+    over the unknowns with coefficients in QQ, or Forms of the ring of
+    the equations' other symbols."""
     unknowns = [sp.Symbol(n) for n in names]
     eqs = [sp.sympify(e) for e in eqs]
-    others = sorted(set().union(*(e.free_symbols for e in eqs)) - set(unknowns), key=str)
-    ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
-    return DeterminingSystem([ring.from_expr(e) for e in eqs], unknowns,
-                             {slot: [] for slot in SLOTS}, "forward")
+    others = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
+    domain = kernel.FormRing(s.name for s in others) if others else None
+
+    def coefficient(c):
+        return evaluate(c, domain) if domain else Fraction(int(c.p), int(c.q))
+
+    polys = []
+    for e in eqs:
+        terms = sp.Poly(e, *unknowns).terms() if unknowns else [((), e)]
+        polys.append(kernel.Poly({m: coefficient(c) for m, c in terms if c != 0}))
+    return DeterminingSystem(polys, unknowns, {slot: [] for slot in SLOTS}, "forward")
+
+
+def _expr(eq, unknowns):
+    """An equation of the solver's ring as an expression."""
+    syms = [sp.Symbol(str(c)) for c in unknowns]
+    return sp.Add(*(sp.sympify(c) * sp.Mul(*(x**k for x, k in zip(syms, m)))
+                    for m, c in eq.items()))
 
 
 def _values(sol):
-    """A solution's values, ground elements of the solver's ring, as
-    expressions."""
-    return {c: v.as_expr() for c, v in sol.assignment.items()}
+    """A solution's values, rationals or Forms, as expressions."""
+    return {c: sp.sympify(v) for c, v in sol.assignment.items()}
 
 
 class TestSolveDetermining:
@@ -301,7 +315,7 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
     on the equation with the fewest terms in the unknowns, factored in
     the ring of the unknowns over QQ or the field of the other symbols."""
     unknowns = [sp.Symbol(str(c)) for c in ds.unknowns]
-    exprs = [e.as_expr() for e in ds.equations]
+    exprs = [_expr(e, ds.unknowns) for e in ds.equations]
     others = sorted(set().union(*(e.free_symbols for e in exprs)) - set(unknowns), key=str)
     ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
     solutions, seen = [], set()
@@ -398,14 +412,14 @@ def _outcome(solve, ds, **kwargs):
     branches' equations (expressions or ring elements) in canonical
     form, if any."""
     def canon(e):
-        return sp.srepr(normalize(e.as_expr()))
+        return sp.srepr(normalize(e if isinstance(e, sp.Expr) else _expr(e, ds.unknowns)))
 
     try:
         sols, unresolved = solve(ds, **kwargs), None
     except PartialResultError as exc:
         sols = exc.solutions
         unresolved = [[canon(e) for e in eqs] for eqs in exc.unresolved]
-    return ([([(str(c), canon(v)) for c, v in s.assignment.items()],
+    return ([([(str(c), canon(sp.sympify(v))) for c, v in s.assignment.items()],
               tuple(map(str, s.free))) for s in sols], unresolved)
 
 
@@ -439,6 +453,157 @@ def test_solver_matches_reference(ds):
     for bound in (8, 1):
         assert _outcome(solve_determining, ds, branch_bound=bound) == \
             _outcome(reference_solve, ds, branch_bound=bound)
+
+
+# -- the solver's steps against sympy's PolyRing ---------------------------
+#
+# Each step of the solver against the sympy function it stands for, in
+# sympy's PolyRing(c0, ..., c_{n-1}, K), K = QQ or QQ(alpha).
+
+ALPHA = sp.Symbol("alpha")
+
+
+def _sympy_ring(n, alpha):
+    return PolyRing(sp.symbols(f"c0:{n}"), QQ.frac_field(ALPHA) if alpha else QQ)
+
+
+def _ours(p, domain):
+    """An element of sympy's ring as an element of the solver's ring."""
+    K = p.ring.domain
+    return kernel.Poly({m: evaluate(K.to_sympy(c), domain) if domain
+                        else Fraction(int(c.numerator), int(c.denominator))
+                        for m, c in p.items()})
+
+
+def _ground(ring, c):
+    """A number or an expression in alpha as an element of ring's domain."""
+    return ring.domain.from_sympy(sp.sympify(c))
+
+
+def _random_element(rng, ring, degree, terms):
+    """A random element of ring: terms monomials of total degree at most
+    degree in the unknowns, with coefficients from -2, -1, 1, 2 and 1/2
+    and, over QQ(alpha), alpha, alpha + 1 and 1/alpha."""
+    pool = [-2, -1, 1, 2, sp.Rational(1, 2)]
+    if ring.domain != QQ:
+        pool += [ALPHA, ALPHA + 1, 1 / ALPHA]
+    out = ring.zero
+    for _ in range(terms):
+        m = ring.one
+        for _ in range(rng.randint(0, degree)):
+            m *= rng.choice(ring.gens)
+        out += _ground(ring, rng.choice(pool)) * m
+    return out
+
+
+@st.composite
+def linear_systems(draw):
+    """1-6 equations of degree at most 1 in 1-4 unknowns over QQ or
+    QQ(alpha); some repeat an equation, scale it, add two, or hold only
+    a constant, so that systems are also rank-deficient or
+    inconsistent."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ring = _sympy_ring(rng.randint(1, 4), rng.random() < 0.5)
+    eqs = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["new", "new", "repeat", "scale", "sum", "constant"])
+        if kind == "constant":
+            eqs.append(ring(rng.choice([0, 1, -3])))
+        elif kind == "new" or not eqs:
+            eqs.append(_random_element(rng, ring, 1, rng.randint(1, 4)))
+        elif kind == "repeat":
+            eqs.append(rng.choice(eqs))
+        elif kind == "scale":
+            eqs.append(rng.choice(eqs) * _ground(ring, rng.choice([-1, 2, ALPHA][:2 + (ring.domain != QQ)])))
+        else:
+            eqs.append(rng.choice(eqs) + rng.choice(eqs) + rng.choice([0, 1]))
+    return ring, eqs
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_row_reduce_matches_solve_lin_sys(system):
+    from sympy.polys.solvers import solve_lin_sys
+
+    ring, eqs = system
+    domain = kernel.FormRing(["alpha"]) if ring.domain != QQ else None
+    want = solve_lin_sys(eqs, ring)
+    got = engine._row_reduce([_ours(e, domain) for e in eqs], ring.ngens)
+    if want is None:
+        assert got is None
+    else:
+        assert got == {ring.gens.index(g): _ours(ring(v), domain) for g, v in want.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_substitution_matches_compose(seed):
+    # the values are affine, as the solver's are, or of degree 2
+    rng = random.Random(seed)
+    ring = _sympy_ring(rng.randint(1, 4), rng.random() < 0.5)
+    domain = kernel.FormRing(["alpha"]) if ring.domain != QQ else None
+    p = _random_element(rng, ring, 3, rng.randint(0, 5))
+    replaced = rng.sample(range(ring.ngens), rng.randint(1, ring.ngens))
+    values = {i: _random_element(rng, ring, rng.choice([1, 1, 2]), rng.randint(0, 3))
+              for i in replaced}
+    want = p.compose([(ring.gens[i], v) for i, v in values.items()])
+    substitute = engine._substitution({i: _ours(v, domain) for i, v in values.items()})
+    assert substitute(_ours(p, domain)) == _ours(want, domain)
+
+
+@st.composite
+def factored_equations(draw):
+    """A product of 2-3 factors, some repeated, in 2-3 unknowns over QQ
+    or QQ(alpha), with content in alpha: linear factors that often
+    differ only in their alpha-coefficients, and quadratic ones; about
+    half of the equations leave out the first unknown."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ring = _sympy_ring(rng.randint(2, 3), rng.random() < 0.75)
+    gens = ring.gens[1:] if rng.random() < 0.5 else ring.gens
+    pool = [1, 2, -1, 3] + ([ALPHA, -ALPHA, ALPHA + 2, 2 * ALPHA + 1]
+                            if ring.domain != QQ else [])
+    x = rng.choice(gens)
+
+    def c():
+        return _ground(ring, rng.choice(pool))
+
+    def factor():
+        kind = rng.choice(["alike", "alike", "linear", "quadratic"])
+        if kind == "alike":  # c*x + a: the same degree, alpha-coefficients apart
+            return c() * x + c()
+        if kind == "linear":
+            return sum((c() * g for g in gens), c())
+        return rng.choice(gens) * rng.choice(gens) + c() * rng.choice(gens) + c()
+
+    eq = ring(c())
+    for _ in range(rng.randint(2, 3)):
+        eq *= factor()**rng.choice([1, 1, 2])
+    return ring, eq
+
+
+def _assert_factors_match(ring, eq):
+    domain = kernel.FormRing(["alpha"]) if ring.domain != QQ else None
+    want = [(_ours(f, domain), k) for f, k in eq.factor_list()[1]]
+    assert engine._branch_factors(_ours(eq, domain), ring.ngens, domain) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_equations())
+def test_branch_factors_match_factor_list(case):
+    ring, eq = case
+    assume(any(sum(m) > 1 for m in eq.monoms()))
+    _assert_factors_match(ring, eq)
+
+
+@pytest.mark.parametrize("text", [
+    # alike factors whose alpha-coefficients are ordered by their terms
+    "(c1 + alpha + 2)*(c1 + 2*alpha + 1)", "(c1 + 2*alpha + 1)*(c1 + alpha + 2)",
+    "(c1 + alpha)*(alpha*c1 + 1)*(c2 - alpha)", "(c2 + alpha**2)*(c2 + alpha + 1)**2",
+    # a factor free of c1, content in alpha, and a monomial factor
+    "alpha*(c1 + c2)*(c2 + 1)*c2", "(alpha + 1)*c0*(c0 + c2)*(c1 - alpha)"])
+def test_branch_factors_match_factor_list_on(text):
+    ring = _sympy_ring(3, True)
+    _assert_factors_match(ring, ring.from_expr(sp.expand(sp.sympify(text))))
 
 
 # -- reference derivation on expression trees ----------------------------
@@ -588,7 +753,8 @@ def test_determining_equations_match_reference(problems, case):
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(prob.F, prob.lax, twist, s)
     got = determining_equations_for_twist(prob.F, prob.lax, twist, s)
-    assert [sp.srepr(normalize(e.as_expr())) for e in got] == [sp.srepr(e) for e in want]
+    unknowns = sorted(twist.free_constants(s))
+    assert [sp.srepr(normalize(_expr(e, unknowns))) for e in got] == [sp.srepr(e) for e in want]
 
 
 @settings(max_examples=6, deadline=None)
@@ -652,8 +818,9 @@ def test_determining_equations_match_reference_with_rule_lhs_in_denominator(
     twist, _ = engine.ansatz_twist(basis, orientation)
     want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
     got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
+    unknowns = sorted(twist.free_constants(dfkn2.space))
     assert want
-    assert [sp.srepr(normalize(e.as_expr())) for e in got] == [sp.srepr(e) for e in want]
+    assert [sp.srepr(normalize(_expr(e, unknowns))) for e in got] == [sp.srepr(e) for e in want]
 
 
 def _orders(variables, sample=None):

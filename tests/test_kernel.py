@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -112,6 +113,24 @@ class TestEmbed:
             big.embed(evaluate(e, small))
         with pytest.raises(ValueError, match="u_y"):
             big.lift(small.gen(small.index["u_y"]), small.symbols)
+
+
+class TestTruthAndHash:
+    def test_a_form_is_true_iff_nonzero(self):
+        ring = kernel.FormRing({"u_x", "alpha"})
+        assert not ring.zero and not evaluate(u_x - u_x, ring)
+        assert all([evaluate(u_x, ring), ring.constant(-1), evaluate(1 / u_x, ring),
+                    ring.symbol("U")])
+
+    def test_equal_forms_hash_alike(self):
+        ring = kernel.FormRing({"u_x", "alpha"})
+        a = evaluate((u_x**2 - alpha**2) / (u_x + alpha), ring)
+        b = evaluate(u_x - alpha, ring)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, evaluate(u_x, ring), ring.symbol("U")}) == 3
+        # a Form equal to a rational hashes as that rational
+        for c in (0, 3, Fraction(-1, 2)):
+            assert ring.constant(c) == c and hash(ring.constant(c)) == hash(c)
 
 
 class TestSubstitute:
@@ -369,7 +388,9 @@ def _factor_like_sympy(e):
     want = []
     for g, k in factors:
         unit *= g.LC**k
-        want.append((ring.lift(g.quo_ground(g.LC), own.symbols), k))
+        monic = kernel.Poly({m: Fraction(int(c.numerator), int(c.denominator))
+                             for m, c in g.quo_ground(g.LC).items()})
+        want.append((ring.lift(monic, used), k))
     return got, (unit, want)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import engine, lax
 from .linearize import linearize as linearize_equation
-from .engine import SLOTS, PartialResultError, TwistRelations
+from .engine import SLOTS
 from .kernel import ONE, fmt
 from .problem import Problem, ProblemSyntaxError, parse_basis, parse_problem
 
@@ -52,13 +52,6 @@ def _orientations(problem: Problem, flag: str | None) -> list[str]:
     if choice == "both":
         return ["forward", "swapped"]
     return [choice]
-
-
-def _twist_for(problem: Problem, orientation: str) -> TwistRelations:
-    if problem.twist is None:
-        raise CliError("problem file has no twist block; 'verify' and "
-                       "'hierarchy' need one")
-    return problem.twist.with_orientation(orientation)
 
 
 def _basis_for(problem: Problem, basis_arg: str) -> dict:
@@ -97,21 +90,23 @@ def cmd_linearize(problem: Problem, args) -> dict:
 
 
 def cmd_verify(problem: Problem, args) -> dict:
-    return _verify(problem, _orientations(problem, args.orientation))
+    return _verify(problem, _orientations(problem, args.orientation))[0]
 
 
-def _verify(problem: Problem, orientations: list[str]) -> dict:
-    """Verify the twist in each orientation; a degenerate orientation is
-    an ERROR result, and an error of the run only if every one is."""
+def _verify(problem: Problem, orientations: list[str]) -> tuple[dict, dict]:
+    """The document of the twist verified in each orientation, and the
+    engine's results; a degenerate orientation is an ERROR result."""
+    if problem.twist is None:
+        raise CliError("problem file has no twist block; 'verify' and "
+                       "'hierarchy' need one")
     t0 = time.monotonic()
+    reports = engine.verify_each(problem.F, problem.lax, problem.twist, orientations,
+                                 problem.space)
     results = []
     assumptions: list[str] = []
-    for orientation in orientations:
-        twist = _twist_for(problem, orientation)
-        try:
-            rep = engine.verify(problem.F, problem.lax, twist, problem.space)
-        except lax.DegeneratePairError as exc:
-            results.append({"orientation": orientation, "verdict": "ERROR", "error": str(exc)})
+    for orientation, rep in reports.items():
+        if isinstance(rep, lax.DegeneratePairError):
+            results.append({"orientation": orientation, "verdict": "ERROR", "error": str(rep)})
             continue
         for a in rep.assumptions:
             if fmt(a) not in assumptions:
@@ -124,8 +119,6 @@ def _verify(problem: Problem, orientations: list[str]) -> dict:
             "timings": rep.timings,
         })
     ran = [r for r in results if r["verdict"] != "ERROR"]
-    if not ran:
-        raise lax.DegeneratePairError(results[0]["error"])
     return {
         "verdict": "PASS" if any(r["verdict"] == "PASS" for r in ran) else "FAIL",
         "results": results,
@@ -133,52 +126,38 @@ def _verify(problem: Problem, orientations: list[str]) -> dict:
                      + [r["symmetry_residual"] for r in ran],
         "assumptions": assumptions,
         "timings": {"total": time.monotonic() - t0},
-    }
+    }, reports
 
 
 def cmd_solve(problem: Problem, args) -> dict:
-    out_solutions = []
+    kept, rejected = [], []
     warnings = list(problem.warnings)
     t0 = time.monotonic()
-    space = problem.space
-    basis = _basis_for(problem, args.basis)
-    orientations = _orientations(problem, args.orientation)
-    degenerate = []
-    for orientation in orientations:
-        try:
-            ds = engine.derive_determining_system(problem.F, problem.lax, basis,
-                                                  orientation, space)
-        except lax.DegeneratePairError as exc:
-            degenerate.append(exc)
-            warnings.append(f"orientation {orientation}: {exc}")
+    results = engine.solve(problem.F, problem.lax, _basis_for(problem, args.basis),
+                           _orientations(problem, args.orientation), problem.space,
+                           args.branch_bound)
+    for orientation, res in results.items():
+        if isinstance(res, lax.DegeneratePairError):
+            warnings.append(f"orientation {orientation}: {res}")
             continue
-        try:
-            sols = engine.solve_determining(ds, branch_bound=args.branch_bound)
-        except PartialResultError as exc:
-            warnings.append(str(exc) + "; solutions may be missing")
-            sols = exc.solutions
-        for sol in sols:
-            fs = sol.twist_functions(ds)
-            twist = TwistRelations(fs, orientation)
-            rep = engine.verify(problem.F, problem.lax, twist, space)
-            out_solutions.append({
+        ds, solutions, partial = res
+        if partial:
+            warnings.append(partial + "; solutions may be missing")
+        for sol, fs, rep in solutions:
+            (kept if rep.passed else rejected).append({
                 "orientation": orientation,
                 "twist": {f"f{i}_{s}": fmt(fs[(i, s)]) for (i, s) in SLOTS},
                 "free_constants": [str(c) for c in sol.free],
                 "reverified": rep.passed,
             })
-        nok = sum(1 for s in out_solutions
-                  if s["orientation"] == orientation and s["reverified"])
+        nok = sum(rep.passed for _, _, rep in solutions)
         warnings.append(f"orientation {orientation}: {len(ds.equations)} "
                         f"determining equations, {len(ds.unknowns)} unknowns, "
-                        f"{len(sols)} branch(es), {nok} reverified")
-    if len(degenerate) == len(orientations):
-        raise degenerate[0]
-    kept = [s for s in out_solutions if s["reverified"]]
+                        f"{len(solutions)} branch(es), {nok} reverified")
     return {
         "verdict": "PASS" if kept else "FAIL",
         "solutions": kept,
-        "rejected": [s for s in out_solutions if not s["reverified"]],
+        "rejected": rejected,
         "warnings": warnings,
         "timings": {"total": time.monotonic() - t0},
     }
@@ -189,13 +168,12 @@ def cmd_hierarchy(problem: Problem, args) -> dict:
     passes verify, chained k times: level j maps psi_j (U) to psi_{j+1}
     (Ut).  No orientation passing is a FAIL with no relations."""
     t0 = time.monotonic()
-    doc = _verify(problem, _orientations(problem, None))
+    doc, reports = _verify(problem, _orientations(problem, None))
     passed = [r["orientation"] for r in doc["results"] if r["verdict"] == "PASS"]
     rels = []
     if passed:
-        space = problem.space
-        relset = engine.build_relations(problem.lax, _twist_for(problem, passed[0]), space)
-        jets = {k: space.jet_var(k).unknown
+        relset = reports[passed[0]].relations
+        jets = {k: problem.space.jet_var(k).unknown
                 for rel in relset.relations for k in rel.terms if k is not ONE}
         for j in range(args.k):
             ren = {s: s.replace(unknown, f"psi_{j + (unknown == 'Ut')}", 1)

@@ -10,28 +10,31 @@ f_i^s.  Two requirements make the relations a recursion operator:
 
 Both are computed as exact residuals reduced modulo the equation, the
 linearized equation, the relations, and differential consequences of all
-three.  With the twist functions expanded over an ansatz with unknown
-constants, the vanishing of every residual coefficient yields the
-determining system, solved exactly by rounds of elimination of all its
-linear equations at once, then bounded branching on the factors of a
-nonlinear one.
+three, by ``verify`` alone.  With the twist functions expanded over an
+ansatz with unknown constants, the vanishing of every coefficient of its
+residuals yields the determining system, solved exactly by rounds of
+elimination of all its linear equations at once, then bounded branching
+on the factors of a nonlinear one.  Each subcommand is one call here:
+``verify_each`` and ``solve`` take every orientation asked for, keep a
+degenerate one's DegeneratePairError as its result, and ``solve``
+verifies each solution's twist again.
 
-From the relations to the residuals everything is a ``kernel.Form`` of
-one JetRing per computation, whose generators include the twist's
-unknown constants.  F, the Lax operators and the twist come as Forms of
-the space's JetRing (an ansatz twist: of that ring with its constants),
-and ``FormRing.embed`` moves them into the computation's ring; the
-VerifyReport carries Forms.  The determining equations are made in the
-solver's ring, in one pass that splits each monomial of the residuals'
-numerators into its equation, its monomial and its coefficient: an
-equation is a ``kernel.Poly`` over the unknowns, with coefficients in QQ
-or, when the residuals hold parameters or independent variables, scalar
-Forms of one FormRing of those.  The solver stays in that ring: a row
-reduction of its own, a substitution of the solved values, and the
-kernel's factoring for the branch step; a closed branch's values are
-rationals or scalar Forms, which ``Solution.twist_functions`` turns into
-Forms of the basis terms' ring.  sympy is imported only by the kernel,
-to factor an equation that has no unknown of degree 1.
+From the relations to the residuals everything is a ``kernel.Form`` of one
+JetRing per computation, whose generators include the twist's unknown
+constants.  F, the Lax operators and the twist come as Forms of the
+space's JetRing (an ansatz twist: of that ring with its constants), and
+``FormRing.embed`` moves them into the computation's ring; the
+VerifyReport carries Forms and the RelationSet.  The determining equations
+are made in the solver's ring, in one pass that splits each monomial of
+the residuals' numerators into its equation, its monomial and its
+coefficient: an equation is a ``kernel.Poly`` over the unknowns, with
+coefficients in QQ or, when the residuals hold parameters or independent
+variables, scalar Forms of one FormRing of those.  The solver stays in
+that ring: a row reduction of its own, a substitution of the solved
+values, and the kernel's factoring for the branch step; a closed branch's
+values are rationals or scalar Forms, which ``Solution.twist_functions``
+turns into Forms of the basis terms' ring.  sympy is imported only by the
+kernel, to factor an equation that has no unknown of degree 1.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ from fractions import Fraction
 
 from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
                    solve_for_leading, total_derivative)
-from .kernel import (ONE, Form, FormRing, Poly, _dense, _irreducible_factors,
-                     _primitive)
-from .lax import LAMBDA, DegeneratePairError, LaxPair, equation_system
+from .kernel import ONE, Form, FormRing, Poly, _irreducible_factors
+from .lax import LAMBDA, DegeneratePairError, LaxPair
 from .linearize import LinearDifferentialOperator, linearize
 
 ORIENTATIONS = ("forward", "swapped")
@@ -121,7 +123,6 @@ class RelationSet:
     relations: tuple[Form, Form]
     rules: tuple[RewriteRule, RewriteRule]
     directions: tuple[str, str]
-    orientation: str
 
 
 def build_relations(pair: LaxPair, twist: TwistRelations,
@@ -151,25 +152,24 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
     if rules[0].lhs == rules[1].lhs:
         raise DegeneratePairError(
             f"both relations solve for the same leading Ut-jet {rules[0].lhs}")
-    return RelationSet(tuple(relations), tuple(rules), tuple(dirs),
-                       twist.orientation)
+    return RelationSet(tuple(relations), tuple(rules), tuple(dirs))
 
 
 def full_system(F, relset: RelationSet,
                 space: JetSpace) -> tuple[RewriteSystem, LinearDifferentialOperator]:
-    """One rewrite system of F = 0, the linearized equation solved for
-    U and the recursion relations solved for Ut, in the JetRing of the
-    relations; and the linearization of F in that ring.  The linearized
-    equation is reduced modulo F before it is solved, so the lead of its
-    rule is in normal form; the other rules go in as they were solved,
-    and reduction reduces each right-hand side where it uses it.  The
+    """One rewrite system of F = 0 solved for u, the linearized equation
+    solved for U and the recursion relations solved for Ut, in the
+    JetRing of the relations; and the linearization of F in that ring.
+    Every rule goes in as it was solved, and reduction reduces each
+    right-hand side where it uses it; the lead of the U rule is the
+    coefficient of F's leading jet, which holds no reducible jet.  The
     system's assumptions are the factors of the leading coefficients of
     F, of its linearization and of the relations."""
     F = relset.relations[0].ring.embed(F)
-    sys_u = equation_system(F, space)
     lin = linearize(F, space)
-    u_rule = solve_for_leading(sys_u.reduce(lin.apply_to("U", space)), "U", space)
-    return RewriteSystem(space, [*sys_u.rules.values(), u_rule, *relset.rules]), lin
+    rules = [solve_for_leading(F, "u", space),
+             solve_for_leading(lin.apply_to("U", space), "U", space), *relset.rules]
+    return RewriteSystem(space, rules), lin
 
 
 def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
@@ -177,9 +177,7 @@ def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
     reduced in their full system; zero means the system for Ut is
     compatible whenever U is a symmetry."""
     (r1, r2), (d1, d2) = relset.rules, relset.directions
-    cross = (total_derivative(sys.rules[r1.lhs].rhs, d2)
-             - total_derivative(sys.rules[r2.lhs].rhs, d1))
-    return sys.reduce(cross)
+    return sys.reduce(total_derivative(r1.rhs, d2) - total_derivative(r2.rhs, d1))
 
 
 def symmetry_residual(lin: LinearDifferentialOperator, sys: RewriteSystem) -> Form:
@@ -190,12 +188,13 @@ def symmetry_residual(lin: LinearDifferentialOperator, sys: RewriteSystem) -> Fo
 
 @dataclass
 class VerifyReport:
-    """The verdict, with both residuals and the assumptions as Forms."""
+    """The verdict, with both residuals and the assumptions as Forms, and
+    the relations it was reached with."""
     passed: bool
-    orientation: str
     compatibility: Form
     symmetry: Form
     assumptions: tuple[Form, ...]
+    relations: RelationSet
     timings: dict = field(default_factory=dict)
 
 
@@ -204,10 +203,10 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
 
     Both residuals are reduced to normal form in one derivation; the
     jet-order bound only decides whether a jet may be formed at all
-    (OrderOverflowError), never the value of a residual.
+    (OrderOverflowError), never the value of a residual.  The unknown
+    constants of an ansatz twist are generators of the computation's
+    ring, so a zero residual is zero for every value of them.
     """
-    if twist.free_constants(space):
-        raise InvalidTwistError("verify requires a twist without unknown constants")
     t0 = time.monotonic()
     relset = build_relations(pair, twist, space)
     sys, lin = full_system(F, relset, space)
@@ -217,8 +216,28 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
     symm = symmetry_residual(lin, sys)
     t3 = time.monotonic()
     timings = {"build": t1 - t0, "compatibility": t2 - t1, "symmetry": t3 - t2}
-    return VerifyReport(not compat.terms and not symm.terms, twist.orientation,
-                        compat, symm, sys.assumptions, timings)
+    return VerifyReport(not compat.terms and not symm.terms, compat, symm,
+                        sys.assumptions, relset, timings)
+
+
+def verify_each(F, pair: LaxPair, twist: TwistRelations, orientations, space: JetSpace) -> dict:
+    """``verify`` of the twist in each orientation, by ``_each_orientation``."""
+    return _each_orientation(
+        lambda o: verify(F, pair, twist.with_orientation(o), space), orientations)
+
+
+def _each_orientation(step, orientations) -> dict:
+    """Orientation -> step(orientation), or the DegeneratePairError it
+    raised; raises the first one when every orientation raised one."""
+    results = {}
+    for orientation in orientations:
+        try:
+            results[orientation] = step(orientation)
+        except DegeneratePairError as exc:
+            results[orientation] = exc
+    if results and all(isinstance(r, DegeneratePairError) for r in results.values()):
+        raise next(iter(results.values()))
+    return results
 
 
 # -- ansatz and determining system ------------------------------------
@@ -256,7 +275,6 @@ class DeterminingSystem:
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
-    orientation: str
 
     @property
     def domain(self) -> FormRing | None:
@@ -291,7 +309,7 @@ def derive_determining_system(F, pair: LaxPair, basis: dict,
     twist, slot_terms = ansatz_twist(basis, orientation)
     equations = determining_equations_for_twist(F, pair, twist, space)
     unknowns = sorted({c for pairs in slot_terms.values() for c, _ in pairs})
-    return DeterminingSystem(equations, unknowns, slot_terms, orientation)
+    return DeterminingSystem(equations, unknowns, slot_terms)
 
 
 def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
@@ -302,11 +320,9 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
     QQ or, when the residuals' numerators hold other symbols, scalar
     Forms of one FormRing of those.  Empty iff the twist satisfies both
     conditions; with an ansatz twist these are the determining equations
-    for its constants."""
-    relset = build_relations(pair, twist, space)
-    sys, lin = full_system(F, relset, space)
-    residuals = (compatibility_residual(relset, sys), symmetry_residual(lin, sys))
-    return list(dict.fromkeys(_coefficients(residuals, space,
+    for its constants: the coefficients of ``verify``'s residuals."""
+    rep = verify(F, pair, twist, space)
+    return list(dict.fromkeys(_coefficients((rep.compatibility, rep.symmetry), space,
                                             twist.free_constants(space))))
 
 
@@ -461,6 +477,24 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     return solutions
 
 
+def solve(F, pair: LaxPair, basis: dict, orientations, space: JetSpace,
+          branch_bound: int) -> dict:
+    """Orientation -> (the DeterminingSystem of the ansatz basis in it, each
+    solution as (Solution, its twist functions by slot, their VerifyReport),
+    the message of a partial result or None), by ``_each_orientation``."""
+    def step(orientation):
+        ds = derive_determining_system(F, pair, basis, orientation, space)
+        try:
+            sols, partial = solve_determining(ds, branch_bound), None
+        except PartialResultError as exc:
+            sols, partial = exc.solutions, str(exc)
+        twists = [(sol, sol.twist_functions(ds)) for sol in sols]
+        return ds, [(sol, fs, verify(F, pair, TwistRelations(fs, orientation), space))
+                    for sol, fs in twists], partial
+
+    return _each_orientation(step, orientations)
+
+
 def _row_reduce(eqs: list, n: int) -> dict | None:
     """The reduced row echelon form of equations of total degree at most
     1 in n unknowns, columns in the unknowns' order: {pivot's index: its
@@ -579,3 +613,34 @@ def _branch_factors(eq: Poly, n: int, domain: FormRing | None) -> list:
         out.append(((len(dense), k, dense), f))
     out.sort(key=lambda kf: kf[0])
     return [(f, key[1]) for key, f in out]
+
+
+def _dense(items: list, u: int, zero=0):
+    """sympy's dense representation of the polynomial with the given
+    (exponents, coefficient) items in u + 1 variables; zero stands for a
+    missing coefficient."""
+    if not items:
+        out: list = []
+        for _ in range(u):
+            out = [out]
+        return out
+    top = max(e[0] for e, _c in items)
+    if u == 0:
+        coeffs = [zero] * (top + 1)
+        for e, c in items:
+            coeffs[top - e[0]] = c
+        return coeffs
+    rows: list = [[] for _ in range(top + 1)]
+    for e, c in items:
+        rows[top - e[0]].append((e[1:], c))
+    return [_dense(r, u - 1, zero) for r in rows]
+
+
+def _primitive(g: Poly) -> Poly:
+    """g as sympy's ``factor_list`` gives a factor: primitive over ZZ,
+    with a positive leading coefficient in lex order."""
+    d = math.lcm(*(c.denominator for c in g.values()))
+    content = math.gcd(*(int(c * d) for c in g.values()))
+    if g[max(g)] < 0:
+        content = -content
+    return Poly({m: int(c * d) // content for m, c in g.items()})

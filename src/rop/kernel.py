@@ -243,7 +243,7 @@ def _monic(p: Poly) -> Poly:
 
 
 def _irreducible_factors(p: Poly) -> list:
-    """(monic irreducible factor, multiplicity) pairs of a nonconstant p.
+    """(monic irreducible factor, multiplicity) pairs of p; none for a constant.
 
     The monomial content is taken out first.  A polynomial of degree 1
     in some generator x, p = a*x + b, is split by the factors of a: each
@@ -298,45 +298,6 @@ def _sympy_factors(p: Poly) -> list:
             big[tuple(e)] = _rational(c)
         out.append((_monic(big), k))
     return out
-
-
-def _dense(items: list, u: int, zero=0):
-    """sympy's dense representation of the polynomial with the given
-    (exponents, coefficient) items in u + 1 variables; zero stands for a
-    missing coefficient."""
-    if not items:
-        out: list = []
-        for _ in range(u):
-            out = [out]
-        return out
-    top = max(e[0] for e, _c in items)
-    if u == 0:
-        coeffs = [zero] * (top + 1)
-        for e, c in items:
-            coeffs[top - e[0]] = c
-        return coeffs
-    rows: list = [[] for _ in range(top + 1)]
-    for e, c in items:
-        rows[top - e[0]].append((e[1:], c))
-    return [_dense(r, u - 1, zero) for r in rows]
-
-
-def _primitive(g: Poly) -> Poly:
-    """g as sympy's ``factor_list`` gives a factor: primitive over ZZ,
-    with a positive leading coefficient in lex order."""
-    d = math.lcm(*(c.denominator for c in g.values()))
-    content = math.gcd(*(int(c * d) for c in g.values()))
-    if g[max(g)] < 0:
-        content = -content
-    return Poly({m: int(c * d) // content for m, c in g.items()})
-
-
-def _factor_list_key(g: Poly, k: int, used: list) -> tuple:
-    """The key by which sympy's ``factor_list`` orders the factor g of
-    multiplicity k of a polynomial in the generators ``used``."""
-    items = [(tuple(m[i] for i in used), c) for m, c in _primitive(g).items()]
-    dense = _dense(items, len(used) - 1)
-    return (len(dense), k, dense)
 
 
 # -- the carrier -------------------------------------------------------
@@ -448,19 +409,14 @@ class FormRing:
     def _factor(self, p: Poly) -> tuple:
         """(c, exps) with p = c * prod(factors[f]**exps[f]); p nonzero.
         Registered factors are divided out first; the irreducible factors
-        of the rest are registered in the order sympy's ``factor_list``
-        would list them in the ring of the generators it uses."""
+        of the rest are registered in the order ``_irreducible_factors``
+        finds them."""
         exps: dict[int, int] = {}
         for fid in range(len(self.factors)):
             k, (p,) = self._cancel((p,), fid, None)
             if k:
                 exps[fid] = k
-        if p.is_ground():
-            return p.LC, exps
-        used = [i for i, d in enumerate(p.degrees()) if d]
-        found = _irreducible_factors(p)
-        found.sort(key=lambda gk: _factor_list_key(gk[0], gk[1], used))
-        for g, mult in found:
+        for g, mult in _irreducible_factors(p):
             fid = self.factor_id(g)
             exps[fid] = exps.get(fid, 0) + mult
         return p.LC, exps

@@ -12,6 +12,8 @@ import sympy as sp
 
 from rop import engine
 from rop.cli import main
+from rop.lax import DegeneratePairError
+from rop.problem import parse_problem
 
 from conftest import jet_symbols
 from pointwise import equal
@@ -186,6 +188,14 @@ class TestOtherCommands:
             twist = -j("u", "xz") if level == 0 else -j("u", "xx")
             assert equal(e.diff(sp.Symbol(f"psi_{level + 1}")), twist / j("u", "x"))
 
+    def test_hierarchy_builds_the_relations_once(self, capsys, monkeypatch):
+        calls = []
+        build = engine.build_relations
+        monkeypatch.setattr(engine, "build_relations",
+                            lambda *a: calls.append(a) or build(*a))
+        code, _, _ = run(capsys, "hierarchy", DFKN2, "--k", "2", "--json")
+        assert code == 0 and len(calls) == 1
+
     def test_hierarchy_chains_the_swapped_relations(self, capsys):
         code, out, _ = run(capsys, "hierarchy", EQ5, "--json")
         assert code == 0
@@ -294,6 +304,18 @@ class TestDegenerateOrientation:
         code, out, _ = run(capsys, "hierarchy", path, "--json")
         assert code == 0 and json.loads(out)["orientation"] == "swapped"
 
+    def test_engine_solve_keeps_the_error_of_the_orientation(self):
+        prob = parse_problem(HEAVENLY1)
+        basis = engine.default_ansatz(prob.F, prob.lax, prob.space)
+        results = engine.solve(prob.F, prob.lax, basis, ["forward", "swapped"],
+                               prob.space, 64)
+        assert isinstance(results["forward"], DegeneratePairError)
+        assert str(results["forward"]) == SAME_LEAD
+        _ds, [(_sol, _fs, rep)], partial = results["swapped"]
+        assert rep.passed and partial is None
+        with pytest.raises(DegeneratePairError, match=SAME_LEAD):
+            engine.solve(prob.F, prob.lax, basis, ["forward"], prob.space, 64)
+
     @pytest.mark.parametrize("command", ["verify", "solve"])
     def test_every_orientation_degenerate_is_an_error(self, capsys, path, command):
         code, out, _ = run(capsys, command, path, "--orientation", "forward", "--json")
@@ -306,6 +328,13 @@ class TestErrorsAndLimits:
         code, _, err = run(capsys, "verify", "no-such-file.rop")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy"])
+    def test_problem_without_a_twist(self, capsys, tmp_path, command):
+        p = tmp_path / "degenerate.rop"
+        p.write_text(DEGENERATE)
+        code, out, _ = run(capsys, command, str(p), "--json")
+        assert code == 2 and "no twist block" in json.loads(out)["error"]
 
     def test_syntax_error(self, capsys, tmp_path):
         p = tmp_path / "broken.rop"
@@ -488,6 +517,16 @@ def _reduced_ansatz(name, seed):
         lines.append(f"ansatz {slot} = " + ", ".join(
             f"({rng.choice(('1', '-1'))})*{j}/u_x" for j in pool if j in chosen))
     return "\n".join(lines) + "\n"
+
+
+def test_engine_solve_verifies_every_solution():
+    prob = parse_problem(_reduced_ansatz("dfkn2", 1))
+    results = engine.solve(prob.F, prob.lax, prob.ansatz, ["forward", "swapped"],
+                           prob.space, 64)
+    solutions = [sol for _ds, sols, _partial in results.values() for sol in sols]
+    assert solutions
+    for sol, fs, rep in solutions:
+        assert isinstance(rep, engine.VerifyReport) and rep.passed
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_TERMS))

@@ -114,12 +114,29 @@ class TestVerify:
         rep = verify(dfkn2.F, dfkn2.lax, TwistRelations(f, "forward"), s)
         assert not rep.passed
 
-    def test_rejects_unknown_constants(self, dfkn2):
+    def test_ansatz_twist_fails_with_its_determining_equations(self, dfkn2):
+        # the constants are generators of the residuals' ring; the
+        # determining equations are the coefficients of these residuals
         s = dfkn2.space
         basis = default_ansatz(dfkn2.F, dfkn2.lax, s)
         twist, _ = engine.ansatz_twist(basis, "forward")
-        with pytest.raises(InvalidTwistError):
-            verify(dfkn2.F, dfkn2.lax, twist, s)
+        rep = verify(dfkn2.F, dfkn2.lax, twist, s)
+        assert not rep.passed
+        assert set(twist.free_constants(s)) <= set(rep.compatibility.ring.symbols)
+        want = engine._coefficients((rep.compatibility, rep.symmetry), s,
+                                    twist.free_constants(s))
+        assert want
+        assert determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, s) == \
+            list(dict.fromkeys(want))
+
+    def test_paper_twist_with_a_constant_passes(self, dfkn2):
+        s = dfkn2.space
+        ring = jets_module.jet_ring(s, ["c"])
+        twist = TwistRelations({slot: ring.embed(f) for slot, f in _twist(dfkn2).f.items()},
+                               "forward")
+        assert twist.free_constants(s) == {"c"}
+        rep = verify(dfkn2.F, dfkn2.lax, twist, s)
+        assert rep.passed and rep.compatibility.ring is ring
 
 
 class TestDeterminingSystem:
@@ -193,7 +210,7 @@ def _synthetic(eqs, names):
     for e in eqs:
         terms = sp.Poly(e, *unknowns).terms() if unknowns else [((), e)]
         polys.append(kernel.Poly({m: coefficient(c) for m, c in terms if c != 0}))
-    return DeterminingSystem(polys, unknowns, {slot: [] for slot in SLOTS}, "forward")
+    return DeterminingSystem(polys, unknowns, {slot: [] for slot in SLOTS})
 
 
 def _expr(eq, unknowns):

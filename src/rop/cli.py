@@ -21,7 +21,7 @@ from pathlib import Path
 from . import engine, lax
 from .linearize import linearize as linearize_equation
 from .engine import SLOTS
-from .kernel import ONE, fmt
+from .kernel import ONE, DegenerateExpressionError, fmt
 from .problem import Problem, ProblemSyntaxError, parse_basis, parse_problem
 
 
@@ -55,7 +55,7 @@ def _orientations(problem: Problem, flag: str | None) -> list[str]:
 
 
 def _basis_for(problem: Problem, basis_arg: str) -> dict:
-    basis = engine.default_ansatz(problem.F, problem.lax, problem.space)
+    basis = engine.default_ansatz(problem.F, problem.lax)
     explicit = problem.ansatz
     if basis_arg not in (None, "auto"):
         explicit = parse_basis(Path(basis_arg).read_text(), problem)
@@ -64,28 +64,23 @@ def _basis_for(problem: Problem, basis_arg: str) -> dict:
 
 
 def cmd_lax_check(problem: Problem, args) -> dict:
-    t0 = time.monotonic()
-    report = lax.check_lax(problem.lax, problem.F, problem.space)
-    doc = {
+    report = lax.check_lax(problem.lax, problem.F)
+    return {
         "verdict": "PASS" if report.passed else "FAIL",
         "residuals": [fmt(r) for r in report.residuals],
         "multipliers": [fmt(m) for m in report.multipliers] if report.multipliers else None,
         "assumptions": [fmt(a) for a in report.assumptions],
         "notes": report.note,
-        "timings": {"total": time.monotonic() - t0},
     }
-    return doc
 
 
 def cmd_linearize(problem: Problem, args) -> dict:
-    t0 = time.monotonic()
-    op = linearize_equation(problem.F, problem.space)
+    op = linearize_equation(problem.F)
     terms = [{"index": list(idx), "coefficient": fmt(c)} for idx, c in op.coeffs]
     return {
         "verdict": "PASS",
         "linearization": terms,
-        "applied_to_seed": fmt(op.apply_to("U", problem.space)),
-        "timings": {"total": time.monotonic() - t0},
+        "applied_to_seed": fmt(op.apply_to("U")),
     }
 
 
@@ -99,9 +94,7 @@ def _verify(problem: Problem, orientations: list[str]) -> tuple[dict, dict]:
     if problem.twist is None:
         raise CliError("problem file has no twist block; 'verify' and "
                        "'hierarchy' need one")
-    t0 = time.monotonic()
-    reports = engine.verify_each(problem.F, problem.lax, problem.twist, orientations,
-                                 problem.space)
+    reports = engine.verify_each(problem.F, problem.lax, problem.twist, orientations)
     results = []
     assumptions: list[str] = []
     for orientation, rep in reports.items():
@@ -125,17 +118,14 @@ def _verify(problem: Problem, orientations: list[str]) -> tuple[dict, dict]:
         "residuals": [r["compatibility_residual"] for r in ran]
                      + [r["symmetry_residual"] for r in ran],
         "assumptions": assumptions,
-        "timings": {"total": time.monotonic() - t0},
     }, reports
 
 
 def cmd_solve(problem: Problem, args) -> dict:
     kept, rejected = [], []
     warnings = list(problem.warnings)
-    t0 = time.monotonic()
     results = engine.solve(problem.F, problem.lax, _basis_for(problem, args.basis),
-                           _orientations(problem, args.orientation), problem.space,
-                           args.branch_bound)
+                           _orientations(problem, args.orientation), args.branch_bound)
     for orientation, res in results.items():
         if isinstance(res, lax.DegeneratePairError):
             warnings.append(f"orientation {orientation}: {res}")
@@ -159,7 +149,6 @@ def cmd_solve(problem: Problem, args) -> dict:
         "solutions": kept,
         "rejected": rejected,
         "warnings": warnings,
-        "timings": {"total": time.monotonic() - t0},
     }
 
 
@@ -167,7 +156,6 @@ def cmd_hierarchy(problem: Problem, args) -> dict:
     """The problem's relations in the first orientation whose twist
     passes verify, chained k times: level j maps psi_j (U) to psi_{j+1}
     (Ut).  No orientation passing is a FAIL with no relations."""
-    t0 = time.monotonic()
     doc, reports = _verify(problem, _orientations(problem, None))
     passed = [r["orientation"] for r in doc["results"] if r["verdict"] == "PASS"]
     rels = []
@@ -180,8 +168,7 @@ def cmd_hierarchy(problem: Problem, args) -> dict:
                    for s, unknown in jets.items()}
             rels += [f"{fmt(e.renamed(ren))} = 0" for e in relset.relations]
     return {**doc, "orientation": passed[0] if passed else None,
-            "relations": rels, "levels": args.k,
-            "timings": {"total": time.monotonic() - t0}}
+            "relations": rels, "levels": args.k}
 
 
 COMMANDS = {
@@ -284,8 +271,11 @@ def main(argv=None) -> int:
         timeout = _timeout_secs()
         with _time_limit(timeout):
             problem = parse_problem(Path(args.file).read_text(), max_order=args.max_order)
+            t0 = time.monotonic()
             doc = COMMANDS[args.command](problem, args)
-    except (ProblemSyntaxError, CliError, TimeoutError, OSError, ValueError) as exc:
+            total = time.monotonic() - t0
+    except (ProblemSyntaxError, CliError, TimeoutError, OSError, ValueError,
+            DegenerateExpressionError) as exc:
         msg = f"error: {exc}"
         if args.json:
             print(json.dumps({"command": args.command, "verdict": "ERROR",
@@ -294,7 +284,7 @@ def main(argv=None) -> int:
             print(msg, file=sys.stderr)
         return 2
     doc = {"problem": problem.name, "command": args.command, **doc,
-           "warnings": doc.get("warnings", problem.warnings)}
+           "warnings": doc.get("warnings", problem.warnings), "timings": {"total": total}}
     if args.json:
         print(json.dumps(doc, indent=2))
     else:

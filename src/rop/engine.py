@@ -21,13 +21,15 @@ verifies each solution's twist again.
 
 From the relations to the residuals everything is a ``kernel.Form`` of one
 JetRing per computation, whose generators include the twist's unknown
-constants.  F, the Lax operators and the twist come as Forms of the
-space's JetRing (an ansatz twist: of that ring with its constants), and
-``FormRing.embed`` moves them into the computation's ring; the
-VerifyReport carries Forms and the RelationSet.  The determining equations
-are made in the solver's ring, in one pass that splits each monomial of
-the residuals' numerators into its equation, its monomial and its
-coefficient: an equation is a ``kernel.Poly`` over the unknowns, with
+constants.  F, the Lax operators and the twist come as Forms of one
+JetRing (an ansatz twist: of that ring with its constants), whose space
+is the computation's, and ``FormRing.embed`` moves them into its ring (a
+jet of another space is a ValueError); the orientation is an argument
+beside the twist, and the VerifyReport carries Forms and the
+RelationSet.  The determining equations are made in the solver's ring,
+in one pass that splits each monomial of the residuals' numerators into
+its equation, its monomial and its coefficient: an equation is a
+``kernel.Poly`` over the unknowns, with
 coefficients in QQ or, when the residuals hold parameters or independent
 variables, scalar Forms of one FormRing of those.  The solver stays in
 that ring: a row reduction of its own, a substitution of the solved
@@ -45,8 +47,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jets import (JetSpace, RewriteRule, RewriteSystem, jet_ring,
-                   solve_for_leading, total_derivative)
+from .jets import (RewriteRule, RewriteSystem, jet_ring, solve_for_leading,
+                   total_derivative)
 from .kernel import ONE, Form, FormRing, Poly, _irreducible_factors
 from .lax import LAMBDA, DegeneratePairError, LaxPair
 from .linearize import LinearDifferentialOperator, linearize
@@ -73,38 +75,28 @@ class PartialResultError(RuntimeError):
 
 @dataclass(frozen=True)
 class TwistRelations:
-    """The four twist functions, Forms of a JetRing, plus the
-    orientation flag.
-
-    forward:  X1_i(Ut) + f_i^1 Ut = f_i^0 U + X0_i(U)
-    swapped:  the roles of (X1, X0) exchanged between Ut and U.
-    """
+    """The four twist functions f_i^s, slot (i, s) -> a Form of a
+    JetRing."""
     f: dict
-    orientation: str = "forward"
 
     def __post_init__(self):
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be one of {ORIENTATIONS}")
         for slot in SLOTS:
             if slot not in self.f:
                 raise InvalidTwistError(f"missing twist slot f{slot[0]}_{slot[1]}")
 
-    def validate(self, space: JetSpace) -> None:
+    def validate(self) -> None:
         for slot, e in self.f.items():
-            check_twist_function(slot, e, space)
+            check_twist_function(slot, e)
 
-    def with_orientation(self, orientation: str) -> "TwistRelations":
-        return TwistRelations(dict(self.f), orientation)
-
-    def free_constants(self, space: JetSpace) -> set:
-        """The generators of the twist functions' rings that the space's
-        JetRing lacks: the unknown constants of an ansatz, also one whose
-        basis term is zero."""
-        known = jet_ring(space).index
-        return {s for f in self.f.values() for s in f.ring.symbols if s not in known}
+    def free_constants(self) -> set:
+        """The generators of the twist functions' rings that the JetRing
+        of their space lacks: the unknown constants of an ansatz, also
+        one whose basis term is zero."""
+        return {s for f in self.f.values()
+                for s in set(f.ring.symbols).difference(jet_ring(f.ring.space).index)}
 
 
-def check_twist_function(slot: tuple[int, int], f: Form, space: JetSpace) -> None:
+def check_twist_function(slot: tuple[int, int], f: Form) -> None:
     """The twist function of a slot must be free of the spectral parameter
     and of U/Ut jets (the keys of a Form)."""
     i, s = slot
@@ -126,22 +118,29 @@ class RelationSet:
 
 
 def build_relations(pair: LaxPair, twist: TwistRelations,
-                    space: JetSpace) -> RelationSet:
+                    orientation: str) -> RelationSet:
     """Form E_i = (Ut-side operator)(Ut) + f_i^1 Ut - f_i^0 U - (U-side
-    operator)(U) and solve each for its leading Ut-jet.  The JetRing of
-    the computation has the twist's unknown constants as generators."""
-    twist.validate(space)
-    ring = jet_ring(space, twist.free_constants(space))
+    operator)(U) and solve each for its leading Ut-jet:
+
+      forward:  X1_i(Ut) + f_i^1 Ut = f_i^0 U + X0_i(U)
+      swapped:  the roles of (X1, X0) exchanged between Ut and U.
+
+    The JetRing of the computation is that of the pair's space, with the
+    twist's unknown constants as generators."""
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+    twist.validate()
+    space = pair.x1[0].ring.space
+    ring = jet_ring(space, twist.free_constants())
     one = ring.constant(1)
+    ut_ops, u_ops = (pair.x1, pair.x0) if orientation == "forward" else (pair.x0, pair.x1)
     relations, rules, dirs = [], [], []
     for i in (0, 1):
-        ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
-        u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
-        e = ring.combine([(one, ring.embed(ut_op.apply_to_unknown("Ut", space))),
+        e = ring.combine([(one, ring.embed(ut_ops[i].apply_to_unknown("Ut"))),
                           (ring.embed(twist.f[(i + 1, 1)]), ring.symbol(space.jet("Ut"))),
                           (-ring.embed(twist.f[(i + 1, 0)]), ring.symbol(space.jet("U"))),
-                          (-one, ring.embed(u_op.apply_to_unknown("U", space)))])
-        rule = solve_for_leading(e, "Ut", space)
+                          (-one, ring.embed(u_ops[i].apply_to_unknown("U")))])
+        rule = solve_for_leading(e, "Ut")
         jv = space.jet_var(rule.lhs)
         if jv.order != 1:
             raise DegeneratePairError(
@@ -155,8 +154,7 @@ def build_relations(pair: LaxPair, twist: TwistRelations,
     return RelationSet(tuple(relations), tuple(rules), tuple(dirs))
 
 
-def full_system(F, relset: RelationSet,
-                space: JetSpace) -> tuple[RewriteSystem, LinearDifferentialOperator]:
+def full_system(F, relset: RelationSet) -> tuple[RewriteSystem, LinearDifferentialOperator]:
     """One rewrite system of F = 0 solved for u, the linearized equation
     solved for U and the recursion relations solved for Ut, in the
     JetRing of the relations; and the linearization of F in that ring.
@@ -166,10 +164,10 @@ def full_system(F, relset: RelationSet,
     system's assumptions are the factors of the leading coefficients of
     F, of its linearization and of the relations."""
     F = relset.relations[0].ring.embed(F)
-    lin = linearize(F, space)
-    rules = [solve_for_leading(F, "u", space),
-             solve_for_leading(lin.apply_to("U", space), "U", space), *relset.rules]
-    return RewriteSystem(space, rules), lin
+    lin = linearize(F)
+    rules = [solve_for_leading(F, "u"), solve_for_leading(lin.apply_to("U"), "U"),
+             *relset.rules]
+    return RewriteSystem(rules), lin
 
 
 def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
@@ -183,7 +181,7 @@ def compatibility_residual(relset: RelationSet, sys: RewriteSystem) -> Form:
 def symmetry_residual(lin: LinearDifferentialOperator, sys: RewriteSystem) -> Form:
     """Condition b): the linearized equation applied to Ut, reduced in the
     full system; zero means Ut is a symmetry whenever U is."""
-    return sys.reduce(lin.apply_to("Ut", sys.space))
+    return sys.reduce(lin.apply_to("Ut"))
 
 
 @dataclass
@@ -198,8 +196,9 @@ class VerifyReport:
     timings: dict = field(default_factory=dict)
 
 
-def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyReport:
-    """PASS iff both residuals are exactly zero.
+def verify(F, pair: LaxPair, twist: TwistRelations, orientation: str) -> VerifyReport:
+    """PASS iff both residuals of the twist's relations in the
+    orientation are exactly zero.
 
     Both residuals are reduced to normal form in one derivation; the
     jet-order bound only decides whether a jet may be formed at all
@@ -208,8 +207,8 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
     ring, so a zero residual is zero for every value of them.
     """
     t0 = time.monotonic()
-    relset = build_relations(pair, twist, space)
-    sys, lin = full_system(F, relset, space)
+    relset = build_relations(pair, twist, orientation)
+    sys, lin = full_system(F, relset)
     t1 = time.monotonic()
     compat = compatibility_residual(relset, sys)
     t2 = time.monotonic()
@@ -220,10 +219,9 @@ def verify(F, pair: LaxPair, twist: TwistRelations, space: JetSpace) -> VerifyRe
                         sys.assumptions, relset, timings)
 
 
-def verify_each(F, pair: LaxPair, twist: TwistRelations, orientations, space: JetSpace) -> dict:
+def verify_each(F, pair: LaxPair, twist: TwistRelations, orientations) -> dict:
     """``verify`` of the twist in each orientation, by ``_each_orientation``."""
-    return _each_orientation(
-        lambda o: verify(F, pair, twist.with_orientation(o), space), orientations)
+    return _each_orientation(lambda o: verify(F, pair, twist, o), orientations)
 
 
 def _each_orientation(step, orientations) -> dict:
@@ -243,11 +241,13 @@ def _each_orientation(step, orientations) -> dict:
 # -- ansatz and determining system ------------------------------------
 
 
-def default_ansatz(F, pair: LaxPair, space: JetSpace) -> dict:
-    """Slot -> basis terms u_pq/d, with p, q over the variables occurring
-    in F or the Lax coefficients and d over the first derivatives u_r
-    found in Lax-coefficient denominators, read off their registered
-    factors; u_pq alone when there are none."""
+def default_ansatz(F, pair: LaxPair) -> dict:
+    """Slot -> basis terms u_pq/d, Forms of the JetRing of the pair's
+    space, with p, q over the variables occurring in F or the Lax
+    coefficients and d over the first derivatives u_r found in
+    Lax-coefficient denominators, read off their registered factors;
+    u_pq alone when there are none."""
+    space = pair.x1[0].ring.space
     coeffs = [c for op in pair.x1 + pair.x0 for c in op.coefficients()]
     used = set()
     for s in F.free_symbols.union(*(c.free_symbols for c in coeffs)):
@@ -284,7 +284,7 @@ class DeterminingSystem:
         return c.ring if isinstance(c, Form) else None
 
 
-def ansatz_twist(basis: dict, orientation: str) -> tuple[TwistRelations, dict]:
+def ansatz_twist(basis: dict) -> tuple[TwistRelations, dict]:
     """Expand each slot over its basis terms (slot -> terms, Forms of one
     JetRing) with fresh unknown constants, generators of the twist's
     ring.
@@ -298,22 +298,22 @@ def ansatz_twist(basis: dict, orientation: str) -> tuple[TwistRelations, dict]:
     ring = jet_ring(every[0][1].ring.space, [c for c, _ in every])
     f = {slot: ring.combine([(ring.symbol(c), ring.embed(t)) for c, t in pairs])
          for slot, pairs in slot_terms.items()}
-    return TwistRelations(f, orientation), slot_terms
+    return TwistRelations(f), slot_terms
 
 
 def derive_determining_system(F, pair: LaxPair, basis: dict,
-                              orientation: str, space: JetSpace) -> DeterminingSystem:
+                              orientation: str) -> DeterminingSystem:
     """Residual coefficients over every monomial in the parametric jets
     (and the spectral parameter, if present) as equations for the ansatz
     constants."""
-    twist, slot_terms = ansatz_twist(basis, orientation)
-    equations = determining_equations_for_twist(F, pair, twist, space)
+    twist, slot_terms = ansatz_twist(basis)
+    equations = determining_equations_for_twist(F, pair, twist, orientation)
     unknowns = sorted({c for pairs in slot_terms.values() for c, _ in pairs})
     return DeterminingSystem(equations, unknowns, slot_terms)
 
 
 def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
-                                    space: JetSpace) -> list:
+                                    orientation: str) -> list:
     """Coefficient of every monomial in the parametric jets (and lam, if
     present) across both residuals, each once, in the solver's ring:
     Polys over the twist's constants sorted by name, with coefficients in
@@ -321,12 +321,12 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
     Forms of one FormRing of those.  Empty iff the twist satisfies both
     conditions; with an ansatz twist these are the determining equations
     for its constants: the coefficients of ``verify``'s residuals."""
-    rep = verify(F, pair, twist, space)
-    return list(dict.fromkeys(_coefficients((rep.compatibility, rep.symmetry), space,
-                                            twist.free_constants(space))))
+    rep = verify(F, pair, twist, orientation)
+    return list(dict.fromkeys(_coefficients((rep.compatibility, rep.symmetry),
+                                            twist.free_constants())))
 
 
-def _coefficients(residuals, space: JetSpace, unknowns: set) -> list:
+def _coefficients(residuals, unknowns: set) -> list:
     """The coefficients of each residual's numerator as a polynomial in
     its jets and lam, in the order sympy's Poly over those generators
     (sorted by name) lists them: descending lex, as Polys over the
@@ -344,7 +344,7 @@ def _coefficients(residuals, space: JetSpace, unknowns: set) -> list:
     if not residuals:
         return []
     src = residuals[0].ring
-    jet = [s == LAMBDA or space.jet_var(s) is not None for s in src.symbols]
+    jet = [s == LAMBDA or src.space.jet_var(s) is not None for s in src.symbols]
     unknown = [s in unknowns for s in src.symbols]
     other = [not (j or u) for j, u in zip(jet, unknown)]
     groups = []
@@ -477,19 +477,18 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     return solutions
 
 
-def solve(F, pair: LaxPair, basis: dict, orientations, space: JetSpace,
-          branch_bound: int) -> dict:
+def solve(F, pair: LaxPair, basis: dict, orientations, branch_bound: int) -> dict:
     """Orientation -> (the DeterminingSystem of the ansatz basis in it, each
     solution as (Solution, its twist functions by slot, their VerifyReport),
     the message of a partial result or None), by ``_each_orientation``."""
     def step(orientation):
-        ds = derive_determining_system(F, pair, basis, orientation, space)
+        ds = derive_determining_system(F, pair, basis, orientation)
         try:
             sols, partial = solve_determining(ds, branch_bound), None
         except PartialResultError as exc:
             sols, partial = exc.solutions, str(exc)
         twists = [(sol, sol.twist_functions(ds)) for sol in sols]
-        return ds, [(sol, fs, verify(F, pair, TwistRelations(fs, orientation), space))
+        return ds, [(sol, fs, verify(F, pair, TwistRelations(fs), orientation))
                     for sol, fs in twists], partial
 
     return _each_orientation(step, orientations)

@@ -14,6 +14,8 @@ out of the ring; every relation is linear in them, so they are the keys
 of a Form.  The total derivative is a derivation of the ring (each
 ``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift of each key.
 The functions here take and return Forms only; the parser builds them.
+A Form's jet space, with its ranking and order bound, is its ring's
+(``JetRing.space``), so no function past the parser takes a space.
 
 A RewriteSystem holds solved relations (equation, linearized equation,
 recursion relations) oriented by a well-founded ranking, and reduces
@@ -188,7 +190,8 @@ _live_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def _jet_ring(*key) -> JetRing:
     ring = _live_rings.get(key)
     if ring is None:  # key: variables, max_order, params, extra symbols
-        ring = _live_rings[key] = JetRing(JetSpace(*key[:3]), key[3])
+        space = _jet_ring(*key[:3], ()).space if key[3] else JetSpace(*key[:3])
+        ring = _live_rings[key] = JetRing(space, key[3])
     return ring
 
 
@@ -197,7 +200,9 @@ def jet_ring(space: JetSpace, symbols: Iterable[str] = ()) -> JetRing:
     rings asked for last are kept; any other is found again for as long
     as it is alive (a Form refers to it), so that the Forms a parsed
     problem holds and those made later on an equal space share one
-    ring."""
+    ring.  A ring with extra generators is built on the space of the
+    ring without them, so every ring of one configuration has one
+    JetSpace."""
     return _jet_ring(space.variables, space.max_order, space.params,
                      tuple(symbol_order(set(symbols))))
 
@@ -241,7 +246,8 @@ class RewriteRule:
     rhs: Form
     lead: Form
 
-    def validate(self, space: JetSpace) -> None:
+    def validate(self) -> None:
+        space = self.rhs.ring.space
         top = space.rank_of(self.lhs)
         for s in self.rhs.free_symbols:
             if space.jet_var(s) is not None and not space.rank_of(s) < top:
@@ -249,14 +255,16 @@ class RewriteRule:
                     f"rule {self.lhs} -> ... contains jet {s} not below its lhs")
 
 
-def solve_for_leading(rel: Form, unknown: str, space: JetSpace) -> RewriteRule:
-    """Solve a relation (== 0) for its ranking-greatest jet of ``unknown``.
+def solve_for_leading(rel: Form, unknown: str) -> RewriteRule:
+    """Solve a relation (== 0) for its ranking-greatest jet of ``unknown``
+    in the ranking of its ring's space.
 
     The rule's lead is that jet's coefficient, a polynomial Form;
     inverting it registers its irreducible factors in the ring, where a
     RewriteSystem reads them back as its assumptions.
     """
     ring = rel.ring
+    space = ring.space
     if unknown == "u":
         present = set()
         for p in rel.terms.values():
@@ -295,24 +303,25 @@ class RewriteSystem:
     Every replacement is strictly decreasing under the ranking, and the
     highest-ranked applicable rule is chosen for each reducible jet.
     Normal forms of reducible jets are memoized per system.  All rules
-    are Forms of the first rule's JetRing.
+    are Forms of the first rule's JetRing, and ``space``, whose ranking
+    orients them, is that ring's.
 
     ``assumptions`` are what the rules hold under: the distinct
     irreducible factors of their leads as polynomial Forms, in rule
     order, as the ring's registry divides them out of each lead.
     """
 
-    def __init__(self, space: JetSpace, rules: Iterable[RewriteRule]):
+    def __init__(self, rules: Iterable[RewriteRule]):
         rules = list(rules)
-        self.space = space
         self.ring = rules[0].rhs.ring
+        self.space = space = self.ring.space
         self.rules: dict[str, RewriteRule] = {}
         for r in rules:
             if r.rhs.ring is not self.ring or r.lead.ring is not self.ring:
                 raise ValueError(f"rule for {r.lhs} is in another ring")
             if r.lhs in self.rules:
                 raise ValueError(f"duplicate rule for {r.lhs}")
-            r.validate(space)
+            r.validate()
             self.rules[r.lhs] = r
         lhss = list(self.rules)
         for i, a in enumerate(lhss):

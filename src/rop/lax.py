@@ -1,9 +1,9 @@
 """First-order scalar operators, lambda splitting, and Lax-pair validation.
 
 An operator here is  free + sum_j coeff_j * D_{x^j}  with coefficients
-that are Forms of the space's JetRing (``jets.jet_ring``); the parser
-builds a lax line with the operator's ``+``, ``-`` and ``scaled``, and
-total derivatives are ``jets.total_derivative``.  Lax
+that are Forms of one JetRing (``jets.jet_ring``), whose space names the
+jets; the parser builds a lax line with the operator's ``+``, ``-`` and
+``scaled``, and total derivatives are ``jets.total_derivative``.  Lax
 operators are linear in the spectral parameter, L = X0 - lam*X1, and are
 stored as the split (X1, X0) pair: X1 is minus the lam-coefficient and X0
 the lam-free part, whatever the ranking.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .jets import LAMBDA, JetSpace, RewriteSystem, solve_for_leading, total_derivative
+from .jets import LAMBDA, RewriteSystem, solve_for_leading, total_derivative
 from .kernel import Form, FormRing, fmt
 
 
@@ -71,9 +71,10 @@ class FirstOrderOperator:
         """Only the D-part applied to a Form."""
         return self.ring.combine([(c, total_derivative(e, v)) for v, c in self.dirs])
 
-    def apply_to_unknown(self, unknown: str, space: JetSpace) -> Form:
+    def apply_to_unknown(self, unknown: str) -> Form:
         """Apply to the zeroth jet of an unknown symbolically."""
         ring = self.ring
+        space = ring.space
         jets = [(self.free, space.jet(unknown))]
         jets += [(c, space.jet(unknown, (v,))) for v, c in self.dirs]
         return ring.combine([(c, ring.symbol(j)) for c, j in jets])
@@ -139,8 +140,7 @@ def _lambda_parts(c: Form) -> tuple[Form, Form]:
     return hi, c - hi * ring.symbol(LAMBDA)
 
 
-def split_lax_operator(op: FirstOrderOperator,
-                       space: JetSpace) -> tuple[FirstOrderOperator, FirstOrderOperator]:
+def split_lax_operator(op: FirstOrderOperator) -> tuple[FirstOrderOperator, FirstOrderOperator]:
     """split_lambda of one operator of a pair, whose lam-part must be
     nonzero and whose coefficients must be free of U and Ut jets."""
     x1, x0 = split_lambda(op)
@@ -148,7 +148,7 @@ def split_lax_operator(op: FirstOrderOperator,
         raise NotLambdaLinearError("operator has no spectral-parameter part")
     for c in x1.coefficients() + x0.coefficients():
         for s in c.free_symbols:
-            jv = space.jet_var(s)
+            jv = op.ring.space.jet_var(s)
             if jv is not None and jv.unknown != "u":
                 raise ValueError(f"Lax coefficients must be free of {s}")
     return x1, x0
@@ -197,16 +197,17 @@ class LaxReport:
     note: str = ""
 
 
-def equation_system(F: Form, space: JetSpace) -> RewriteSystem:
+def equation_system(F: Form) -> RewriteSystem:
     """Rewrite system generated by F = 0 solved for its leading u-jet,
-    in the ring of F; its assumptions are the factors of that jet's
-    coefficient."""
-    return RewriteSystem(space, [solve_for_leading(F, "u", space)])
+    in the ring of F and the ranking of its space; its assumptions are
+    the factors of that jet's coefficient."""
+    return RewriteSystem([solve_for_leading(F, "u")])
 
 
-def check_lax(pair: LaxPair, F: Form, space: JetSpace) -> LaxReport:
+def check_lax(pair: LaxPair, F: Form) -> LaxReport:
     """Commutator-closure check of a pair against F = 0, F a Form of the
-    ring of the pair's coefficients (as for ``linearize``).
+    ring of the pair's coefficients (a Form of another ring is a
+    ValueError).
 
     Seeks lambda-rational multipliers a, b with [op1, op2] = a*op1 + b*op2
     by matching directional coefficients, reducing every residual modulo
@@ -217,7 +218,7 @@ def check_lax(pair: LaxPair, F: Form, space: JetSpace) -> LaxReport:
     L_i, and the multipliers are reported for this sign.
     """
     op1, op2 = (-pair.full_operator(i) for i in (0, 1))
-    sys = equation_system(F, space)
+    sys = equation_system(F)
     comm = commutator(op1, op2)
     dirs = sorted(set(comm.directions) | set(op1.directions) | set(op2.directions))
 

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import kernel
-from .engine import ORIENTATIONS, SLOTS, TwistRelations, check_twist_function
+from .engine import SLOTS, TwistRelations, check_twist_function
 from .jets import UNKNOWNS, JetSpace, jet_ring, total_derivative
 from .kernel import ONE, Form, Poly
 from .lax import LAMBDA, FirstOrderOperator, LaxPair, split_lax_operator
@@ -297,9 +297,9 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
         raise ProblemSyntaxError("missing 'problem' line")
     if variables is None:
         raise ProblemSyntaxError("missing 'vars' line")
-    space = JetSpace(variables, declared_max_order if max_order is None else max_order,
-                     params)
-    ring = jet_ring(space)
+    ring = jet_ring(JetSpace(variables,
+                             declared_max_order if max_order is None else max_order, params))
+    space = ring.space
     lets: dict[str, Form] = {}
     F = None
     splits = []  # (line number, (X1, X0)) of the lax lines
@@ -333,7 +333,7 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                 op = parser(rest, allow_bare_d=True).parse()
                 if not isinstance(op, FirstOrderOperator) or not op.dirs:
                     raise ProblemSyntaxError("lax line contains no D_<var> term", line_no)
-                splits.append((line_no, split_lax_operator(op, space)))
+                splits.append((line_no, split_lax_operator(op)))
             elif head == "twist":
                 slot_src, _, src = rest.partition("=")
                 m = _SLOT_RE.fullmatch(slot_src.strip())
@@ -341,7 +341,7 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
                     raise ProblemSyntaxError(f"bad twist slot {slot_src.strip()!r}", line_no)
                 slot = (int(m.group(1)), int(m.group(2)))
                 twist_f[slot] = parser(src).parse()
-                check_twist_function(slot, twist_f[slot], space)
+                check_twist_function(slot, twist_f[slot])
             else:
                 slot, terms = _ansatz_line(rest, parser, line_no)
                 ansatz[slot] = terms
@@ -363,9 +363,8 @@ def parse_problem(text: str, max_order: int | None = None) -> Problem:
     with _at_line(splits[1][0]):  # the second line is proportional to the first
         pair = LaxPair.from_splits(splits[0][1], splits[1][1])
 
-    twist = TwistRelations({slot: twist_f.get(slot, ring.zero) for slot in SLOTS},
-                           orientation if orientation in ORIENTATIONS
-                           else "forward") if twist_f else None
+    twist = (TwistRelations({slot: twist_f.get(slot, ring.zero) for slot in SLOTS})
+             if twist_f else None)
 
     return Problem(name, space, F, pair, lets, twist, orientation, ansatz or None,
                    warnings)

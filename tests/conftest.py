@@ -98,9 +98,9 @@ def jet_symbols(space):
     return lambda unknown, index=(): sp.Symbol(space.jet(unknown, index))
 
 
-def zero_twist(space, orientation="forward"):
+def zero_twist(space):
     """The twist whose four functions are the zero Form of space."""
-    return TwistRelations({slot: to_form(0, space) for slot in SLOTS}, orientation)
+    return TwistRelations({slot: to_form(0, space) for slot in SLOTS})
 
 
 @pytest.fixture()

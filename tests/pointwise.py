@@ -215,7 +215,7 @@ def first_variation_defect(F, space: JetSpace, seed: str = "U") -> sp.Expr:
         if jv is not None and jv.unknown == "u":
             shift[s] = s + eps * sp.Symbol(space.jet(seed, jv.index))
     shifted = F.xreplace(shift)
-    lin = linearize(to_form(F, space), space).apply_to(seed, space).as_expr()
+    lin = linearize(to_form(F, space)).apply_to(seed).as_expr()
     defect = sp.cancel(sp.together(shifted - F - eps * lin))
     num, den = defect.as_numer_denom()
     if den.subs(eps, 0) == 0:

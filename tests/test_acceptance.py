@@ -40,13 +40,13 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _twist(problem):
-    return problem.twist.with_orientation(problem.orientation or "forward")
+def _orientation(problem):
+    return problem.orientation or "forward"
 
 
 def _verify_example(problem, limit, criterion):
     t0 = time.monotonic()
-    rep = engine.verify(problem.F, problem.lax, _twist(problem), problem.space)
+    rep = engine.verify(problem.F, problem.lax, problem.twist, _orientation(problem))
     dt = time.monotonic() - t0
     ok = rep.passed and rep.compatibility == 0 and rep.symmetry == 0 and dt < limit
     report(criterion, ok,
@@ -80,9 +80,9 @@ def solve_results(eq5, dfkn2, dfkn3):
     out = {}
     for prob in (eq5, dfkn2, dfkn3):
         t0 = time.monotonic()
-        basis = engine.default_ansatz(prob.F, prob.lax, prob.space)
+        basis = engine.default_ansatz(prob.F, prob.lax)
         ds = engine.derive_determining_system(
-            prob.F, prob.lax, basis, prob.orientation or "forward", prob.space)
+            prob.F, prob.lax, basis, prob.orientation or "forward")
         sols = engine.solve_determining(ds)
         out[prob.name] = (prob, ds, sols, time.monotonic() - t0)
     return out
@@ -131,11 +131,10 @@ def test_criterion_4_solve_mode_recovery(solve_results):
 
 def test_criterion_5_negative_controls(dfkn2, rng):
     s = dfkn2.space
-    rep_zero = engine.verify(dfkn2.F, dfkn2.lax, zero_twist(s), s)
-    flipped = dict(_twist(dfkn2).f)
+    rep_zero = engine.verify(dfkn2.F, dfkn2.lax, zero_twist(s), "forward")
+    flipped = dict(dfkn2.twist.f)
     flipped[(1, 1)] = to_form(-flipped[(1, 1)], s)
-    rep_flip = engine.verify(dfkn2.F, dfkn2.lax,
-                             TwistRelations(flipped, "forward"), s)
+    rep_flip = engine.verify(dfkn2.F, dfkn2.lax, TwistRelations(flipped), "forward")
     nonzero_confirmed = all(
         probably_nonzero(r, rng, points=8)
         for rep in (rep_zero, rep_flip)
@@ -166,8 +165,8 @@ def test_criterion_6_lax_validation(eq5, dfkn2, dfkn3):
     ok = True
     for prob in (eq5, dfkn2, dfkn3):
         F = to_form(prob.F, prob.space)
-        good = check_lax(prob.lax, F, prob.space)
-        bad = check_lax(_perturbed_pair(prob.lax, prob.space), F, prob.space)
+        good = check_lax(prob.lax, F)
+        bad = check_lax(_perturbed_pair(prob.lax, prob.space), F)
         ok = ok and good.passed and not bad.passed
         details.append(f"{prob.name}: pair {'PASS' if good.passed else 'FAIL'}"
                        f", perturbed {'FAIL' if not bad.passed else 'PASS'}")
@@ -217,8 +216,8 @@ def test_criterion_8_kernel_property_suite(space, dfkn2):
         assert normalize(lhs - rhs) == 0
 
     s2 = dfkn2.space
-    rule = solve_for_leading(to_form(dfkn2.F, s2), "u", s2)
-    sys2 = RewriteSystem(s2, [rule])
+    rule = solve_for_leading(to_form(dfkn2.F, s2), "u")
+    sys2 = RewriteSystem([rule])
     j2 = jet_symbols(s2)
     jets2 = [j2("u", "x"), j2("u", "y"), j2("u", "yz"), j2("u", ("t", "x"))]
     for _ in range(1000):  # reduce is a projection
@@ -236,9 +235,8 @@ def test_criterion_9_closed_loop_soundness(solve_results):
     for name, (prob, ds, sols, _dt) in solve_results.items():
         for sol in sols:
             total += 1
-            twist = TwistRelations(sol.twist_functions(ds),
-                                   prob.orientation or "forward")
-            rep = engine.verify(prob.F, prob.lax, twist, prob.space)
+            twist = TwistRelations(sol.twist_functions(ds))
+            rep = engine.verify(prob.F, prob.lax, twist, prob.orientation or "forward")
             if rep.passed:
                 sound += 1
     report(9, total > 0 and sound == total,

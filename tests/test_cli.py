@@ -306,15 +306,14 @@ class TestDegenerateOrientation:
 
     def test_engine_solve_keeps_the_error_of_the_orientation(self):
         prob = parse_problem(HEAVENLY1)
-        basis = engine.default_ansatz(prob.F, prob.lax, prob.space)
-        results = engine.solve(prob.F, prob.lax, basis, ["forward", "swapped"],
-                               prob.space, 64)
+        basis = engine.default_ansatz(prob.F, prob.lax)
+        results = engine.solve(prob.F, prob.lax, basis, ["forward", "swapped"], 64)
         assert isinstance(results["forward"], DegeneratePairError)
         assert str(results["forward"]) == SAME_LEAD
         _ds, [(_sol, _fs, rep)], partial = results["swapped"]
         assert rep.passed and partial is None
         with pytest.raises(DegeneratePairError, match=SAME_LEAD):
-            engine.solve(prob.F, prob.lax, basis, ["forward"], prob.space, 64)
+            engine.solve(prob.F, prob.lax, basis, ["forward"], 64)
 
     @pytest.mark.parametrize("command", ["verify", "solve"])
     def test_every_orientation_degenerate_is_an_error(self, capsys, path, command):
@@ -381,6 +380,19 @@ class TestErrorsAndLimits:
         assert doc["verdict"] == "ERROR"
         line = text.splitlines().index(f"twist f1_0 = 1/({denominator})") + 1
         assert f"line {line}" in doc["error"]
+
+    @pytest.mark.parametrize("command", ["verify", "hierarchy"])
+    def test_denominator_vanishing_on_the_equation(self, capsys, tmp_path, command):
+        # the twist parses, but its denominator is -F: it reduces to zero
+        # on the equation, so the relations have no normal form
+        text = Path(DFKN2).read_text().replace(
+            "twist f1_0 = 0", "twist f1_0 = 1/(u_tx*u_x - u_t*u_xx - u_x*u_yz + u_y*u_xz)")
+        p = tmp_path / "vanishing.rop"
+        p.write_text(text)
+        code, out, _ = run(capsys, command, str(p), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "ERROR" and "division by zero" in doc["error"]
 
     def test_order_overflow_names_remedy(self, capsys):
         code, _, err = run(capsys, "verify", DFKN2, "--max-order", "2")
@@ -459,6 +471,18 @@ def test_console_script_entry_point(tmp_path):
     assert all(r != "0" for r in doc["residuals"])
 
 
+def test_readme_library_example_runs():
+    # README's python block, run from the repository root as printed
+    root = PROBLEM_DIR.parent
+    [code] = re.findall(r"^```python\n(.*?)^```$", (root / "README.md").read_text(),
+                        flags=re.M | re.S)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_import_leaves_the_collector_as_found(enabled):
     # a fresh interpreter each time: the import is cached in-process
@@ -521,8 +545,7 @@ def _reduced_ansatz(name, seed):
 
 def test_engine_solve_verifies_every_solution():
     prob = parse_problem(_reduced_ansatz("dfkn2", 1))
-    results = engine.solve(prob.F, prob.lax, prob.ansatz, ["forward", "swapped"],
-                           prob.space, 64)
+    results = engine.solve(prob.F, prob.lax, prob.ansatz, ["forward", "swapped"], 64)
     solutions = [sol for _ds, sols, _partial in results.values() for sol in sols]
     assert solutions
     for sol, fs, rep in solutions:

@@ -17,7 +17,7 @@ from rop.engine import (ORIENTATIONS, SLOTS, DeterminingSystem,
                         TwistRelations, build_relations, default_ansatz,
                         determining_equations_for_twist, full_system,
                         solve_determining, verify)
-from rop.lax import LAMBDA, DegeneratePairError, equation_system
+from rop.lax import LAMBDA, DegeneratePairError, check_lax, equation_system
 from rop.linearize import linearize
 from rop.problem import parse_problem
 
@@ -26,8 +26,8 @@ from conftest import (PROBLEM_DIR, evaluate, jet_symbols, jets_in, random_poly, 
 from pointwise import equal, is_zero, normalize, reference_total_derivative
 
 
-def _twist(problem):
-    return problem.twist.with_orientation(problem.orientation or "forward")
+def _orientation(problem):
+    return problem.orientation or "forward"
 
 
 @pytest.fixture(scope="module")
@@ -40,27 +40,27 @@ class TestTwistRelations:
         with pytest.raises(InvalidTwistError):
             TwistRelations({(1, 0): sp.S.Zero})
 
-    def test_bad_orientation_rejected(self, space):
+    def test_bad_orientation_rejected(self, dfkn2):
         with pytest.raises(ValueError):
-            zero_twist(space, "sideways")
+            build_relations(dfkn2.lax, zero_twist(dfkn2.space), "sideways")
 
     def test_validate_rejects_spectral_parameter(self, space):
         t = TwistRelations({**zero_twist(space).f, (1, 0): to_form(sp.Symbol(LAMBDA), space)})
         with pytest.raises(InvalidTwistError):
-            t.validate(space)
+            t.validate()
 
     def test_validate_rejects_capital_jets(self, space):
         t = TwistRelations({**zero_twist(space).f,
                             (2, 1): to_form(jet_symbols(space)("U", "x"), space)})
         with pytest.raises(InvalidTwistError):
-            t.validate(space)
+            t.validate()
 
 
 class TestBuildRelations:
     def test_second_example_forward(self, dfkn2):
         s = dfkn2.space
         j = jet_symbols(s)
-        relset = build_relations(dfkn2.lax, _twist(dfkn2), s)
+        relset = build_relations(dfkn2.lax, dfkn2.twist, _orientation(dfkn2))
         assert {relset.rules[0].lhs, relset.rules[1].lhs} == \
             {s.jet("Ut", ("z",)), s.jet("Ut", ("x",))}
         assert set(relset.directions) == {"z", "x"}
@@ -73,8 +73,8 @@ class TestBuildRelations:
 
     def test_relations_reduce_to_zero_in_full_system(self, dfkn2):
         s = dfkn2.space
-        relset = build_relations(dfkn2.lax, _twist(dfkn2), s)
-        sys, _ = full_system(dfkn2.F, relset, s)
+        relset = build_relations(dfkn2.lax, dfkn2.twist, _orientation(dfkn2))
+        sys, _ = full_system(dfkn2.F, relset)
         for e in relset.relations:
             assert sys.reduce(e) == 0
 
@@ -84,20 +84,20 @@ class TestBuildRelations:
         p = dfkn2.lax
         bad = LaxPair((p.x1[0], p.x1[0]), (p.x0[0], p.x0[0]))
         with pytest.raises(Exception):
-            build_relations(bad, zero_twist(dfkn2.space), dfkn2.space)
+            build_relations(bad, zero_twist(dfkn2.space), "forward")
 
 
 class TestVerify:
     def test_examples_pass(self, eq5, dfkn2, dfkn3, pavlov):
         for prob in (eq5, dfkn2, dfkn3, pavlov):
-            rep = verify(prob.F, prob.lax, _twist(prob), prob.space)
+            rep = verify(prob.F, prob.lax, prob.twist, _orientation(prob))
             assert rep.passed, (prob.name, rep.compatibility, rep.symmetry)
             assert rep.compatibility == 0 and rep.symmetry == 0
 
     def test_zero_twist_fails_second_example(self, dfkn2):
         s = dfkn2.space
         j = jet_symbols(s)
-        rep = verify(dfkn2.F, dfkn2.lax, zero_twist(s), s)
+        rep = verify(dfkn2.F, dfkn2.lax, zero_twist(s), "forward")
         assert not rep.passed
         expected = ((j("U", "t") * j("u", "x") * j("u", "xx")
                      - j("U", "x") * j("u", "t") * j("u", "xx")
@@ -109,46 +109,45 @@ class TestVerify:
 
     def test_sign_flipped_twist_fails(self, dfkn2):
         s = dfkn2.space
-        f = dict(_twist(dfkn2).f)
+        f = dict(dfkn2.twist.f)
         f[(1, 1)] = to_form(-f[(1, 1)], s)
-        rep = verify(dfkn2.F, dfkn2.lax, TwistRelations(f, "forward"), s)
+        rep = verify(dfkn2.F, dfkn2.lax, TwistRelations(f), "forward")
         assert not rep.passed
 
     def test_ansatz_twist_fails_with_its_determining_equations(self, dfkn2):
         # the constants are generators of the residuals' ring; the
         # determining equations are the coefficients of these residuals
         s = dfkn2.space
-        basis = default_ansatz(dfkn2.F, dfkn2.lax, s)
-        twist, _ = engine.ansatz_twist(basis, "forward")
-        rep = verify(dfkn2.F, dfkn2.lax, twist, s)
+        basis = default_ansatz(dfkn2.F, dfkn2.lax)
+        twist, _ = engine.ansatz_twist(basis)
+        rep = verify(dfkn2.F, dfkn2.lax, twist, "forward")
         assert not rep.passed
-        assert set(twist.free_constants(s)) <= set(rep.compatibility.ring.symbols)
-        want = engine._coefficients((rep.compatibility, rep.symmetry), s,
-                                    twist.free_constants(s))
+        assert set(twist.free_constants()) <= set(rep.compatibility.ring.symbols)
+        want = engine._coefficients((rep.compatibility, rep.symmetry),
+                                    twist.free_constants())
         assert want
-        assert determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, s) == \
+        assert determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, "forward") == \
             list(dict.fromkeys(want))
 
     def test_paper_twist_with_a_constant_passes(self, dfkn2):
         s = dfkn2.space
         ring = jets_module.jet_ring(s, ["c"])
-        twist = TwistRelations({slot: ring.embed(f) for slot, f in _twist(dfkn2).f.items()},
-                               "forward")
-        assert twist.free_constants(s) == {"c"}
-        rep = verify(dfkn2.F, dfkn2.lax, twist, s)
+        twist = TwistRelations({slot: ring.embed(f) for slot, f in dfkn2.twist.f.items()})
+        assert twist.free_constants() == {"c"}
+        rep = verify(dfkn2.F, dfkn2.lax, twist, "forward")
         assert rep.passed and rep.compatibility.ring is ring
 
 
 class TestDeterminingSystem:
     def test_correct_twist_has_no_determining_equations(self, dfkn2):
         eqs = determining_equations_for_twist(dfkn2.F, dfkn2.lax,
-                                              _twist(dfkn2), dfkn2.space)
+                                              dfkn2.twist, _orientation(dfkn2))
         assert eqs == []
 
     def test_zero_twist_produces_equations(self, dfkn2):
         eqs = determining_equations_for_twist(dfkn2.F, dfkn2.lax,
                                               zero_twist(dfkn2.space),
-                                              dfkn2.space)
+                                              "forward")
         assert eqs
 
     def test_explicit_variables_are_the_domain(self, dfkn2):
@@ -157,13 +156,13 @@ class TestDeterminingSystem:
         prob = parse_problem((PROBLEM_DIR / "dfkn2.rop").read_text()
                              + "ansatz f1_1 = x*u_xz/u_x, u_xz/u_x\n"
                              + "ansatz f2_1 = u_xx/u_x, t*u_xx/u_x\n")
-        basis = {**default_ansatz(prob.F, prob.lax, prob.space), **prob.ansatz}
-        ds = engine.derive_determining_system(prob.F, prob.lax, basis, "forward", prob.space)
+        basis = {**default_ansatz(prob.F, prob.lax), **prob.ansatz}
+        ds = engine.derive_determining_system(prob.F, prob.lax, basis, "forward")
         assert ds.domain.symbols == ("t", "x")
         assert all(c.ring is ds.domain for e in ds.equations for c in e.values())
         [sol] = solve_determining(ds)
         fs = sol.twist_functions(ds)
-        assert verify(prob.F, prob.lax, TwistRelations(fs, "forward"), prob.space).passed
+        assert verify(prob.F, prob.lax, TwistRelations(fs), "forward").passed
         assert all(equal(fs[slot].as_expr(), f.as_expr()) for slot, f in dfkn2.twist.f.items())
 
     def test_derivation_leaves_jet_space_unchanged(self, dfkn2):
@@ -172,14 +171,13 @@ class TestDeterminingSystem:
         before = {k: v for k, v in vars(s).items() if not k.startswith("_")}
         basis = {(1, 0): [], (1, 1): [to_form(j("u", "xz") / j("u", "x"), s)],
                  (2, 0): [], (2, 1): [to_form(j("u", "xx") / j("u", "x"), s)]}
-        ds = engine.derive_determining_system(dfkn2.F, dfkn2.lax, basis,
-                                              "forward", s)
+        ds = engine.derive_determining_system(dfkn2.F, dfkn2.lax, basis, "forward")
         assert [str(c) for c in ds.unknowns] == ["c11_0", "c21_0"]
         assert {k: v for k, v in vars(s).items() if not k.startswith("_")} == before
 
     def test_default_ansatz_second_example(self, dfkn2):
         s = dfkn2.space
-        basis = default_ansatz(dfkn2.F, dfkn2.lax, s)
+        basis = default_ansatz(dfkn2.F, dfkn2.lax)
         assert sum(len(v) for v in basis.values()) == 40  # 10 ratios u_pq/u_x per slot
         terms = basis[(1, 1)]
         j = jet_symbols(s)
@@ -189,7 +187,7 @@ class TestDeterminingSystem:
     def test_default_ansatz_without_denominators(self, pavlov):
         # no Lax coefficient has a denominator: the terms are the u_pq
         j = jet_symbols(pavlov.space)
-        basis = default_ansatz(pavlov.F, pavlov.lax, pavlov.space)
+        basis = default_ansatz(pavlov.F, pavlov.lax)
         assert basis == {slot: [j("u", pq) for pq in ("tt", "ty", "tx", "yy", "yx", "xx")]
                          for slot in SLOTS}
 
@@ -704,20 +702,20 @@ class ReferenceRewriteSystem:
         return ReferenceRewriteSystem(self.space, {**self.rules, **dict(rules)})
 
 
-def reference_determining_equations(F, pair, twist, space):
+def reference_determining_equations(F, pair, twist, orientation, space):
     j = jet_symbols(space)
     rules, dirs = [], []
     for i in (0, 1):
-        ut_op = pair.x1[i] if twist.orientation == "forward" else pair.x0[i]
-        u_op = pair.x0[i] if twist.orientation == "forward" else pair.x1[i]
-        e = normalize(ut_op.apply_to_unknown("Ut", space)
+        ut_op = pair.x1[i] if orientation == "forward" else pair.x0[i]
+        u_op = pair.x0[i] if orientation == "forward" else pair.x1[i]
+        e = normalize(ut_op.apply_to_unknown("Ut")
                       + twist.f[(i + 1, 1)] * j("Ut")
                       - twist.f[(i + 1, 0)] * j("U")
-                      - u_op.apply_to_unknown("U", space))
+                      - u_op.apply_to_unknown("U"))
         rule, _lead = reference_solve_for_leading(e, "Ut", space)
         rules.append(rule)
         dirs.append(space.jet_var(rule[0].name).index[0])
-    lin = linearize(to_form(F, space), space)
+    lin = linearize(to_form(F, space))
     sys_u = ReferenceRewriteSystem(space, [reference_solve_for_leading(F, "u", space)[0]])
     lin_u = sys_u.reduce(normalize(sum(c * j("U", idx) for idx, c in lin.coeffs)))
     sys_uu = sys_u.extended([reference_solve_for_leading(lin_u, "U", space)[0]])
@@ -763,14 +761,14 @@ def test_determining_equations_match_reference(problems, case):
     name, orientation, rng = case
     prob = problems[name]
     s = prob.space
-    pool = default_ansatz(prob.F, prob.lax, s)[(1, 0)]
+    pool = default_ansatz(prob.F, prob.lax)[(1, 0)]
     basis = {slot: [rng.choice([1, -1]) * t
                     for t in rng.sample(pool, rng.randint(2, 4))]
              for slot in SLOTS}
-    twist, _ = engine.ansatz_twist(basis, orientation)
-    want = reference_determining_equations(prob.F, prob.lax, twist, s)
-    got = determining_equations_for_twist(prob.F, prob.lax, twist, s)
-    unknowns = sorted(twist.free_constants(s))
+    twist, _ = engine.ansatz_twist(basis)
+    want = reference_determining_equations(prob.F, prob.lax, twist, orientation, s)
+    got = determining_equations_for_twist(prob.F, prob.lax, twist, orientation)
+    unknowns = sorted(twist.free_constants())
     assert [sp.srepr(normalize(_expr(e, unknowns))) for e in got] == [sp.srepr(e) for e in want]
 
 
@@ -782,15 +780,14 @@ def test_solver_matches_reference_on_derived_systems(problems, case):
     # the same equations as expressions
     name, orientation, rng = case
     prob = problems[name]
-    pool = default_ansatz(prob.F, prob.lax, prob.space)[(1, 0)]
+    pool = default_ansatz(prob.F, prob.lax)[(1, 0)]
     slots = {}
     for slot in SLOTS:
         paper = [t for t in pool if t.as_numer_denom()[0]
                  in sp.sympify(prob.twist.f[slot]).free_symbols]
         terms = paper + [rng.choice([1, -1]) * t for t in rng.sample(pool, rng.randint(1, 3))]
         slots[slot] = rng.sample(terms, len(terms))
-    ds = engine.derive_determining_system(prob.F, prob.lax, slots,
-                                          orientation, prob.space)
+    ds = engine.derive_determining_system(prob.F, prob.lax, slots, orientation)
     assert _outcome(solve_determining, ds) == _outcome(reference_solve, ds)
 
 
@@ -802,9 +799,9 @@ def test_reduce_matches_reference_on_denominators(dfkn2, seed):
     rng = random.Random(seed)
     s = dfkn2.space
     j = jet_symbols(s)
-    rule = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
+    rule = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u")
     assert rule.lhs == s.jet("u", ("y", "z"))
-    sys = jets_module.RewriteSystem(s, [rule])
+    sys = jets_module.RewriteSystem([rule])
     ref = ReferenceRewriteSystem(s, [reference_solve_for_leading(dfkn2.F, "u", s)[0]])
     pool = [j("u", "yz"), j("u", "yz") + j("u", "t"), j("u", "xyz"),
             j("u", "x") * j("u", "yz") - j("u", "y"), j("u", "x"),
@@ -817,8 +814,8 @@ def test_reduce_matches_reference_on_denominators(dfkn2, seed):
 
 def test_denominator_vanishing_on_the_equation_is_degenerate(dfkn2):
     s = dfkn2.space
-    rule = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u", s)
-    sys = jets_module.RewriteSystem(s, [rule])
+    rule = jets_module.solve_for_leading(to_form(dfkn2.F, s), "u")
+    sys = jets_module.RewriteSystem([rule])
     e = sp.Symbol(s.jet("u", "x")) / (sp.Symbol(rule.lhs) - rule.rhs.as_expr())
     with pytest.raises(kernel.DegenerateExpressionError):
         sys.reduce(to_form(e, s))
@@ -832,10 +829,11 @@ def test_determining_equations_match_reference_with_rule_lhs_in_denominator(
     # the parent's gcds make larger twists of this kind take minutes
     basis = {(1, 0): [], (1, 1): [to_form(j("u", "y") / u_yz, dfkn2.space)], (2, 0): [],
              (2, 1): []}
-    twist, _ = engine.ansatz_twist(basis, orientation)
-    want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
-    got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, dfkn2.space)
-    unknowns = sorted(twist.free_constants(dfkn2.space))
+    twist, _ = engine.ansatz_twist(basis)
+    want = reference_determining_equations(dfkn2.F, dfkn2.lax, twist, orientation,
+                                           dfkn2.space)
+    got = determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, orientation)
+    unknowns = sorted(twist.free_constants())
     assert want
     assert [sp.srepr(normalize(_expr(e, unknowns))) for e in got] == [sp.srepr(e) for e in want]
 
@@ -856,14 +854,14 @@ def test_verdict_invariant_under_vars_permutation(name, order):
     text = re.sub(r"^vars .*$", "vars " + " ".join(order), text, flags=re.M)
     try:
         prob = parse_problem(text)
-        rep = verify(prob.F, prob.lax, _twist(prob), prob.space)
+        rep = verify(prob.F, prob.lax, prob.twist, _orientation(prob))
     except DegeneratePairError:
         return
     assert rep.passed, (name, order, rep.compatibility, rep.symmetry)
     # the assumptions read from the registry are those the leads factor into
-    relset = build_relations(prob.lax, _twist(prob), prob.space)
-    systems = [full_system(prob.F, relset, prob.space)[0],
-               equation_system(to_form(prob.F, prob.space), prob.space)]
+    relset = build_relations(prob.lax, prob.twist, _orientation(prob))
+    systems = [full_system(prob.F, relset)[0],
+               equation_system(to_form(prob.F, prob.space))]
     for sys in systems:
         want = reference_assumptions([r.lead for r in sys.rules.values()])
         got = iter(a.as_expr() for a in sys.assumptions)
@@ -871,6 +869,22 @@ def test_verdict_invariant_under_vars_permutation(name, order):
         assert [set(itertools.islice(got, len(w))) for w in want] == want, (name, order)
         assert next(got, None) is None, (name, order)
     assert rep.assumptions == systems[0].assumptions
+
+
+def test_forms_of_another_ranking_give_no_verdict(dfkn2):
+    # dfkn2 read again with its vars line reversed names u_yz as u_zy:
+    # its Forms are of another ring, and mixed with dfkn2's they are an
+    # error, never a verdict reached under one of the two rankings
+    text = (PROBLEM_DIR / "dfkn2.rop").read_text()
+    other = parse_problem(re.sub(r"^vars .*$", "vars x t z y", text, flags=re.M))
+    with pytest.raises(ValueError, match="not a generator of the ring"):
+        verify(dfkn2.F, other.lax, other.twist, "forward")
+    with pytest.raises(ValueError, match="not a generator of the ring"):
+        verify(other.F, dfkn2.lax, dfkn2.twist, "forward")
+    with pytest.raises(ValueError, match="Form of another ring"):
+        check_lax(dfkn2.lax, other.F)
+    with pytest.raises(ValueError, match="Form of another ring"):
+        check_lax(other.lax, dfkn2.F)
 
 
 def reference_assumptions(leads):

@@ -353,7 +353,7 @@ def test_printer_shapes(text):
 def test_renamed_keys_sort_by_their_new_names(dfkn2):
     # as rop hierarchy prints a level: psi_1 sorts after alpha and before
     # u_x, where Ut sorted first
-    relset = build_relations(dfkn2.lax, dfkn2.twist, dfkn2.space)
+    relset = build_relations(dfkn2.lax, dfkn2.twist, "forward")
     for e in relset.relations:
         names = {k: k.replace("Ut", "psi_1", 1).replace("U", "psi_0", 1)
                  for k in e.terms if k is not kernel.ONE}

@@ -32,9 +32,9 @@ def _make(space, free, dirs):
                                    {v: to_form(c, space) for v, c in dirs.items()})
 
 
-def _pair(op1, op2, space):
+def _pair(op1, op2):
     """The Lax pair of two operators, split and checked as the parser does."""
-    return LaxPair.from_splits(*(split_lax_operator(op, space) for op in (op1, op2)))
+    return LaxPair.from_splits(*(split_lax_operator(op) for op in (op1, op2)))
 
 
 def _apply(op, e):
@@ -66,7 +66,7 @@ class TestFirstOrderOperator:
     def test_apply_to_unknown(self, space):
         op = _make(space, 2, {"x": 3})
         j = jet_symbols(space)
-        assert normalize(op.apply_to_unknown("U", space)
+        assert normalize(op.apply_to_unknown("U")
                          - 2 * j("U") - 3 * j("U", "x")) == 0
 
     def test_linearity_of_algebra(self, space, rng):
@@ -145,7 +145,7 @@ class TestSplitLambda:
 class TestLaxPair:
     def test_from_operators_round_trip(self, ex2_space):
         op1, op2 = _dfkn2_ops(ex2_space)
-        pair = _pair(op1, op2, ex2_space)
+        pair = _pair(op1, op2)
         for i, op in enumerate((op1, op2)):
             recon = pair.full_operator(i)
             for v in set(op.directions) | set(recon.directions):
@@ -155,30 +155,30 @@ class TestLaxPair:
         op1 = _make(space, 0, {"x": 1})
         op2 = _make(space, 0, {"y": 1, "x": LAM})
         with pytest.raises(NotLambdaLinearError):
-            _pair(op1, op2, space)
+            _pair(op1, op2)
 
     def test_proportional_directions_rejected(self, space):
         op1 = _make(space, 0, {"x": LAM, "y": 1})
         op2 = _make(space, 0, {"x": 2 * LAM, "y": 1})
         with pytest.raises(DegeneratePairError):
-            _pair(op1, op2, space)
+            _pair(op1, op2)
 
     def test_capital_jets_in_coefficients_rejected(self, space):
         op1 = _make(space, 0, {"x": LAM, "y": jet_symbols(space)("U")})
         op2 = _make(space, 0, {"y": LAM, "z": 1})
         with pytest.raises(ValueError):
-            _pair(op1, op2, space)
+            _pair(op1, op2)
 
 
 class TestCheckLax:
     def test_examples_pass(self, eq5, dfkn2, dfkn3, pavlov):
         for prob in (eq5, dfkn2, dfkn3, pavlov):
-            report = check_lax(prob.lax, to_form(prob.F, prob.space), prob.space)
+            report = check_lax(prob.lax, to_form(prob.F, prob.space))
             assert report.passed, (prob.name, report.residuals)
             assert all(r == 0 for r in report.residuals)
 
     def test_multipliers_vanish_on_examples(self, dfkn2):
-        report = check_lax(dfkn2.lax, to_form(dfkn2.F, dfkn2.space), dfkn2.space)
+        report = check_lax(dfkn2.lax, to_form(dfkn2.F, dfkn2.space))
         assert report.multipliers == (0, 0)
 
     def test_perturbed_pair_fails(self, dfkn2):
@@ -186,8 +186,8 @@ class TestCheckLax:
         j = jet_symbols(s)
         op1 = _make(s, 0, {"t": 1, "z": -LAM, "x": -j("u", "t") / j("u", "y")})
         op2 = _make(s, 0, {"y": 1, "x": -LAM - j("u", "y") / j("u", "x")})
-        bad = _pair(op1, op2, s)
-        report = check_lax(bad, to_form(dfkn2.F, s), s)
+        bad = _pair(op1, op2)
+        report = check_lax(bad, to_form(dfkn2.F, s))
         assert not report.passed
         assert report.residuals
 
@@ -195,7 +195,7 @@ class TestCheckLax:
         s = dfkn2.space
         j = jet_symbols(s)
         other_F = j("u", "x") * j("u", "yz") - j("u", "y") * j("u", "xz")
-        report = check_lax(dfkn2.lax, to_form(other_F, s), s)
+        report = check_lax(dfkn2.lax, to_form(other_F, s))
         assert not report.passed
 
 
@@ -258,7 +258,7 @@ def reference_check_lax(x1, x0, F, space):
     """The commutator-closure check on reference operators, reducing
     through the program's rewrite system as the expression-based check
     did; returns the fields of a LaxReport."""
-    sys = equation_system(to_form(F, space), space)
+    sys = equation_system(to_form(F, space))
 
     def reduce(e):
         return sys.reduce(evaluate(e, sys.ring)).as_expr()
@@ -335,7 +335,7 @@ def test_operator_algebra_matches_reference(seed):
         assert [_srepr(x) for x in split_lambda(op)] == \
             [_srepr(x) for x in reference_split_lambda(ref)]
     F = _coefficient(rng, False) * _u("u", "yz") + _coefficient(rng, False)
-    got = [(idx, sp.srepr(c.as_expr())) for idx, c in linearize(to_form(F, s), s).coeffs]
+    got = [(idx, sp.srepr(c.as_expr())) for idx, c in linearize(to_form(F, s)).coeffs]
     assert got == [(idx, sp.srepr(c)) for idx, c in reference_linearize(F, s)]
 
 
@@ -366,7 +366,7 @@ def _corpus_and_doubled_lax():
 @pytest.mark.parametrize("name,text", _corpus_and_doubled_lax())
 def test_check_lax_matches_reference(name, text):
     prob = parse_problem(text)
-    report = check_lax(prob.lax, to_form(prob.F, prob.space), prob.space)
+    report = check_lax(prob.lax, to_form(prob.F, prob.space))
 
     def reference(op):
         return op.free.as_expr(), {v: c.as_expr() for v, c in op.dirs}

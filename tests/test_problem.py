@@ -3,6 +3,7 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rop.engine import ansatz_twist, default_ansatz, verify
 from rop.jets import JetSpace, OrderOverflowError
 from rop.kernel import DegenerateExpressionError, FormRing, fmt
 from rop.problem import (ProblemSyntaxError, _ExprParser, _tokenize, parse_basis,
@@ -35,6 +36,15 @@ class TestParsing:
         assert eq5.orientation == "swapped"
         assert dfkn2.orientation == "forward"
         assert dfkn3.space.params and str(dfkn3.space.params[0]) == "alpha"
+
+    def test_one_jet_space_per_configuration(self, dfkn2):
+        # the problem's space is its ring's, and that of every ring built
+        # on it, with ansatz constants or without
+        rep = verify(dfkn2.F, dfkn2.lax, dfkn2.twist, "forward")
+        assert dfkn2.space is dfkn2.F.ring.space is rep.relations.relations[0].ring.space
+        twist, _ = ansatz_twist(default_ansatz(dfkn2.F, dfkn2.lax))
+        ring = verify(dfkn2.F, dfkn2.lax, twist, "forward").relations.relations[0].ring
+        assert ring is not dfkn2.F.ring and ring.space is dfkn2.space
 
     def test_total_derivative_expansion(self, dfkn2):
         # equation was given via D_z(u_y/u_x) - D_x(u_t/u_x), cleared of

@@ -29,14 +29,15 @@ beside the twist, and the VerifyReport carries Forms and the
 RelationSet.  The determining equations are made in the solver's ring,
 in one pass that splits each monomial of the residuals' numerators into
 its equation, its monomial and its coefficient: an equation is a
-``kernel.Poly`` over the unknowns, with
-coefficients in QQ or, when the residuals hold parameters or independent
-variables, scalar Forms of one FormRing of those.  The solver stays in
-that ring: a row reduction of its own, a substitution of the solved
-values, and the kernel's factoring for the branch step; a closed branch's
-values are rationals or scalar Forms, which ``Solution.twist_functions``
-turns into Forms of the basis terms' ring.  sympy is imported only by the
-kernel, to factor an equation that has no unknown of degree 1.
+``kernel.Poly`` over the unknowns whose coefficients are scalar Forms of
+one FormRing of the other symbols the residuals hold (parameters and
+independent variables; none over QQ), one ring per tuple of symbols.
+The solver stays in that ring: a row reduction of its own, a
+substitution of the solved values, and the kernel's factoring for the
+branch step; a closed branch's values are scalar Forms, which
+``Solution.twist_functions`` embeds in the basis terms' ring.  sympy is
+imported only by the kernel, to factor an equation that has no unknown
+of degree 1.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .jets import (RewriteRule, RewriteSystem, jet_ring, solve_for_leading,
                    total_derivative)
@@ -267,21 +268,32 @@ def default_ansatz(F, pair: LaxPair) -> dict:
 @dataclass
 class DeterminingSystem:
     """Equations for the ansatz constants (the unknowns), elements of the
-    solver's ring: Polys over the unknowns, whose coefficients lie in QQ
-    (ints and Fractions) or in the field of the parameters and
-    independent variables they hold (scalar Forms of one FormRing of
-    those symbols).  Their common zeros give the twists of the ansatz
-    that pass."""
+    solver's ring: Polys over the unknowns, whose coefficients are scalar
+    Forms of the FormRing of the parameters and independent variables
+    they hold (the ring with no generators when they hold none).  Their
+    common zeros give the twists of the ansatz that pass."""
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
 
     @property
-    def domain(self) -> FormRing | None:
-        """The FormRing whose scalar Forms are the coefficients, or None
-        over QQ (so also with no equations)."""
-        c = next((c for e in self.equations for c in e.values()), None)
-        return c.ring if isinstance(c, Form) else None
+    def domain(self) -> FormRing:
+        """The FormRing whose scalar Forms are the coefficients; with no
+        equations, the ring with no generators."""
+        return next((c.ring for e in self.equations for c in e.values()),
+                    None) or _coefficient_ring(())
+
+
+_live_domains: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _coefficient_ring(symbols: tuple) -> FormRing:
+    """The FormRing of the given symbols, found again for as long as it
+    is alive, so that the equations of two derivations compare equal."""
+    ring = _live_domains.get(symbols)
+    if ring is None:
+        ring = _live_domains[symbols] = FormRing(symbols)
+    return ring
 
 
 def ansatz_twist(basis: dict) -> tuple[TwistRelations, dict]:
@@ -316,9 +328,9 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
                                     orientation: str) -> list:
     """Coefficient of every monomial in the parametric jets (and lam, if
     present) across both residuals, each once, in the solver's ring:
-    Polys over the twist's constants sorted by name, with coefficients in
-    QQ or, when the residuals' numerators hold other symbols, scalar
-    Forms of one FormRing of those.  Empty iff the twist satisfies both
+    Polys over the twist's constants sorted by name, whose coefficients
+    are scalar Forms of the ``_coefficient_ring`` of the other symbols the
+    residuals' numerators hold.  Empty iff the twist satisfies both
     conditions; with an ansatz twist these are the determining equations
     for its constants: the coefficients of ``verify``'s residuals."""
     rep = verify(F, pair, twist, orientation)
@@ -334,9 +346,9 @@ def _coefficients(residuals, unknowns: set) -> list:
     its coefficient, its unknowns' exponents its monomial there, and its
     exponents of the ring's other generators (the parameters and
     independent variables) its place in that monomial's coefficient.
-    The others that some coefficient holds, sorted by name, are then the
-    generators of the FormRing whose scalar Forms are the coefficients;
-    with none the coefficients are integers.  The numerator is the one
+    The others that some coefficient holds, sorted by name (maybe none),
+    are then the generators of the ``_coefficient_ring`` whose scalar
+    Forms are the coefficients.  The numerator is the one
     ``as_numer_denom`` gives: it carries the lcm of the denominators of
     the numerator's coefficients, and of the denominator's when that has
     several terms."""
@@ -372,9 +384,8 @@ def _coefficients(residuals, unknowns: set) -> list:
                 group[met.setdefault(e, e)] = int(c * scale)
         groups += [out[k] for k in sorted(out, reverse=True)]
     used = [any(column) for column in zip(*met)]
-    if not any(used):
-        return [Poly({m: c for m, d in g.items() for c in d.values()}) for g in groups]
-    domain = FormRing(itertools.compress(itertools.compress(src.symbols, other), used))
+    domain = _coefficient_ring(tuple(itertools.compress(
+        itertools.compress(src.symbols, other), used)))
     short = {e: tuple(itertools.compress(e, used)) for e in met}
     return [Poly({m: domain.scalar(Poly({short[e]: c for e, c in d.items()}))
                   for m, d in g.items()}) for g in groups]
@@ -382,17 +393,13 @@ def _coefficients(residuals, unknowns: set) -> list:
 
 @dataclass
 class Solution:
-    assignment: dict  # constant -> value: a rational or a scalar Form
+    assignment: dict  # constant -> value: a scalar Form of the system's domain
     free: tuple = ()
 
     def twist_functions(self, ds: DeterminingSystem) -> dict:
         """Slot -> twist function, a Form of the basis terms' ring."""
         ring = next(t.ring for pairs in ds.slot_terms.values() for _, t in pairs)
-
-        def value(v):
-            return ring.embed(v) if isinstance(v, Form) else ring.constant(v)
-
-        return {slot: ring.combine([(value(self.assignment[c]), t) for c, t in pairs])
+        return {slot: ring.combine([(ring.embed(self.assignment[c]), t) for c, t in pairs])
                 for slot, pairs in ds.slot_terms.items()}
 
 
@@ -400,29 +407,29 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: rounds of linear elimination, then bounded
     branching on factors of the remaining nonlinear equations.
 
-    The equations are Polys over the unknowns with coefficients in QQ or
-    in the field of rational functions in the other symbols, and every
-    step stays in that ring.  A round brings every equation of total
-    degree at most 1 in the unknowns to its unique reduced row echelon
-    form (``_row_reduce``, columns in the unknowns' order), and
-    substitutes the values into the nonlinear equations and into every
-    solved value, so no solved value holds a solved unknown; rounds
-    repeat while an equation is linear.  A nonlinear equation is never
-    pivoted on: the branch step takes the equation with the fewest terms
-    in the unknowns, the first of those on a tie, and descends once into
-    each of its irreducible factors that hold unknowns, in the order
-    sympy's ``factor_list`` lists them (``_branch_factors``).  Every
-    branch that closes yields one Solution, each value a rational or a
-    scalar Form; remaining unconstrained constants are reported free and
-    set to zero.  A branch is left unresolved when the branch bound is
-    spent, or when an irreducible nonlinear equation remains, so that
-    branching would only give it back; any unresolved branch raises
-    PartialResultError carrying the solutions found.
+    The equations are Polys over the unknowns whose coefficients are
+    scalar Forms of the system's domain, and every step stays in that
+    ring.  A round brings every equation of total degree at most 1 in
+    the unknowns to its unique reduced row echelon form (``_row_reduce``,
+    columns in the unknowns' order), and substitutes the values into the
+    nonlinear equations and into every solved value, so no solved value
+    holds a solved unknown; rounds repeat while an equation is linear.
+    A nonlinear equation is never pivoted on: the branch step takes the
+    equation with the fewest terms in the unknowns, the first of those on
+    a tie, and descends once into each of its irreducible factors that
+    hold unknowns, in the order the kernel finds them
+    (``_branch_factors``).  Every branch that closes yields one Solution,
+    each value a scalar Form; remaining unconstrained constants are
+    reported free and set to zero, and two branches give one Solution
+    only when their values and their free constants agree.  A branch is
+    left unresolved when the branch bound is spent, or when an
+    irreducible nonlinear equation remains, so that branching would only
+    give it back; any unresolved branch raises PartialResultError
+    carrying the solutions found.
     """
     unknowns = list(ds.unknowns)
     n = len(unknowns)
-    domain = ds.domain
-    zero = domain.zero if domain is not None else 0
+    zero = ds.domain.zero
     constant = (0,) * n
 
     solutions, seen = [], set()
@@ -433,7 +440,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         free = tuple(c for i, c in enumerate(unknowns) if i not in solved)
         assignment = {c: solved[i].get(constant, zero) if i in solved else zero
                       for i, c in enumerate(unknowns)}
-        key = tuple(assignment.values())
+        key = (tuple(assignment.values()), free)
         if key not in seen:
             seen.add(key)
             solutions.append(Solution(assignment, free))
@@ -456,7 +463,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
             emit(solved)
             return
         eq = min(eqs, key=len)
-        factors = _branch_factors(eq, n, domain)
+        factors = _branch_factors(eq, n)
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
             return
@@ -516,7 +523,7 @@ def _row_reduce(eqs: list, n: int) -> dict | None:
         p = min(columns)
         lead = row.pop(p)
         if lead != 1:
-            inverse = lead.inverse() if isinstance(lead, Form) else Fraction(1, lead)
+            inverse = lead.inverse()
             row = {j: c * inverse for j, c in row.items()}
         for other in rows.values():
             if p in other:
@@ -568,78 +575,28 @@ def _substitution(values: dict):
     return substitute
 
 
-def _branch_factors(eq: Poly, n: int, domain: FormRing | None) -> list:
+def _branch_factors(eq: Poly, n: int) -> list:
     """The (factor, multiplicity) pairs of a nonlinear equation in n
-    unknowns that sympy's ``factor_list`` gives in ``PolyRing(unknowns,
-    K)``, K being QQ or the field of domain's symbols, in its order.
-
-    Over QQ(others) the numerator, cleared of the coefficients'
-    denominators, is factored in the unknowns and the others, and the
-    factors free of the unknowns, units of K, are dropped.  Each factor
-    is primitive over ZZ with a positive leading coefficient in lex
-    order over the unknowns, then the others.  The factors are listed by
-    sympy's ``_sort_factors`` key: the dense form over all n unknowns,
-    whose entries over QQ(others) are ordered as sympy orders fraction
-    field elements with denominator 1, by their numerators' term count
-    and then their terms in descending lex order."""
-    if domain is None:
-        p = eq
-    else:
-        common: dict = {}
-        for c in eq.values():
-            for fid, k in c.den.items():
-                common[fid] = max(common.get(fid, 0), k)
-        p = Poly()
-        for m, c in eq.items():
-            missing = {fid: k - c.den.get(fid, 0) for fid, k in common.items()}
-            for e, a in domain._scale(c.terms[ONE], missing).items():
-                p[m + e] = a
+    unknowns over the field of its coefficients' ring, in the order
+    ``kernel._irreducible_factors`` finds them: the numerator, cleared of
+    the coefficients' denominators, is factored in the unknowns and the
+    ring's generators, and the factors free of the unknowns, units of
+    the field, are dropped."""
+    domain = next(iter(eq.values())).ring
+    common: dict = {}
+    for c in eq.values():
+        for fid, k in c.den.items():
+            common[fid] = max(common.get(fid, 0), k)
+    p = Poly()
+    for m, c in eq.items():
+        missing = {fid: k - c.den.get(fid, 0) for fid, k in common.items()}
+        for e, a in domain._scale(c.terms[ONE], missing).items():
+            p[m + e] = a
     out = []
     for g, k in _irreducible_factors(p):
-        if all(not any(m[:n]) for m in g):
-            continue
-        g = _primitive(g)
-        if domain is None:
-            items = list(g.items())
-            f = g
-        else:
-            coeffs: dict = {}
-            for m, c in g.items():
-                coeffs.setdefault(m[:n], Poly())[m[n:]] = c
-            items = [(u, (len(q), sorted(q.items(), reverse=True))) for u, q in coeffs.items()]
-            f = Poly({u: domain.scalar(q) for u, q in coeffs.items()})
-        dense = _dense(items, n - 1, 0 if domain is None else (0, []))
-        out.append(((len(dense), k, dense), f))
-    out.sort(key=lambda kf: kf[0])
-    return [(f, key[1]) for key, f in out]
-
-
-def _dense(items: list, u: int, zero=0):
-    """sympy's dense representation of the polynomial with the given
-    (exponents, coefficient) items in u + 1 variables; zero stands for a
-    missing coefficient."""
-    if not items:
-        out: list = []
-        for _ in range(u):
-            out = [out]
-        return out
-    top = max(e[0] for e, _c in items)
-    if u == 0:
-        coeffs = [zero] * (top + 1)
-        for e, c in items:
-            coeffs[top - e[0]] = c
-        return coeffs
-    rows: list = [[] for _ in range(top + 1)]
-    for e, c in items:
-        rows[top - e[0]].append((e[1:], c))
-    return [_dense(r, u - 1, zero) for r in rows]
-
-
-def _primitive(g: Poly) -> Poly:
-    """g as sympy's ``factor_list`` gives a factor: primitive over ZZ,
-    with a positive leading coefficient in lex order."""
-    d = math.lcm(*(c.denominator for c in g.values()))
-    content = math.gcd(*(int(c * d) for c in g.values()))
-    if g[max(g)] < 0:
-        content = -content
-    return Poly({m: int(c * d) // content for m, c in g.items()})
+        coeffs: dict = {}
+        for m, c in g.items():
+            coeffs.setdefault(m[:n], Poly())[m[n:]] = c
+        if any(map(any, coeffs)):
+            out.append((Poly({u: domain.scalar(q) for u, q in coeffs.items()}), k))
+    return out

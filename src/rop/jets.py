@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 from typing import Iterable, Sequence
 
-from .kernel import ONE, Form, FormRing, Poly, symbol_order
+from .kernel import ONE, DegenerateExpressionError, Form, FormRing, Poly, fmt, symbol_order
 
 UNKNOWNS = ("u", "U", "Ut")
 LAMBDA = "lam"
@@ -393,8 +393,8 @@ class RewriteSystem:
     def _substitute(self, e: Form) -> Form:
         """Every reducible u-jet replaced by its normal form, over one
         common denominator.  A factor of the denominator that holds one is
-        reduced and inverted, which factors it anew (and raises
-        DegenerateExpressionError if it reduces to zero)."""
+        reduced and inverted, which factors it anew; one that reduces to
+        zero raises DegenerateExpressionError naming it."""
         reducible = self._reducible
         if not reducible:
             return e
@@ -403,7 +403,12 @@ class RewriteSystem:
         if held:
             inverse = ring.constant(1)
             for fid in held:
-                g = self._substitute(ring.scalar(ring.factors[fid])).inverse()
+                factor = ring.scalar(ring.factors[fid])
+                g = self._substitute(factor)
+                if not g.terms:
+                    raise DegenerateExpressionError(
+                        f"the denominator factor {fmt(factor)} vanishes on the equation")
+                g = g.inverse()
                 for _ in range(e.den[fid]):
                     inverse = inverse * g
             rest = {fid: k for fid, k in e.den.items() if fid not in held}

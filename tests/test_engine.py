@@ -1,7 +1,7 @@
 import itertools
 import random
 import re
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 import sympy as sp
@@ -194,20 +194,16 @@ class TestDeterminingSystem:
 
 def _synthetic(eqs, names):
     """The expression equations as elements of the solver's ring: Polys
-    over the unknowns with coefficients in QQ, or Forms of the ring of
-    the equations' other symbols."""
+    over the unknowns with coefficients Forms of the shared ring of the
+    equations' other symbols."""
     unknowns = [sp.Symbol(n) for n in names]
     eqs = [sp.sympify(e) for e in eqs]
     others = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
-    domain = kernel.FormRing(s.name for s in others) if others else None
-
-    def coefficient(c):
-        return evaluate(c, domain) if domain else Fraction(int(c.p), int(c.q))
-
+    domain = engine._coefficient_ring(tuple(sorted(s.name for s in others)))
     polys = []
     for e in eqs:
         terms = sp.Poly(e, *unknowns).terms() if unknowns else [((), e)]
-        polys.append(kernel.Poly({m: coefficient(c) for m, c in terms if c != 0}))
+        polys.append(kernel.Poly({m: evaluate(c, domain) for m, c in terms if c != 0}))
     return DeterminingSystem(polys, unknowns, {slot: [] for slot in SLOTS})
 
 
@@ -219,7 +215,7 @@ def _expr(eq, unknowns):
 
 
 def _values(sol):
-    """A solution's values, rationals or Forms, as expressions."""
+    """A solution's values, scalar Forms, as expressions."""
     return {c: sp.sympify(v) for c, v in sol.assignment.items()}
 
 
@@ -238,7 +234,7 @@ class TestSolveDetermining:
         c1 = sp.Symbol("c1")
         ds = _synthetic([c1 * (c1 - 1)], ["c1"])
         sols = solve_determining(ds)
-        assert sorted(s.assignment[c1] for s in sols) == [0, 1]
+        assert len(sols) == 2 and {s.assignment[c1] for s in sols} == {0, 1}
 
     def test_power_of_one_factor_branches(self):
         # c0 = 1 - c1 leaves -alpha*(c1 - 1)^3: the content -alpha is
@@ -314,6 +310,17 @@ class TestSolveDetermining:
         assert sol.assignment == {c0: 0, c1: 1, c2: 0}
         assert sol.free == (c2,)
 
+    def test_families_sharing_their_zero_member_are_kept(self):
+        # c0 = 0 and c1 = 0 are two families with the same zero member
+        c0, c1 = sp.symbols("c0 c1")
+        ds = _synthetic([c0 * c1], ["c0", "c1"])
+        assert {(tuple(s.assignment.values()), s.free) for s in solve_determining(ds)} \
+            == {((0, 0), (c1,)), ((0, 0), (c0,))}
+        # the family c0 = 0 with c1 free, and the points (0, 0) and (1, 0)
+        ds = _synthetic([c0 * c1, sp.expand(c0 * (c0 - 1))], ["c0", "c1"])
+        assert {(tuple(s.assignment.values()), s.free) for s in solve_determining(ds)} \
+            == {((0, 0), (c1,)), ((0, 0), ()), ((1, 0), ())}
+
     def test_no_unknowns(self):
         alpha = sp.Symbol("alpha")
         sols = solve_determining(_synthetic([], []))
@@ -327,12 +334,15 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
     unknown of the first equation that is linear in the unknowns, then
     every remaining equation and solved value substituted and normalised
     again, and a back-substitution pass.  It branches as the solver does:
-    on the equation with the fewest terms in the unknowns, factored in
-    the ring of the unknowns over QQ or the field of the other symbols."""
+    on the equation with the fewest terms in the unknowns, factored by
+    sympy in the ring of the unknowns over QQ or the field of the other
+    symbols, and visits the factors in the order ``_branch_factors``
+    lists them."""
     unknowns = [sp.Symbol(str(c)) for c in ds.unknowns]
     exprs = [_expr(e, ds.unknowns) for e in ds.equations]
     others = sorted(set().union(*(e.free_symbols for e in exprs)) - set(unknowns), key=str)
     ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
+    domain = engine._coefficient_ring(tuple(str(o) for o in others))
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
@@ -342,7 +352,7 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
         free = tuple(c for c in unknowns if c not in assignment)
         assignment = {c: normalize(assignment.get(c, sp.S.Zero).xreplace(
                           {f: sp.S.Zero for f in free})) for c in unknowns}
-        key = tuple(sp.sstr(assignment[c]) for c in unknowns)
+        key = (tuple(sp.sstr(assignment[c]) for c in unknowns), free)
         if key not in seen:
             seen.add(key)
             solutions.append(Solution(assignment, free))
@@ -373,6 +383,9 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
         factors = eq.factor_list()[1]
         if not factors:
             return  # inconsistent: constant nonzero equation
+        ours = engine._branch_factors(_ours(eq, domain), len(unknowns))
+        order = [_monic(f) for f, _m in ours]
+        factors.sort(key=lambda fm: order.index(_monic(_ours(fm[0], domain))))
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
             return
@@ -482,12 +495,21 @@ def _sympy_ring(n, alpha):
     return PolyRing(sp.symbols(f"c0:{n}"), QQ.frac_field(ALPHA) if alpha else QQ)
 
 
+def _domain(ring):
+    """The solver's shared coefficient ring for sympy's ring."""
+    return engine._coefficient_ring(("alpha",) if ring.domain != QQ else ())
+
+
 def _ours(p, domain):
     """An element of sympy's ring as an element of the solver's ring."""
     K = p.ring.domain
-    return kernel.Poly({m: evaluate(K.to_sympy(c), domain) if domain
-                        else Fraction(int(c.numerator), int(c.denominator))
-                        for m, c in p.items()})
+    return kernel.Poly({m: evaluate(K.to_sympy(c), domain) for m, c in p.items()})
+
+
+def _monic(f):
+    """A Poly over Forms divided by its grevlex leading coefficient."""
+    inverse = f.LC.inverse()
+    return kernel.Poly({m: c * inverse for m, c in f.items()})
 
 
 def _ground(ring, c):
@@ -541,7 +563,7 @@ def test_row_reduce_matches_solve_lin_sys(system):
     from sympy.polys.solvers import solve_lin_sys
 
     ring, eqs = system
-    domain = kernel.FormRing(["alpha"]) if ring.domain != QQ else None
+    domain = _domain(ring)
     want = solve_lin_sys(eqs, ring)
     got = engine._row_reduce([_ours(e, domain) for e in eqs], ring.ngens)
     if want is None:
@@ -556,7 +578,7 @@ def test_substitution_matches_compose(seed):
     # the values are affine, as the solver's are, or of degree 2
     rng = random.Random(seed)
     ring = _sympy_ring(rng.randint(1, 4), rng.random() < 0.5)
-    domain = kernel.FormRing(["alpha"]) if ring.domain != QQ else None
+    domain = _domain(ring)
     p = _random_element(rng, ring, 3, rng.randint(0, 5))
     replaced = rng.sample(range(ring.ngens), rng.randint(1, ring.ngens))
     values = {i: _random_element(rng, ring, rng.choice([1, 1, 2]), rng.randint(0, 3))
@@ -597,9 +619,10 @@ def factored_equations(draw):
 
 
 def _assert_factors_match(ring, eq):
-    domain = kernel.FormRing(["alpha"]) if ring.domain != QQ else None
-    want = [(_ours(f, domain), k) for f, k in eq.factor_list()[1]]
-    assert engine._branch_factors(_ours(eq, domain), ring.ngens, domain) == want
+    domain = _domain(ring)
+    want = [(_monic(_ours(f, domain)), k) for f, k in eq.factor_list()[1]]
+    got = [(_monic(f), k) for f, k in engine._branch_factors(_ours(eq, domain), ring.ngens)]
+    assert Counter(got) == Counter(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -611,7 +634,7 @@ def test_branch_factors_match_factor_list(case):
 
 
 @pytest.mark.parametrize("text", [
-    # alike factors whose alpha-coefficients are ordered by their terms
+    # alike factors whose alpha-coefficients differ only in their terms
     "(c1 + alpha + 2)*(c1 + 2*alpha + 1)", "(c1 + 2*alpha + 1)*(c1 + alpha + 2)",
     "(c1 + alpha)*(alpha*c1 + 1)*(c2 - alpha)", "(c2 + alpha**2)*(c2 + alpha + 1)**2",
     # a factor free of c1, content in alpha, and a monomial factor

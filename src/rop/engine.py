@@ -26,18 +26,19 @@ JetRing (an ansatz twist: of that ring with its constants), whose space
 is the computation's, and ``FormRing.embed`` moves them into its ring (a
 jet of another space is a ValueError); the orientation is an argument
 beside the twist, and the VerifyReport carries Forms and the
-RelationSet.  The determining equations are made in the solver's ring,
-in one pass that splits each monomial of the residuals' numerators into
-its equation, its monomial and its coefficient: an equation is a
-``kernel.Poly`` over the unknowns whose coefficients are scalar Forms of
-one FormRing of the other symbols the residuals hold (parameters and
-independent variables; none over QQ), one ring per tuple of symbols.
-The solver stays in that ring: a row reduction of its own, a
-substitution of the solved values, and the kernel's factoring for the
-branch step; a closed branch's values are scalar Forms, which
-``Solution.twist_functions`` embeds in the basis terms' ring.  sympy is
-imported only by the kernel, to factor an equation that has no unknown
-of degree 1.
+RelationSet.  The determining equations are made in one pass that
+splits each monomial of the residuals' numerators into its equation and
+its monomial there: an equation is a scalar Form of one FormRing whose
+generators are the unknowns and the parameters and independent variables
+the equations hold, one ring per tuple of symbols.  The solver stays in
+that ring, with the kernel's operations on Forms: ``FormRing.split`` to
+solve for a pivot, ``FormRing.substitution`` to put in the solved
+values (the one ``RewriteSystem`` also reduces with), and the kernel's
+factoring for the branch step.  A closed branch's values are affine in
+its free constants, which ``Solution.twist_functions`` keeps as
+generators, so a family is verified as a family.  sympy is imported
+only by the kernel, to factor an equation that has no generator of
+degree 1.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 
 from .jets import (RewriteRule, RewriteSystem, jet_ring, solve_for_leading,
                    total_derivative)
-from .kernel import ONE, Form, FormRing, Poly, _irreducible_factors
+from .kernel import ONE, Form, FormRing, Poly, _irreducible_factors, symbol_order
 from .lax import LAMBDA, DegeneratePairError, LaxPair
 from .linearize import LinearDifferentialOperator, linearize
 
@@ -65,8 +66,8 @@ class InvalidTwistError(ValueError):
 
 class PartialResultError(RuntimeError):
     """Some branches were left unresolved; carries the solutions found
-    and the equations of each unresolved branch, elements of the
-    solver's ring."""
+    and the equations of each unresolved branch, scalar Forms of the
+    system's ring."""
 
     def __init__(self, msg, solutions, unresolved):
         super().__init__(msg)
@@ -267,32 +268,32 @@ def default_ansatz(F, pair: LaxPair) -> dict:
 
 @dataclass
 class DeterminingSystem:
-    """Equations for the ansatz constants (the unknowns), elements of the
-    solver's ring: Polys over the unknowns, whose coefficients are scalar
-    Forms of the FormRing of the parameters and independent variables
-    they hold (the ring with no generators when they hold none).  Their
-    common zeros give the twists of the ansatz that pass."""
+    """Equations for the ansatz constants (the unknowns): scalar Forms of
+    one FormRing, whose generators are the unknowns and the parameters
+    and independent variables the equations hold.  Their common zeros
+    give the twists of the ansatz that pass."""
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
 
     @property
-    def domain(self) -> FormRing:
-        """The FormRing whose scalar Forms are the coefficients; with no
-        equations, the ring with no generators."""
-        return next((c.ring for e in self.equations for c in e.values()),
-                    None) or _coefficient_ring(())
+    def ring(self) -> FormRing:
+        """The FormRing of the equations; with none, that of the
+        unknowns."""
+        return next((e.ring for e in self.equations), None) or \
+            _coefficient_ring(map(str, self.unknowns))
 
 
-_live_domains: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_live_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _coefficient_ring(symbols: tuple) -> FormRing:
+def _coefficient_ring(symbols) -> FormRing:
     """The FormRing of the given symbols, found again for as long as it
     is alive, so that the equations of two derivations compare equal."""
-    ring = _live_domains.get(symbols)
+    symbols = tuple(symbol_order(set(symbols)))
+    ring = _live_rings.get(symbols)
     if ring is None:
-        ring = _live_domains[symbols] = FormRing(symbols)
+        ring = _live_rings[symbols] = FormRing(symbols)
     return ring
 
 
@@ -341,27 +342,23 @@ def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
 def _coefficients(residuals, unknowns: set) -> list:
     """The coefficients of each residual's numerator as a polynomial in
     its jets and lam, in the order sympy's Poly over those generators
-    (sorted by name) lists them: descending lex, as Polys over the
-    unknowns.  In one pass each monomial's jet and lam exponents pick
-    its coefficient, its unknowns' exponents its monomial there, and its
-    exponents of the ring's other generators (the parameters and
-    independent variables) its place in that monomial's coefficient.
-    The others that some coefficient holds, sorted by name (maybe none),
-    are then the generators of the ``_coefficient_ring`` whose scalar
-    Forms are the coefficients.  The numerator is the one
-    ``as_numer_denom`` gives: it carries the lcm of the denominators of
-    the numerator's coefficients, and of the denominator's when that has
-    several terms."""
+    (sorted by name) lists them: descending lex.  In one pass each
+    monomial's jet and lam exponents pick its coefficient, and its other
+    exponents (of the unknowns, the parameters and the independent
+    variables) its monomial there.  The unknowns and the others that
+    some coefficient holds, sorted by name, are then the generators of
+    the ``_coefficient_ring`` whose scalar Forms the coefficients are.
+    The numerator is the one ``as_numer_denom`` gives: it carries the lcm
+    of the denominators of the numerator's coefficients, and of the
+    denominator's when that has several terms."""
     residuals = [r for r in residuals if r.terms]
     if not residuals:
         return []
     src = residuals[0].ring
     jet = [s == LAMBDA or src.space.jet_var(s) is not None for s in src.symbols]
-    unknown = [s in unknowns for s in src.symbols]
-    other = [not (j or u) for j, u in zip(jet, unknown)]
+    kept = [not j for j in jet]
     groups = []
-    monomials: dict = {}  # one tuple for each monomial the equations share
-    met: dict = {}  # the others' exponent tuples met
+    met: dict = {}  # one tuple for each monomial the equations share
     for form in residuals:
         scale = 1
         den = src.den_poly(form.den)
@@ -378,28 +375,28 @@ def _coefficients(residuals, unknowns: set) -> list:
                 for n, i in enumerate(where):
                     if i is not None:
                         exps[n] = m[i]
-                u = tuple(itertools.compress(m, unknown))
-                e = tuple(itertools.compress(m, other))
-                group = out.setdefault(tuple(exps), {}).setdefault(monomials.setdefault(u, u), {})
-                group[met.setdefault(e, e)] = int(c * scale)
+                e = tuple(itertools.compress(m, kept))
+                out.setdefault(tuple(exps), {})[met.setdefault(e, e)] = int(c * scale)
         groups += [out[k] for k in sorted(out, reverse=True)]
-    used = [any(column) for column in zip(*met)]
-    domain = _coefficient_ring(tuple(itertools.compress(
-        itertools.compress(src.symbols, other), used)))
+    symbols = list(itertools.compress(src.symbols, kept))
+    used = [s in unknowns or any(column) for s, column in zip(symbols, zip(*met))]
+    ring = _coefficient_ring(itertools.compress(symbols, used))
     short = {e: tuple(itertools.compress(e, used)) for e in met}
-    return [Poly({m: domain.scalar(Poly({short[e]: c for e, c in d.items()}))
-                  for m, d in g.items()}) for g in groups]
+    return [ring.scalar(Poly({short[e]: c for e, c in g.items()})) for g in groups]
 
 
 @dataclass
 class Solution:
-    assignment: dict  # constant -> value: a scalar Form of the system's domain
+    assignment: dict  # constant -> value: a scalar Form of the system's ring
     free: tuple = ()
 
     def twist_functions(self, ds: DeterminingSystem) -> dict:
-        """Slot -> twist function, a Form of the basis terms' ring."""
-        ring = next(t.ring for pairs in ds.slot_terms.values() for _, t in pairs)
-        return {slot: ring.combine([(ring.embed(self.assignment[c]), t) for c, t in pairs])
+        """Slot -> twist function, a Form of the JetRing of the basis
+        terms' space with the free constants as generators."""
+        space = next(t.ring.space for pairs in ds.slot_terms.values() for _, t in pairs)
+        ring = jet_ring(space, map(str, self.free))
+        return {slot: ring.combine([(ring.embed(self.assignment[c]), ring.embed(t))
+                                    for c, t in pairs])
                 for slot, pairs in ds.slot_terms.items()}
 
 
@@ -407,39 +404,39 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: rounds of linear elimination, then bounded
     branching on factors of the remaining nonlinear equations.
 
-    The equations are Polys over the unknowns whose coefficients are
-    scalar Forms of the system's domain, and every step stays in that
-    ring.  A round brings every equation of total degree at most 1 in
-    the unknowns to its unique reduced row echelon form (``_row_reduce``,
-    columns in the unknowns' order), and substitutes the values into the
-    nonlinear equations and into every solved value, so no solved value
-    holds a solved unknown; rounds repeat while an equation is linear.
-    A nonlinear equation is never pivoted on: the branch step takes the
-    equation with the fewest terms in the unknowns, the first of those on
-    a tie, and descends once into each of its irreducible factors that
-    hold unknowns, in the order the kernel finds them
+    The equations are scalar Forms of the system's ring, and every step
+    stays in that ring; no denominator holds an unknown.  A round brings
+    every equation of total degree at most 1 in the unknowns to its
+    unique reduced row echelon form (``_row_reduce``, columns in the
+    unknowns' order), and puts the values into the nonlinear equations
+    and into every solved value with one ``FormRing.substitution``, so no
+    solved value holds a solved unknown; rounds repeat while an equation
+    is linear.  A nonlinear equation is never pivoted on: the branch step
+    takes the equation with the fewest terms in the unknowns, the first
+    of those on a tie, and descends once into each of its irreducible
+    factors that hold unknowns, in the order the kernel finds them
     (``_branch_factors``).  Every branch that closes yields one Solution,
-    each value a scalar Form; remaining unconstrained constants are
-    reported free and set to zero, and two branches give one Solution
-    only when their values and their free constants agree.  A branch is
-    left unresolved when the branch bound is spent, or when an
-    irreducible nonlinear equation remains, so that branching would only
-    give it back; any unresolved branch raises PartialResultError
-    carrying the solutions found.
+    each value a scalar Form affine in the constants left free, which
+    are reported free and are their own values; two branches give one
+    Solution only when their values and their free constants agree, and
+    a Solution that is a member of another with more free constants is
+    dropped.  A branch is left unresolved when the branch bound is spent,
+    or when an irreducible nonlinear equation remains, so that branching
+    would only give it back; any unresolved branch raises
+    PartialResultError carrying the solutions found.
     """
-    unknowns = list(ds.unknowns)
-    n = len(unknowns)
-    zero = ds.domain.zero
-    constant = (0,) * n
+    ring = ds.ring
+    gens = {ring.index[str(c)]: c for c in ds.unknowns}
+    mask = tuple(i in gens for i in ring._range)
 
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
 
     def emit(solved: dict):
-        free = tuple(c for i, c in enumerate(unknowns) if i not in solved)
-        assignment = {c: solved[i].get(constant, zero) if i in solved else zero
-                      for i, c in enumerate(unknowns)}
+        free = tuple(c for i, c in gens.items() if i not in solved)
+        assignment = {c: solved[i] if i in solved else ring.scalar(ring.gen(i))
+                      for i, c in gens.items()}
         key = (tuple(assignment.values()), free)
         if key not in seen:
             seen.add(key)
@@ -449,21 +446,22 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         while True:
             parts = ([], [])  # nonlinear, linear
             for e in eqs:
-                parts[all(sum(m) <= 1 for m in e)].append(e)
+                parts[all(sum(itertools.compress(m, mask)) <= 1 for m in e.terms[ONE])].append(e)
             nonlinear, linear = parts
             if not linear:
                 break
-            values = _row_reduce(linear, n)
+            values = _row_reduce(linear, mask)
             if values is None:
                 return  # inconsistent
-            substitute = _substitution(values)
+            substitute = ring.substitution(values, values.__getitem__)
             solved = {i: substitute(v) for i, v in solved.items()} | values
             eqs = [x for x in map(substitute, nonlinear) if x]
         if not eqs:
             emit(solved)
             return
-        eq = min(eqs, key=len)
-        factors = _branch_factors(eq, n)
+        eq = min(eqs, key=lambda e: len({tuple(itertools.compress(m, mask))
+                                         for m in e.terms[ONE]}))
+        factors = _branch_factors(eq, mask)
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
             return
@@ -475,7 +473,15 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
             budget[0] -= 1
             descend([f] + rest, dict(solved))
 
+    def member(s: Solution, t: Solution) -> bool:
+        """s's values are t's with s's values put for t's free constants."""
+        put = ring.substitution((i for i, c in gens.items() if c in t.free),
+                                lambda i: s.assignment[gens[i]])
+        return all(put(t.assignment[c]) == v for c, v in s.assignment.items())
+
     descend([e for e in ds.equations if e], {})
+    solutions = [s for s in solutions
+                 if not any(len(t.free) > len(s.free) and member(s, t) for t in solutions)]
     if unresolved:
         raise PartialResultError(
             f"{len(unresolved)} unresolved branch(es): the branch bound was "
@@ -501,102 +507,42 @@ def solve(F, pair: LaxPair, basis: dict, orientations, branch_bound: int) -> dic
     return _each_orientation(step, orientations)
 
 
-def _row_reduce(eqs: list, n: int) -> dict | None:
+def _row_reduce(eqs: list, mask: tuple) -> dict | None:
     """The reduced row echelon form of equations of total degree at most
-    1 in n unknowns, columns in the unknowns' order: {pivot's index: its
-    value}, each value a Poly affine in the unknowns left free; None if
-    the equations are inconsistent.  Sparse Gauss-Jordan: each equation
-    is reduced by the pivot rows before it, takes its first unknown left
-    as its pivot, and that pivot is eliminated from the rows before it,
+    1 in the unknowns (the generators mask marks), columns in the ring's
+    order: {pivot's generator index: its value}, each value a scalar Form
+    affine in the unknowns left free; None if the equations are
+    inconsistent.  Each equation is reduced by the values found before
+    it, takes its first unknown left as its pivot, solved for with
+    ``FormRing.split``, and that pivot is put into the values before it,
     whose own pivots therefore stay their first unknowns.  The form is
     unique, so the values do not depend on the equations' order."""
-    rows: dict = {}  # pivot -> {column: coefficient}, its own 1 left out; column n: constant
+    ring = eqs[0].ring
+    values: dict = {}
+    reduce = ring.substitution((), values.__getitem__)
     for eq in eqs:
-        row = {(m.index(1) if any(m) else n): c for m, c in eq.items()}
-        for p in [p for p in row if p in rows]:
-            _add_multiple(row, -row.pop(p), rows[p])
-        columns = [j for j in row if j != n]
-        if not columns:
-            if row:
+        e = reduce(eq)
+        present = {i for p in e.terms.values() for m in p
+                   for i in itertools.compress(ring._range, m) if mask[i]}
+        if not present:
+            if e:
                 return None  # a nonzero constant
             continue
-        p = min(columns)
-        lead = row.pop(p)
-        if lead != 1:
-            inverse = lead.inverse()
-            row = {j: c * inverse for j, c in row.items()}
-        for other in rows.values():
-            if p in other:
-                _add_multiple(other, -other.pop(p), row)
-        rows[p] = row
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n + 1)]
-    return {p: Poly({units[j]: -c for j, c in row.items()}) for p, row in rows.items()}
+        pivot = min(present)
+        a, b = ring.split(e, pivot)
+        value = -b * a.inverse()
+        put = ring.substitution((pivot,), lambda _i: value)
+        values = {i: put(v) if any(m[pivot] for p in v.terms.values() for m in p) else v
+                  for i, v in values.items()}
+        values[pivot] = value
+        reduce = ring.substitution(values, values.__getitem__)
+    return values
 
 
-def _add_multiple(row: dict, a, other: dict) -> None:
-    """row += a * other, in place, dropping zeros."""
-    for j, c in other.items():
-        v = row.get(j)
-        v = a * c if v is None else v + a * c
-        if v:
-            row[j] = v
-        else:
-            del row[j]
-
-
-def _substitution(values: dict):
-    """The map that puts values (index of an unknown -> Poly) for their
-    unknowns into a Poly, all at once."""
-    powers: dict = {}
-
-    def substitute(p: Poly) -> Poly:
-        out: dict = {}
-        for m, c in p.items():
-            hit = [i for i in itertools.compress(range(len(m)), m) if i in values]
-            if not hit:
-                v = out.get(m)
-                out[m] = c if v is None else v + c
-                continue
-            kept = list(m)
-            term = None
-            for i in hit:
-                kept[i] = 0
-                power = powers.get((i, m[i]))
-                if power is None:
-                    power = powers[i, m[i]] = values[i] ** m[i]
-                term = power if term is None else term * power
-            kept = tuple(kept)
-            for k, a in term.items():
-                k = tuple([x + y for x, y in zip(kept, k)])
-                v = out.get(k)
-                out[k] = a * c if v is None else v + a * c
-        return Poly({m: c for m, c in out.items() if c})
-
-    return substitute
-
-
-def _branch_factors(eq: Poly, n: int) -> list:
-    """The (factor, multiplicity) pairs of a nonlinear equation in n
-    unknowns over the field of its coefficients' ring, in the order
-    ``kernel._irreducible_factors`` finds them: the numerator, cleared of
-    the coefficients' denominators, is factored in the unknowns and the
-    ring's generators, and the factors free of the unknowns, units of
-    the field, are dropped."""
-    domain = next(iter(eq.values())).ring
-    common: dict = {}
-    for c in eq.values():
-        for fid, k in c.den.items():
-            common[fid] = max(common.get(fid, 0), k)
-    p = Poly()
-    for m, c in eq.items():
-        missing = {fid: k - c.den.get(fid, 0) for fid, k in common.items()}
-        for e, a in domain._scale(c.terms[ONE], missing).items():
-            p[m + e] = a
-    out = []
-    for g, k in _irreducible_factors(p):
-        coeffs: dict = {}
-        for m, c in g.items():
-            coeffs.setdefault(m[:n], Poly())[m[n:]] = c
-        if any(map(any, coeffs)):
-            out.append((Poly({u: domain.scalar(q) for u, q in coeffs.items()}), k))
-    return out
+def _branch_factors(eq: Form, mask: tuple) -> list:
+    """The (factor, multiplicity) pairs of a nonlinear equation's
+    numerator that hold an unknown (a generator mask marks), as scalar
+    Forms, in the order ``kernel._irreducible_factors`` finds them; the
+    factors free of the unknowns are units of the field of the others."""
+    return [(eq.ring.scalar(g), k) for g, k in _irreducible_factors(eq.terms[ONE])
+            if any(any(itertools.compress(m, mask)) for m in g)]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress
 from typing import Iterable, Sequence
 
-from .kernel import ONE, DegenerateExpressionError, Form, FormRing, Poly, fmt, symbol_order
+from .kernel import ONE, DegenerateExpressionError, Form, FormRing, Poly, symbol_order
 
 UNKNOWNS = ("u", "U", "Ut")
 LAMBDA = "lam"
@@ -278,19 +278,10 @@ def solve_for_leading(rel: Form, unknown: str) -> RewriteRule:
         raise NoLeadingJetError(f"relation has no {unknown}-jets: {rel}")
     v = max(jets, key=space.rank_of)
     if unknown == "u":
-        i = ring.index[v]
-        a, b = {}, {}
-        for key, p in rel.terms.items():
-            for m, c in p.items():
-                if m[i] > 1:
-                    raise NonlinearLeadingError(
-                        f"relation is nonlinear in its leading jet {v}")
-                if m[i]:
-                    a.setdefault(key, {})[m[:i] + (0,) + m[i + 1:]] = c
-                else:
-                    b.setdefault(key, {})[m] = c
-        a = Form(ring, {k: Poly(t) for k, t in a.items()}, {})
-        b = Form(ring, {k: Poly(t) for k, t in b.items()}, {})
+        parts = ring.split(rel, ring.index[v])
+        if parts is None:
+            raise NonlinearLeadingError(f"relation is nonlinear in its leading jet {v}")
+        a, b = parts
     else:
         a = ring.scalar(rel.terms[v])
         b = Form(ring, {k: p for k, p in rel.terms.items() if k != v}, {})
@@ -338,8 +329,10 @@ class RewriteSystem:
         self.assumptions = tuple(self.ring.scalar(self.ring.factors[fid]) for fid in factors)
         self._nf: dict[str, Form] = {}
         self._match: dict[str, RewriteRule | None] = {}
-        self._reducible = frozenset(i for i in self.ring.u_jets
-                                    if self.matching_rule(self.ring.symbols[i]) is not None)
+        reducible = [i for i in self.ring.u_jets
+                     if self.matching_rule(self.ring.symbols[i]) is not None]
+        self._substitution = self.ring.substitution(
+            reducible, lambda i: self.normal_form(self.ring.symbols[i]))
 
     def matching_rule(self, sym: str) -> RewriteRule | None:
         if sym in self._match:
@@ -391,60 +384,12 @@ class RewriteSystem:
         return ring.combine(parts)
 
     def _substitute(self, e: Form) -> Form:
-        """Every reducible u-jet replaced by its normal form, over one
-        common denominator.  A factor of the denominator that holds one is
-        reduced and inverted, which factors it anew; one that reduces to
-        zero raises DegenerateExpressionError naming it."""
-        reducible = self._reducible
-        if not reducible:
-            return e
-        ring = self.ring
-        held = [fid for fid in e.den if reducible.intersection(ring._support[fid])]
-        if held:
-            inverse = ring.constant(1)
-            for fid in held:
-                factor = ring.scalar(ring.factors[fid])
-                g = self._substitute(factor)
-                if not g.terms:
-                    raise DegenerateExpressionError(
-                        f"the denominator factor {fmt(factor)} vanishes on the equation")
-                g = g.inverse()
-                for _ in range(e.den[fid]):
-                    inverse = inverse * g
-            rest = {fid: k for fid, k in e.den.items() if fid not in held}
-            e = ring.combine([(inverse, Form(ring, e.terms, rest))])
-        present = set()
-        gens = range(len(ring.symbols))
-        for p in e.terms.values():
-            for m in p:
-                present.update(i for i in compress(gens, m) if i in reducible)
-        if not present:
-            return e
-        idx = sorted(present)
-        values = [self.normal_form(ring.symbols[i]) for i in idx]
-        # group the monomials by key and by their exponents of the
-        # substituted jets, which the group's part then leaves out
-        groups: dict = {}
-        for key, p in e.terms.items():
-            for m, c in p.items():
-                pat = tuple(m[i] for i in idx)
-                if any(pat):
-                    base = list(m)
-                    for i in idx:
-                        base[i] = 0
-                    m = tuple(base)
-                groups.setdefault((key, pat), {})[m] = c
-        products: dict = {}
-        parts = []
-        for (key, pat), base in groups.items():
-            prod = products.get(pat)
-            if prod is None:
-                prod = ring.constant(1)
-                for v, k in zip(values, pat):
-                    for _ in range(k):
-                        prod = prod * v
-                products[pat] = prod
-            if prod.terms:
-                parts.append((Form(ring, {ONE: Poly(base)}, e.den),
-                              Form(ring, {key: prod.terms[ONE]}, prod.den)))
-        return ring.combine(parts)
+        """Every reducible u-jet replaced by its normal form by the ring's
+        substitution, whose error on a denominator factor that reduces to
+        zero says that it vanishes on the equation."""
+        try:
+            return self._substitution(e)
+        except DegenerateExpressionError as exc:
+            if exc.__cause__ is not None:  # raised by a nested reduction
+                raise
+            raise DegenerateExpressionError(f"{exc} on the equation") from exc

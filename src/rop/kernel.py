@@ -5,9 +5,7 @@ never enters, and nothing here needs sympy.  Symbols are plain names
 (``str``).  A polynomial is a ``Poly``: a sparse map from an exponent
 tuple (one entry per generator of its ``FormRing``, in ``symbol_order``)
 to a nonzero ``int`` or ``fractions.Fraction``; its leading term is the
-grevlex one.  Its sums and products need only field arithmetic and
-truth of the coefficients, so the solver of ``rop.engine`` also keeps
-polynomials over a field of scalar Forms as Polys.
+grevlex one.
 
 A Form is linear over symbols kept outside its ring (the ``U``/``Ut``
 jets, in ``rop.jets``): a sparse map from such a symbol, or ``ONE``, to
@@ -28,10 +26,13 @@ Forms are built only with Form arithmetic (``FormRing.symbol``,
 ``FormRing.constant``, sums, products, ``Form.inverse``), as the parser
 reads a problem file; ``FormRing.embed`` moves a Form into a ring with
 more generators, such as the ansatz constants, and ``FormRing.lift``
-moves one polynomial.  A Form is true when it is nonzero and hashes by
-its canonical form.  ``fmt`` prints a Form as sympy's ``sstr`` prints
-its canonical expression; ``Form.as_expr`` builds that expression with
-sympy, for callers that want one.
+moves one polynomial.  ``FormRing.split`` and ``FormRing.substitution``
+are the two operations that rewriting and solving share: a Form as
+a*x + b in one generator x, and the values of some generators put into
+a Form.  A Form is true when it is nonzero and hashes by its canonical
+form.  ``fmt`` prints a Form as sympy's ``sstr`` prints its canonical
+expression; ``Form.as_expr`` builds that expression with sympy, for
+callers that want one.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def _quo(a, b):
 
 
 class Poly(dict):
-    """A polynomial: exponent tuple -> nonzero coefficient, a rational
-    or, in the engine's solver, a scalar Form.  Treated as immutable once
-    built; every operation returns a new Poly."""
+    """A polynomial: exponent tuple -> nonzero rational coefficient.
+    Treated as immutable once built; every operation returns a new
+    Poly."""
 
     __slots__ = ()
 
@@ -253,8 +254,7 @@ def _irreducible_factors(p: Poly) -> list:
     or more in every generator goes to sympy's ``factor_list``."""
     out = []
     n = len(next(iter(p)))
-    low = [min(m[i] for m in p) for i in range(n)]
-    for i, k in enumerate(low):
+    for i, k in enumerate(map(min, zip(*p))):
         if k:
             out.append((Poly({tuple(int(j == i) for j in range(n)): 1}), k))
             p = _shift(p, i, -k)
@@ -380,6 +380,85 @@ class FormRing:
     def den_poly(self, den: dict) -> Poly:
         """The expanded product of a denominator's factors."""
         return self._scale(self.one, den)
+
+    # -- substitution --------------------------------------------------
+
+    def split(self, form: "Form", i: int) -> tuple | None:
+        """(a, b), Forms free of the i-th generator x with form equal to
+        (a*x + b)/den, den the denominator of form; None when form has
+        degree 2 or more in x."""
+        a, b = {}, {}
+        for key, p in form.terms.items():
+            for m, c in p.items():
+                if m[i] > 1:
+                    return None
+                if m[i]:
+                    a.setdefault(key, {})[m[:i] + (0,) + m[i + 1:]] = c
+                else:
+                    b.setdefault(key, {})[m] = c
+        return (Form(self, {k: Poly(t) for k, t in a.items()}, {}),
+                Form(self, {k: Poly(t) for k, t in b.items()}, {}))
+
+    def substitution(self, gens: Iterable[int],
+                     value: Callable[[int], "Form"]) -> Callable[["Form"], "Form"]:
+        """The map that puts value(i), a scalar Form, for each generator i
+        of gens into a Form, all at once and over one common denominator.
+        value must give one Form per generator for as long as the map is
+        used: the products of values it forms are kept across calls.  A
+        factor of the denominator that holds one of gens is substituted
+        and inverted, which factors it anew; one that becomes zero raises
+        DegenerateExpressionError naming it."""
+        gens = frozenset(gens)
+        products: dict = {}  # ((i, k), ...) -> the product of value(i)**k
+
+        def substitute(e: Form) -> Form:
+            held = [fid for fid in e.den if gens.intersection(self._support[fid])]
+            if held:
+                inverse = self.constant(1)
+                for fid in held:
+                    factor = self.scalar(self.factors[fid])
+                    g = substitute(factor)
+                    if not g.terms:
+                        raise DegenerateExpressionError(
+                            f"the denominator factor {fmt(factor)} vanishes")
+                    g = g.inverse()
+                    for _ in range(e.den[fid]):
+                        inverse = inverse * g
+                e = Form(self, e.terms, {fid: k for fid, k in e.den.items() if fid not in held})
+            present = set()
+            for p in e.terms.values():
+                for m in p:
+                    present.update(compress(self._range, m))
+            present &= gens
+            if present:
+                idx = sorted(present)
+                values = {i: value(i) for i in idx}
+                # group the monomials by key and by their exponents of the
+                # substituted generators, which the group's part leaves out
+                groups: dict = {}
+                for key, p in e.terms.items():
+                    for m, c in p.items():
+                        hit = tuple([(i, m[i]) for i in idx if m[i]])
+                        if hit:
+                            base = list(m)
+                            for i, _k in hit:
+                                base[i] = 0
+                            m = tuple(base)
+                        groups.setdefault((key, hit), {})[m] = c
+                parts = []
+                for (key, hit), base in groups.items():
+                    prod = products.get(hit)
+                    if prod is None:
+                        factors = [values[i] for i, k in hit for _ in range(k)]
+                        factors = factors or [self.constant(1)]
+                        prod = products[hit] = math.prod(factors[1:], start=factors[0])
+                    if prod.terms:
+                        parts.append((Form(self, {ONE: Poly(base)}, e.den),
+                                      Form(self, {key: prod.terms[ONE]}, prod.den)))
+                e = self.combine(parts)
+            return self.combine([(inverse, e)]) if held else e
+
+        return substitute
 
     # -- factors -------------------------------------------------------
 
@@ -547,7 +626,7 @@ class Form:
                     and self.terms == other.terms)
         if isinstance(other, (int, Fraction)):
             return self == self.ring.constant(other)
-        return self.as_expr() == other
+        return NotImplemented
 
     def renamed(self, names: dict) -> "Form":
         """The Form with each key k replaced by names.get(k, k)."""

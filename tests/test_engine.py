@@ -158,8 +158,8 @@ class TestDeterminingSystem:
                              + "ansatz f2_1 = u_xx/u_x, t*u_xx/u_x\n")
         basis = {**default_ansatz(prob.F, prob.lax), **prob.ansatz}
         ds = engine.derive_determining_system(prob.F, prob.lax, basis, "forward")
-        assert ds.domain.symbols == ("t", "x")
-        assert all(c.ring is ds.domain for e in ds.equations for c in e.values())
+        assert tuple(s for s in ds.ring.symbols if s not in ds.unknowns) == ("t", "x")
+        assert all(e.ring is ds.ring for e in ds.equations)
         [sol] = solve_determining(ds)
         fs = sol.twist_functions(ds)
         assert verify(prob.F, prob.lax, TwistRelations(fs), "forward").passed
@@ -188,35 +188,29 @@ class TestDeterminingSystem:
         # no Lax coefficient has a denominator: the terms are the u_pq
         j = jet_symbols(pavlov.space)
         basis = default_ansatz(pavlov.F, pavlov.lax)
-        assert basis == {slot: [j("u", pq) for pq in ("tt", "ty", "tx", "yy", "yx", "xx")]
-                         for slot in SLOTS}
+        assert {slot: [t.as_expr() for t in terms] for slot, terms in basis.items()} == \
+            {slot: [j("u", pq) for pq in ("tt", "ty", "tx", "yy", "yx", "xx")] for slot in SLOTS}
 
 
 def _synthetic(eqs, names):
-    """The expression equations as elements of the solver's ring: Polys
-    over the unknowns with coefficients Forms of the shared ring of the
-    equations' other symbols."""
-    unknowns = [sp.Symbol(n) for n in names]
+    """The expression equations as the solver's equations: scalar Forms
+    of the shared ring of the unknowns and the equations' other
+    symbols."""
     eqs = [sp.sympify(e) for e in eqs]
-    others = set().union(*(e.free_symbols for e in eqs)) - set(unknowns)
-    domain = engine._coefficient_ring(tuple(sorted(s.name for s in others)))
-    polys = []
-    for e in eqs:
-        terms = sp.Poly(e, *unknowns).terms() if unknowns else [((), e)]
-        polys.append(kernel.Poly({m: evaluate(c, domain) for m, c in terms if c != 0}))
-    return DeterminingSystem(polys, unknowns, {slot: [] for slot in SLOTS})
+    others = set().union(*(e.free_symbols for e in eqs))
+    ring = engine._coefficient_ring({*names, *(s.name for s in others)})
+    return DeterminingSystem([evaluate(e, ring) for e in eqs],
+                             [sp.Symbol(n) for n in names], {slot: [] for slot in SLOTS})
 
 
 def _expr(eq, unknowns):
-    """An equation of the solver's ring as an expression."""
-    syms = [sp.Symbol(str(c)) for c in unknowns]
-    return sp.Add(*(sp.sympify(c) * sp.Mul(*(x**k for x, k in zip(syms, m)))
-                    for m, c in eq.items()))
+    """An equation of the solver as an expression."""
+    return eq.as_expr()
 
 
 def _values(sol):
     """A solution's values, scalar Forms, as expressions."""
-    return {c: sp.sympify(v) for c, v in sol.assignment.items()}
+    return {c: v.as_expr() for c, v in sol.assignment.items()}
 
 
 class TestSolveDetermining:
@@ -228,7 +222,7 @@ class TestSolveDetermining:
         sol = sols[0]
         assert sol.assignment[c1] == 2
         assert sol.assignment[c2] == -2
-        assert sol.assignment[c3] == 0 and c3 in sol.free
+        assert _values(sol)[c3] == c3 and c3 in sol.free  # a free constant is its own value
 
     def test_quadratic_branches(self):
         c1 = sp.Symbol("c1")
@@ -267,7 +261,7 @@ class TestSolveDetermining:
                         ["c0", "c1", "c2"])
         with pytest.raises(PartialResultError) as exc:
             solve_determining(ds, branch_bound=1000)
-        assert [s.assignment for s in exc.value.solutions] == [{c0: 0, c1: 0, c2: 1}]
+        assert [_values(s) for s in exc.value.solutions] == [{c0: 0, c1: c1, c2: 1}]
         assert len(exc.value.unresolved) == 1
 
     def test_parameter_coefficient(self):
@@ -307,19 +301,20 @@ class TestSolveDetermining:
         c0, c1, c2 = sp.symbols("c0 c1 c2")
         ds = _synthetic([c0 + c1 * c2, c1 - 1], ["c0", "c1", "c2"])
         [sol] = solve_determining(ds)
-        assert sol.assignment == {c0: 0, c1: 1, c2: 0}
+        assert _values(sol) == {c0: -c2, c1: 1, c2: c2}
         assert sol.free == (c2,)
 
     def test_families_sharing_their_zero_member_are_kept(self):
         # c0 = 0 and c1 = 0 are two families with the same zero member
         c0, c1 = sp.symbols("c0 c1")
         ds = _synthetic([c0 * c1], ["c0", "c1"])
-        assert {(tuple(s.assignment.values()), s.free) for s in solve_determining(ds)} \
-            == {((0, 0), (c1,)), ((0, 0), (c0,))}
-        # the family c0 = 0 with c1 free, and the points (0, 0) and (1, 0)
+        assert {(tuple(_values(s).values()), s.free) for s in solve_determining(ds)} \
+            == {((0, c1), (c1,)), ((c0, 0), (c0,))}
+        # the family c0 = 0 with c1 free, and the point (1, 0); the point
+        # (0, 0) of the branch c1 = 0 is a member of that family
         ds = _synthetic([c0 * c1, sp.expand(c0 * (c0 - 1))], ["c0", "c1"])
-        assert {(tuple(s.assignment.values()), s.free) for s in solve_determining(ds)} \
-            == {((0, 0), (c1,)), ((0, 0), ()), ((1, 0), ())}
+        assert {(tuple(_values(s).values()), s.free) for s in solve_determining(ds)} \
+            == {((0, c1), (c1,)), ((1, 0), ())}
 
     def test_no_unknowns(self):
         alpha = sp.Symbol("alpha")
@@ -342,7 +337,8 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
     exprs = [_expr(e, ds.unknowns) for e in ds.equations]
     others = sorted(set().union(*(e.free_symbols for e in exprs)) - set(unknowns), key=str)
     ring = PolyRing(unknowns, QQ.frac_field(*others) if others else QQ)
-    domain = engine._coefficient_ring(tuple(str(o) for o in others))
+    ours = ds.ring
+    names = {str(c) for c in unknowns}
     solutions, seen = [], set()
     unresolved = []
     budget = [branch_bound]
@@ -350,8 +346,7 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
     def emit(solved: dict):
         assignment = _reference_back_substitute(solved, unknowns)
         free = tuple(c for c in unknowns if c not in assignment)
-        assignment = {c: normalize(assignment.get(c, sp.S.Zero).xreplace(
-                          {f: sp.S.Zero for f in free})) for c in unknowns}
+        assignment = {c: normalize(assignment.get(c, c)) for c in unknowns}
         key = (tuple(sp.sstr(assignment[c]) for c in unknowns), free)
         if key not in seen:
             seen.add(key)
@@ -383,9 +378,9 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
         factors = eq.factor_list()[1]
         if not factors:
             return  # inconsistent: constant nonzero equation
-        ours = engine._branch_factors(_ours(eq, domain), len(unknowns))
-        order = [_monic(f) for f, _m in ours]
-        factors.sort(key=lambda fm: order.index(_monic(_ours(fm[0], domain))))
+        order = [_monic(f, names) for f, _m in engine._branch_factors(_ours(eq, ours),
+                                                                      _mask(ours, names))]
+        factors.sort(key=lambda fm: order.index(_monic(_ours(fm[0], ours), names)))
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
             return
@@ -397,7 +392,14 @@ def reference_solve(ds: DeterminingSystem, branch_bound: int = 64) -> list[Solut
             budget[0] -= 1
             descend([f.as_expr()] + rest, dict(solved))
 
+    def member(s, t):
+        put = {f: s.assignment[f] for f in t.free}
+        return all(normalize(t.assignment[c].xreplace(put) - v) == 0
+                   for c, v in s.assignment.items())
+
     descend(exprs, {})
+    solutions = [s for s in solutions
+                 if not any(len(t.free) > len(s.free) and member(s, t) for t in solutions)]
     if unresolved:
         raise PartialResultError(f"{len(unresolved)} unresolved branch(es)",
                                  solutions, unresolved)
@@ -496,20 +498,32 @@ def _sympy_ring(n, alpha):
 
 
 def _domain(ring):
-    """The solver's shared coefficient ring for sympy's ring."""
-    return engine._coefficient_ring(("alpha",) if ring.domain != QQ else ())
+    """The solver's shared ring for sympy's ring: its unknowns and alpha."""
+    return engine._coefficient_ring([str(g) for g in ring.gens]
+                                    + (["alpha"] if ring.domain != QQ else []))
 
 
-def _ours(p, domain):
-    """An element of sympy's ring as an element of the solver's ring."""
-    K = p.ring.domain
-    return kernel.Poly({m: evaluate(K.to_sympy(c), domain) for m, c in p.items()})
+def _mask(ours, names):
+    """The solver's mask of the unknowns among the generators of ours."""
+    return tuple(s in names for s in ours.symbols)
 
 
-def _monic(f):
-    """A Poly over Forms divided by its grevlex leading coefficient."""
-    inverse = f.LC.inverse()
-    return kernel.Poly({m: c * inverse for m, c in f.items()})
+def _ours(p, ours):
+    """An element of sympy's ring as an equation of the solver."""
+    return evaluate(p.as_expr(), ours)
+
+
+def _monic(f, names):
+    """A scalar Form's numerator divided by its leading coefficient
+    (grevlex) as a polynomial in the unknowns named by names."""
+    ring = f.ring
+    mask = _mask(ring, names)
+    coeffs: dict = {}
+    for m, c in f.terms[kernel.ONE].items():
+        rest = tuple(0 if u else e for u, e in zip(mask, m))
+        coeffs.setdefault(tuple(itertools.compress(m, mask)), {})[rest] = c
+    lead = coeffs[max(coeffs, key=kernel._grevlex)]
+    return ring.scalar(f.terms[kernel.ONE]) * ring.scalar(kernel.Poly(lead)).inverse()
 
 
 def _ground(ring, c):
@@ -563,29 +577,14 @@ def test_row_reduce_matches_solve_lin_sys(system):
     from sympy.polys.solvers import solve_lin_sys
 
     ring, eqs = system
-    domain = _domain(ring)
+    ours = _domain(ring)
     want = solve_lin_sys(eqs, ring)
-    got = engine._row_reduce([_ours(e, domain) for e in eqs], ring.ngens)
+    got = engine._row_reduce([_ours(e, ours) for e in eqs],
+                             _mask(ours, {str(g) for g in ring.gens}))
     if want is None:
         assert got is None
     else:
-        assert got == {ring.gens.index(g): _ours(ring(v), domain) for g, v in want.items()}
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32))
-def test_substitution_matches_compose(seed):
-    # the values are affine, as the solver's are, or of degree 2
-    rng = random.Random(seed)
-    ring = _sympy_ring(rng.randint(1, 4), rng.random() < 0.5)
-    domain = _domain(ring)
-    p = _random_element(rng, ring, 3, rng.randint(0, 5))
-    replaced = rng.sample(range(ring.ngens), rng.randint(1, ring.ngens))
-    values = {i: _random_element(rng, ring, rng.choice([1, 1, 2]), rng.randint(0, 3))
-              for i in replaced}
-    want = p.compose([(ring.gens[i], v) for i, v in values.items()])
-    substitute = engine._substitution({i: _ours(v, domain) for i, v in values.items()})
-    assert substitute(_ours(p, domain)) == _ours(want, domain)
+        assert got == {ours.index[str(g)]: _ours(ring(v), ours) for g, v in want.items()}
 
 
 @st.composite
@@ -619,9 +618,11 @@ def factored_equations(draw):
 
 
 def _assert_factors_match(ring, eq):
-    domain = _domain(ring)
-    want = [(_monic(_ours(f, domain)), k) for f, k in eq.factor_list()[1]]
-    got = [(_monic(f), k) for f, k in engine._branch_factors(_ours(eq, domain), ring.ngens)]
+    ours = _domain(ring)
+    names = {str(g) for g in ring.gens}
+    want = [(_monic(_ours(f, ours), names), k) for f, k in eq.factor_list()[1]]
+    got = [(_monic(f, names), k)
+           for f, k in engine._branch_factors(_ours(eq, ours), _mask(ours, names))]
     assert Counter(got) == Counter(want)
 
 

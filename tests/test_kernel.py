@@ -425,3 +425,68 @@ def test_factoring_falls_back_only_without_a_degree_one_generator(
     got, want = _factor_like_sympy(sp.expand(sp.sympify(text)))
     assert got[0] == want[0] and Counter(got[1]) == Counter(want[1])
     assert len(calls) == fallback
+
+
+# -- substitution against sympy -----------------------------------------------
+
+
+def _random_element(rng, ring, degree, terms):
+    """A random element of sympy's ring: terms monomials of total degree
+    at most degree, with coefficients from -2, -1, 1, 2 and 1/2 and,
+    over QQ(alpha), alpha, alpha + 1 and 1/alpha."""
+    pool = [-2, -1, 1, 2, sp.Rational(1, 2)]
+    if ring.domain != QQ:
+        pool += [alpha, alpha + 1, 1 / alpha]
+    out = ring.zero
+    for _ in range(terms):
+        m = ring.one
+        for _ in range(rng.randint(0, degree)):
+            m *= rng.choice(ring.gens)
+        out += ring.domain.from_sympy(sp.sympify(rng.choice(pool))) * m
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_substitution_matches_compose(seed):
+    # the values are affine, as the solver's are, or of degree 2
+    rng = random.Random(seed)
+    n, over_alpha = rng.randint(1, 4), rng.random() < 0.5
+    ring = PolyRing(sp.symbols(f"c0:{n}"), QQ.frac_field(alpha) if over_alpha else QQ)
+    ours = kernel.FormRing([f"c{i}" for i in range(n)] + ["alpha"] * over_alpha)
+    p = _random_element(rng, ring, 3, rng.randint(0, 5))
+    replaced = rng.sample(range(n), rng.randint(1, n))
+    values = {i: _random_element(rng, ring, rng.choice([1, 1, 2]), rng.randint(0, 3))
+              for i in replaced}
+    want = p.compose([(ring.gens[i], v) for i, v in values.items()])
+    forms = {ours.index[f"c{i}"]: evaluate(v.as_expr(), ours) for i, v in values.items()}
+    substitute = ours.substitution(forms, forms.__getitem__)
+    assert substitute(evaluate(p.as_expr(), ours)) == evaluate(want.as_expr(), ours)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_substitution_into_denominators_matches_cancel(seed):
+    # a factor of the denominator that holds a substituted generator is
+    # substituted and inverted again
+    rng = random.Random(seed)
+    ring = kernel.FormRing(["u_x", "u_y", "u_z"])
+    e = random_rational(rng, [u_x, u_y, u_z]) / random_rational(rng, [u_x, u_y])
+    values = {u_x: random_rational(rng, [u_x, u_y, u_z]), u_y: random_poly(rng, [u_x, u_z])}
+    want = sp.cancel(e.xreplace(values))
+    assume(not want.has(sp.zoo, sp.nan) and sp.denom(sp.together(e)).xreplace(values) != 0)
+    forms = {ring.index[s.name]: evaluate(v, ring) for s, v in values.items()}
+    try:
+        got = ring.substitution(forms, forms.__getitem__)(evaluate(e, ring))
+    except DegenerateExpressionError:
+        assume(False)  # a factor vanishes where the expanded denominator does not
+    assert got == evaluate(want, ring)
+
+
+def test_substitution_names_a_vanishing_denominator_factor():
+    ring = kernel.FormRing(["u_x", "u_y", "u_z"])
+    e = evaluate(u_z / ((u_x - u_y) * u_z + 1), ring)
+    substitute = ring.substitution([ring.index["u_x"]], lambda _i: evaluate(u_y - 1 / u_z, ring))
+    with pytest.raises(DegenerateExpressionError,
+                       match=r"^the denominator factor u_x\*u_z - u_y\*u_z \+ 1 vanishes$"):
+        substitute(e)

@@ -43,15 +43,18 @@ degree 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import time
 import weakref
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .jets import (RewriteRule, RewriteSystem, jet_ring, solve_for_leading,
                    total_derivative)
-from .kernel import ONE, Form, FormRing, Poly, _irreducible_factors, symbol_order
+from .kernel import (ONE, Form, FormRing, Poly, _irreducible_factors, degree_in, exponents,
+                     field_mask, relabel, symbol_order)
 from .lax import LAMBDA, DegeneratePairError, LaxPair
 from .linearize import LinearDifferentialOperator, linearize
 
@@ -75,16 +78,15 @@ class PartialResultError(RuntimeError):
         self.unresolved = unresolved
 
 
-@dataclass(frozen=True)
 class TwistRelations:
     """The four twist functions f_i^s, slot (i, s) -> a Form of a
     JetRing."""
-    f: dict
 
-    def __post_init__(self):
+    def __init__(self, f: dict):
         for slot in SLOTS:
-            if slot not in self.f:
+            if slot not in f:
                 raise InvalidTwistError(f"missing twist slot f{slot[0]}_{slot[1]}")
+        self.f = f
 
     def validate(self) -> None:
         for slot, e in self.f.items():
@@ -109,8 +111,7 @@ def check_twist_function(slot: tuple[int, int], f: Form) -> None:
             raise InvalidTwistError(f"f{i}_{s} depends on {key}")
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(NamedTuple):
     """The two relations moved to one side, plus their solved forms, each
     rule with its leading Ut-coefficient as its lead; all Forms of one
     JetRing."""
@@ -186,16 +187,15 @@ def symmetry_residual(lin: LinearDifferentialOperator, sys: RewriteSystem) -> Fo
     return sys.reduce(lin.apply_to("Ut"))
 
 
-@dataclass
-class VerifyReport:
-    """The verdict, with both residuals and the assumptions as Forms, and
-    the relations it was reached with."""
+class VerifyReport(NamedTuple):
+    """The verdict, with both residuals and the assumptions as Forms, the
+    relations it was reached with, and the time of each phase."""
     passed: bool
     compatibility: Form
     symmetry: Form
     assumptions: tuple[Form, ...]
     relations: RelationSet
-    timings: dict = field(default_factory=dict)
+    timings: dict
 
 
 def verify(F, pair: LaxPair, twist: TwistRelations, orientation: str) -> VerifyReport:
@@ -266,8 +266,7 @@ def default_ansatz(F, pair: LaxPair) -> dict:
     return {slot: list(terms) for slot in SLOTS}
 
 
-@dataclass
-class DeterminingSystem:
+class DeterminingSystem(NamedTuple):
     """Equations for the ansatz constants (the unknowns): scalar Forms of
     one FormRing, whose generators are the unknowns and the parameters
     and independent variables the equations hold.  Their common zeros
@@ -356,9 +355,10 @@ def _coefficients(residuals, unknowns: set) -> list:
         return []
     src = residuals[0].ring
     jet = [s == LAMBDA or src.space.jet_var(s) is not None for s in src.symbols]
-    kept = [not j for j in jet]
+    jets = field_mask(i for i, j in enumerate(jet) if j)
+    others = field_mask(i for i, j in enumerate(jet) if not j)
     groups = []
-    met: dict = {}  # one tuple for each monomial the equations share
+    kept: set = set()  # the monomials' fields of the other generators
     for form in residuals:
         scale = 1
         den = src.den_poly(form.den)
@@ -367,26 +367,32 @@ def _coefficients(residuals, unknowns: set) -> list:
                 scale = math.lcm(scale, c.denominator)
         gens = sorted(s for s in form.free_symbols
                       if s not in src.index or jet[src.index[s]])
-        where = [src.index.get(g) for g in gens]
+        where = {src.index[g]: n for n, g in enumerate(gens) if g in src.index}
         out: dict = {}
         for key, p in form.terms.items():
-            exps = [int(g == key) if i is None else 0 for g, i in zip(gens, where)]
+            base = [int(g == key) for g in gens]
+            rows: dict = {}  # jet fields -> exponents over gens
             for m, c in p.items():
-                for n, i in enumerate(where):
-                    if i is not None:
-                        exps[n] = m[i]
-                e = tuple(itertools.compress(m, kept))
-                out.setdefault(tuple(exps), {})[met.setdefault(e, e)] = int(c * scale)
+                j = m & jets
+                exps = rows.get(j)
+                if exps is None:
+                    exps = list(base)
+                    for i, e in exponents(j):
+                        exps[where[i]] = e
+                    exps = rows[j] = tuple(exps)
+                r = m & others
+                kept.add(r)
+                out.setdefault(exps, {})[r] = int(c * scale)
         groups += [out[k] for k in sorted(out, reverse=True)]
-    symbols = list(itertools.compress(src.symbols, kept))
-    used = [s in unknowns or any(column) for s, column in zip(symbols, zip(*met))]
-    ring = _coefficient_ring(itertools.compress(symbols, used))
-    short = {e: tuple(itertools.compress(e, used)) for e in met}
-    return [ring.scalar(Poly({short[e]: c for e, c in g.items()})) for g in groups]
+    used = {i for i, _e in exponents(functools.reduce(operator.or_, kept, 0))}
+    used.update(src.index[s] for s in unknowns if s in src.index)
+    ring = _coefficient_ring(src.symbols[i] for i in used)
+    move = relabel([ring.index.get(s) for s in src.symbols])
+    short = {r: move(r) for r in kept}
+    return [ring.scalar(Poly({short[r]: c for r, c in g.items()})) for g in groups]
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     assignment: dict  # constant -> value: a scalar Form of the system's ring
     free: tuple = ()
 
@@ -427,7 +433,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """
     ring = ds.ring
     gens = {ring.index[str(c)]: c for c in ds.unknowns}
-    mask = tuple(i in gens for i in ring._range)
+    mask = field_mask(gens)
 
     solutions, seen = [], set()
     unresolved = []
@@ -446,7 +452,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         while True:
             parts = ([], [])  # nonlinear, linear
             for e in eqs:
-                parts[all(sum(itertools.compress(m, mask)) <= 1 for m in e.terms[ONE])].append(e)
+                parts[all(degree_in(m, mask) <= 1 for m in e.terms[ONE])].append(e)
             nonlinear, linear = parts
             if not linear:
                 break
@@ -459,8 +465,7 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
         if not eqs:
             emit(solved)
             return
-        eq = min(eqs, key=lambda e: len({tuple(itertools.compress(m, mask))
-                                         for m in e.terms[ONE]}))
+        eq = min(eqs, key=lambda e: len({m & mask for m in e.terms[ONE]}))
         factors = _branch_factors(eq, mask)
         if len(factors) == 1 and factors[0][1] == 1:
             unresolved.append(eqs)  # branching would give eq back
@@ -507,42 +512,44 @@ def solve(F, pair: LaxPair, basis: dict, orientations, branch_bound: int) -> dic
     return _each_orientation(step, orientations)
 
 
-def _row_reduce(eqs: list, mask: tuple) -> dict | None:
+def _row_reduce(eqs: list, mask: int) -> dict | None:
     """The reduced row echelon form of equations of total degree at most
-    1 in the unknowns (the generators mask marks), columns in the ring's
-    order: {pivot's generator index: its value}, each value a scalar Form
-    affine in the unknowns left free; None if the equations are
-    inconsistent.  Each equation is reduced by the values found before
-    it, takes its first unknown left as its pivot, solved for with
-    ``FormRing.split``, and that pivot is put into the values before it,
-    whose own pivots therefore stay their first unknowns.  The form is
-    unique, so the values do not depend on the equations' order."""
+    1 in the unknowns (the generators whose fields mask covers), columns
+    in the ring's order: {pivot's generator index: its value}, each
+    value a scalar Form affine in the unknowns left free; None if the
+    equations are inconsistent.  Each equation is reduced by the values
+    found before it, takes its first unknown left as its pivot, solved
+    for with ``FormRing.split``, and that pivot is put into the values
+    before it, whose own pivots therefore stay their first unknowns.
+    The form is unique, so the values do not depend on the equations'
+    order."""
     ring = eqs[0].ring
     values: dict = {}
     reduce = ring.substitution((), values.__getitem__)
     for eq in eqs:
         e = reduce(eq)
-        present = {i for p in e.terms.values() for m in p
-                   for i in itertools.compress(ring._range, m) if mask[i]}
+        present = e.numerator_support() & mask
         if not present:
             if e:
                 return None  # a nonzero constant
             continue
-        pivot = min(present)
+        pivot = exponents(present)[0][0]
         a, b = ring.split(e, pivot)
         value = -b * a.inverse()
         put = ring.substitution((pivot,), lambda _i: value)
-        values = {i: put(v) if any(m[pivot] for p in v.terms.values() for m in p) else v
+        field = field_mask((pivot,))
+        values = {i: put(v) if any(m & field for p in v.terms.values() for m in p) else v
                   for i, v in values.items()}
         values[pivot] = value
         reduce = ring.substitution(values, values.__getitem__)
     return values
 
 
-def _branch_factors(eq: Form, mask: tuple) -> list:
+def _branch_factors(eq: Form, mask: int) -> list:
     """The (factor, multiplicity) pairs of a nonlinear equation's
-    numerator that hold an unknown (a generator mask marks), as scalar
-    Forms, in the order ``kernel._irreducible_factors`` finds them; the
-    factors free of the unknowns are units of the field of the others."""
+    numerator that hold an unknown (a generator whose field mask
+    covers), as scalar Forms, in the order ``kernel._irreducible_factors``
+    finds them; the factors free of the unknowns are units of the field
+    of the others."""
     return [(eq.ring.scalar(g), k) for g, k in _irreducible_factors(eq.terms[ONE])
-            if any(any(itertools.compress(m, mask)) for m in g)]
+            if any(m & mask for m in g)]

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress
-from typing import Iterable, Sequence
+from itertools import combinations_with_replacement
+from typing import Iterable, NamedTuple, Sequence
 
-from .kernel import ONE, DegenerateExpressionError, Form, FormRing, Poly, symbol_order
+from .kernel import (ONE, DegenerateExpressionError, Form, FormRing, Poly, exponents,
+                     monomial, symbol_order)
 
 UNKNOWNS = ("u", "U", "Ut")
 LAMBDA = "lam"
@@ -50,8 +50,7 @@ class NoLeadingJetError(ValueError):
     """No solvable leading jet with nonzero coefficient remains."""
 
 
-@dataclass(frozen=True)
-class JetVar:
+class JetVar(NamedTuple):
     unknown: str
     index: tuple[str, ...]
 
@@ -127,7 +126,7 @@ class JetSpace:
         return (UNKNOWNS.index(jv.unknown), jv.order, lex)
 
 
-_TOP = -2  # D_x of a u-jet of the top order would overflow the bound
+_TOP = object()  # D_x of a u-jet of the top order would overflow the bound
 
 
 class JetRing(FormRing):
@@ -145,17 +144,18 @@ class JetRing(FormRing):
         self._target_lists: dict[str, list] = {}
 
     def _targets(self, x: str) -> list:
-        """Per generator, the generator D_x maps it to: an index, -1 for
-        x itself (D_x x = 1), None when D_x kills it, _TOP for a u-jet of
-        the top order."""
+        """Per generator, the monomial D_x adds in place of one power of
+        it: that of the generator D_x maps it to minus its own, or minus
+        its own for x itself (D_x x = 1); None when D_x kills it, _TOP
+        for a u-jet of the top order."""
         t = self._target_lists.get(x)
         if t is None:
             space = self.space
             t = [None] * len(self.symbols)
-            t[self.index[x]] = -1
+            t[self.index[x]] = -monomial(self.index[x])
             for i in self.u_jets:
                 jv = space.jet_var(self.symbols[i])
-                t[i] = (self.index[space.jet("u", jv.index + (x,))]
+                t[i] = (monomial(self.index[space.jet("u", jv.index + (x,))]) - monomial(i)
                         if jv.order < space.max_order else _TOP)
             self._target_lists[x] = t
         return t
@@ -165,19 +165,14 @@ class JetRing(FormRing):
         t = self._targets(x)
         out: dict = {}
         for m, c in p.items():
-            for i in compress(self._range, m):
-                j = t[i]
-                if j is None:
+            for i, e in exponents(m):
+                d = t[i]
+                if d is None:
                     continue
-                if j == _TOP:
+                if d is _TOP:
                     jv = self.space.jet_var(self.symbols[i])
                     self.space.jet("u", jv.index + (x,))  # raises OrderOverflowError
-                e = m[i]
-                shifted = list(m)
-                shifted[i] = e - 1
-                if j >= 0:
-                    shifted[j] += 1
-                k = tuple(shifted)
+                k = m + d
                 v = out.get(k)
                 out[k] = c * e if v is None else v + c * e
         return Poly({k: v for k, v in out.items() if v})
@@ -237,8 +232,7 @@ def _multiset_diff(big: tuple[str, ...], small: tuple[str, ...]) -> tuple[str, .
     return tuple(rest)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """Solved relation lhs -> rhs with every jet in rhs strictly below
     lhs.  lead is the coefficient of lhs in the relation it was solved
     from, a polynomial Form: the rule holds where lead is nonzero."""
@@ -266,11 +260,8 @@ def solve_for_leading(rel: Form, unknown: str) -> RewriteRule:
     ring = rel.ring
     space = ring.space
     if unknown == "u":
-        present = set()
-        for p in rel.terms.values():
-            for m in p:
-                present.update(compress(range(len(m)), m))
-        jets = [ring.symbols[i] for i in present & ring.u_jets]
+        jets = [ring.symbols[i] for i, _e in exponents(rel.numerator_support())
+                if i in ring.u_jets]
     else:
         jets = [k for k in rel.terms
                 if k is not ONE and space.jet_var(k).unknown == unknown]

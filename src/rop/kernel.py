@@ -2,10 +2,24 @@
 
 Rational functions over QQ are carried as ``Form``s; floating point
 never enters, and nothing here needs sympy.  Symbols are plain names
-(``str``).  A polynomial is a ``Poly``: a sparse map from an exponent
-tuple (one entry per generator of its ``FormRing``, in ``symbol_order``)
-to a nonzero ``int`` or ``fractions.Fraction``; its leading term is the
+(``str``).  A polynomial is a ``Poly``: a sparse map from a monomial to
+a nonzero ``int`` or ``fractions.Fraction``; its leading term is the
 grevlex one.
+
+A monomial is one ``int`` of fields of ``W`` bits: its total degree in
+bits [0, W), and the exponent of generator i of its ``FormRing`` (in
+``symbol_order``) in bits [W*(i+1), W*(i+2)).  A product of monomials
+is their sum; and since the last generator holds the highest bits,
+grevlex compares (degree, -monomial).  The top bit of each field is a
+guard: a product or shift that sets one raises ExponentOverflowError,
+a ValueError, so an exponent or a total degree is at most 2**(W-1) - 1
+(a derivative raises no degree, so it needs no check).  A ring has at
+most MAX_GENS generators, the fields the guard mask covers.  Exponents
+are read one by one (``exponents``) only where order or a single
+exponent matters: the printer, the factoring, ``FormRing.split``, the
+move into another ring, the chain rule and the coefficients of
+``rop.engine``.  Which generators occur is the OR of the monomials
+(``Poly.support``).
 
 A Form is linear over symbols kept outside its ring (the ``U``/``Ut``
 jets, in ``rop.jets``): a sparse map from such a symbol, or ``ONE``, to
@@ -39,8 +53,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable
+
+W = 16  # bits per field of a monomial
+MASK = (1 << W) - 1
+MAX_GENS = 1023
+# the top bit of the degree field and of the fields of MAX_GENS generators
+GUARD = ((1 << W * (MAX_GENS + 1)) - 1) // MASK << (W - 1)
 
 
 class _One:
@@ -64,14 +85,90 @@ class NotLinearError(ValueError):
     its ring."""
 
 
+class ExponentOverflowError(ValueError):
+    """An exponent or a total degree beyond 2**(W-1) - 1, the largest a
+    monomial holds."""
+
+
 def symbol_order(symbols: Iterable) -> list:
     """The single global symbol order used for canonicalization: by name."""
     return sorted(symbols, key=str)
 
 
-def _grevlex(m: tuple) -> tuple:
-    """Sort key of a monomial in the graded reverse lexicographic order."""
-    return (sum(m), tuple([-e for e in reversed(m)]))
+# -- monomials ---------------------------------------------------------
+
+
+def monomial(i: int) -> int:
+    """The monomial of the i-th generator."""
+    return (1 << W * (i + 1)) + 1
+
+
+def exponents(m: int) -> list:
+    """(i, exponent) of each generator i that the monomial m holds, by
+    index; of an OR of monomials, the generators any of them holds."""
+    out = []
+    m >>= W
+    i = 0
+    while m:
+        j = ((m & -m).bit_length() - 1) // W
+        m >>= W * j
+        i += j
+        out.append((i, m & MASK))
+        m >>= W
+        i += 1
+    return out
+
+
+def field_mask(gens: Iterable[int]) -> int:
+    """The mask of the fields of the given generators."""
+    return sum(MASK << W * (i + 1) for i in set(gens))
+
+
+def relabel(where: list) -> Callable[[int], int]:
+    """The map of monomials that moves the field of each generator j to
+    that of generator where[j], or drops it where that is None, and
+    sets the degree field to the sum of the fields moved.  Consecutive
+    generators that map to consecutive ones move as one run of fields."""
+    runs: list = []  # [source shift, width, target shift]
+    for j, i in enumerate(where):
+        if i is None:
+            continue
+        if runs and runs[-1][0] + runs[-1][1] == W * (j + 1) \
+                and runs[-1][2] + runs[-1][1] == W * (i + 1):
+            runs[-1][1] += W
+        else:
+            runs.append([W * (j + 1), W, W * (i + 1)])
+    runs = [(a, (1 << w) - 1, b) for a, w, b in runs]
+
+    def move(m: int) -> int:
+        f = 0
+        for a, mask, b in runs:
+            f |= ((m >> a) & mask) << b
+        return f + f % MASK  # the degree, as in degree_in
+
+    return move
+
+
+def degree_in(m: int, mask: int) -> int:
+    """The total degree of the monomial m in the generators whose fields
+    mask covers: the sum of those fields, which is their value modulo
+    MASK, because 2**W is 1 modulo MASK and the sum is below MASK."""
+    return (m & mask) % MASK
+
+
+def _grevlex(m: int) -> tuple:
+    """Sort key of a monomial in the graded reverse lexicographic order:
+    of two of one degree, the one with the smaller exponent of the last
+    generator where they differ is the larger."""
+    return (m & MASK, -m)
+
+
+def _guarded(p: "Poly") -> "Poly":
+    """p, unless a monomial of it sets a guard bit."""
+    if p.support() & GUARD:
+        raise ExponentOverflowError(
+            f"an exponent or a total degree exceeds {(1 << W - 1) - 1}")
+    return p
 
 
 def _rational(c):
@@ -94,9 +191,15 @@ def _quo(a, b):
 
 
 class Poly(dict):
-    """A polynomial: exponent tuple -> nonzero rational coefficient.
-    Treated as immutable once built; every operation returns a new
-    Poly."""
+    """A polynomial: monomial -> nonzero rational coefficient.
+
+    A monomial is one ``int``: the total degree in bits [0, W) and the
+    exponent of generator i in bits [W*(i+1), W*(i+2)), with W = 16.
+    The top bit of each field is a guard bit: a product or shift that
+    sets it, an exponent or a degree above 2**(W-1) - 1, raises
+    ExponentOverflowError.  The guard mask covers MAX_GENS generators,
+    the most a FormRing has.  Treated as immutable once built; every
+    operation returns a new Poly."""
 
     __slots__ = ()
 
@@ -141,17 +244,16 @@ class Poly(dict):
             self, other = other, self
         if len(self) == 1:
             (ma, ca), = self.items()
-            return Poly({tuple([a + b for a, b in zip(ma, mb)]): ca * cb
-                         for mb, cb in other.items()})
+            return _guarded(Poly({ma + mb: ca * cb for mb, cb in other.items()}))
         out = Poly()
         get = out.get
         for ma, ca in self.items():
             for mb, cb in other.items():
-                m = tuple([a + b for a, b in zip(ma, mb)])
+                m = ma + mb
                 out[m] = get(m, 0) + ca * cb
         for m in [m for m, c in out.items() if not c]:
             del out[m]
-        return out
+        return _guarded(out)
 
     def __pow__(self, k: int):
         out = None
@@ -173,7 +275,7 @@ class Poly(dict):
         return Poly({m: _quo(v, c) for m, v in self.items()})
 
     @property
-    def LM(self) -> tuple:
+    def LM(self) -> int:
         return max(self, key=_grevlex)
 
     @property
@@ -181,24 +283,28 @@ class Poly(dict):
         return self[self.LM]
 
     def is_ground(self) -> bool:
-        return not self or (len(self) == 1 and not any(next(iter(self))))
+        return not self or (len(self) == 1 and 0 in self)
 
     def is_one(self) -> bool:
-        return len(self) == 1 and next(iter(self.values())) == 1 and not any(next(iter(self)))
+        return len(self) == 1 and self.get(0) == 1
+
+    def support(self) -> int:
+        """The OR of the monomials: the fields of the generators that
+        occur are nonzero."""
+        return reduce(or_, self, 0)
 
     def degree(self, i: int) -> int:
-        return max((m[i] for m in self), default=0)
-
-    def degrees(self) -> tuple:
-        return tuple(map(max, zip(*self))) if self else ()
+        s = W * (i + 1)
+        return max(((m >> s) & MASK for m in self), default=0)
 
     def diff(self, i: int) -> "Poly":
         """The partial derivative by the i-th generator."""
+        s, u = W * (i + 1), monomial(i)
         out = Poly()
         for m, c in self.items():
-            e = m[i]
+            e = (m >> s) & MASK
             if e:
-                out[m[:i] + (e - 1,) + m[i + 1:]] = c * e
+                out[m - u] = c * e
         return out
 
     def clear_denoms(self) -> tuple:
@@ -214,14 +320,14 @@ class Poly(dict):
         rest = [(m, c) for m, c in f.items() if m != lm]
         while p:
             m = max(p, key=_grevlex)
-            e = tuple([a - b for a, b in zip(m, lm)])
-            if min(e) < 0:
+            e = m - lm
+            if e < 0 or e & GUARD:  # a field of lm above m's borrowed
                 return None
             c = p.pop(m)
             q[e] = c
             get = p.get
             for mf, cf in rest:
-                k = tuple([a + b for a, b in zip(e, mf)])
+                k = e + mf
                 v = get(k, 0) - c * cf
                 if v:
                     p[k] = v
@@ -233,7 +339,9 @@ class Poly(dict):
 def _shift(p: Poly, i: int, k: int) -> Poly:
     """p times the i-th generator to the power k (k may be negative when
     every monomial allows it)."""
-    return Poly({m[:i] + (m[i] + k,) + m[i + 1:]: c for m, c in p.items()})
+    d = k * monomial(i)
+    out = Poly({m + d: c for m, c in p.items()})
+    return _guarded(out) if k > 0 else out
 
 
 # -- factoring ---------------------------------------------------------
@@ -253,18 +361,19 @@ def _irreducible_factors(p: Poly) -> list:
     it divides both of its coefficients.  Only a polynomial of degree 2
     or more in every generator goes to sympy's ``factor_list``."""
     out = []
-    n = len(next(iter(p)))
-    for i, k in enumerate(map(min, zip(*p))):
+    for i, _e in exponents(next(iter(p))):
+        s = W * (i + 1)
+        k = min((m >> s) & MASK for m in p)
         if k:
-            out.append((Poly({tuple(int(j == i) for j in range(n)): 1}), k))
+            out.append((Poly({monomial(i): 1}), k))
             p = _shift(p, i, -k)
     if p.is_ground():
         return out
-    degrees = p.degrees()
-    if 1 not in degrees:
+    x = next((i for i, _e in exponents(p.support()) if p.degree(i) == 1), None)
+    if x is None:
         return out + _sympy_factors(p)
-    x = degrees.index(1)
-    a = Poly({m[:x] + (0,) + m[x + 1:]: c for m, c in p.items() if m[x]})
+    s, u = W * (x + 1), monomial(x)
+    a = Poly({m - u: c for m, c in p.items() if (m >> s) & MASK})
     if not a.is_ground():
         for g, _k in _irreducible_factors(a):
             k = 0
@@ -283,21 +392,14 @@ def _sympy_factors(p: Poly) -> list:
     from sympy.polys.orderings import grevlex
     from sympy.polys.rings import PolyRing
 
-    used = [i for i, d in enumerate(p.degrees()) if d]
-    n = len(next(iter(p)))
+    used = [i for i, _e in exponents(p.support())]
     ring = PolyRing([Symbol(f"_x{i}") for i in used], QQ, grevlex)
-    q = ring.dtype({tuple(m[i] for i in used): QQ(c.numerator, c.denominator)
-                    for m, c in p.items()})
-    out = []
-    for g, k in q.factor_list()[1]:
-        big = Poly()
-        for m, c in g.items():
-            e = [0] * n
-            for i, d in zip(used, m):
-                e[i] = d
-            big[tuple(e)] = _rational(c)
-        out.append((_monic(big), k))
-    return out
+    q = ring.dtype({tuple((m >> W * (i + 1)) & MASK for i in used):
+                    QQ(c.numerator, c.denominator) for m, c in p.items()})
+    units = [monomial(i) for i in used]
+    return [(_monic(Poly({sum(d * u for d, u in zip(m, units)): _rational(c)
+                          for m, c in g.items()})), k)
+            for g, k in q.factor_list()[1]]
 
 
 # -- the carrier -------------------------------------------------------
@@ -314,21 +416,23 @@ class FormRing:
     def __init__(self, symbols: Iterable[str]):
         self.symbols = tuple(symbol_order(set(symbols)))
         self.ngens = len(self.symbols)
+        if self.ngens > MAX_GENS:
+            raise ValueError(f"a ring has at most {MAX_GENS} generators, "
+                             f"not {self.ngens}")
         self.index = {s: i for i, s in enumerate(self.symbols)}
-        self._range = range(self.ngens)
-        self.zero_monom = (0,) * self.ngens
-        self.one = Poly({self.zero_monom: 1})
+        self.one = Poly({0: 1})
         self.factors: list[Poly] = []
         self._gen_of: list[int | None] = []  # generator index of a one-generator factor
-        self._support: list[tuple[int, ...]] = []
+        self._support: list[int] = []  # the support() of each factor
         self._ids: dict[Poly, int] = {}
+        self._lifts: dict = {}  # symbols -> (relabel map, fields of those outside)
         self.zero = Form(self, {}, {})
 
     # -- conversion ----------------------------------------------------
 
     def gen(self, i: int) -> Poly:
         """The i-th generator as a polynomial."""
-        return Poly({self.zero_monom[:i] + (1,) + self.zero_monom[i + 1:]: 1})
+        return Poly({monomial(i): 1})
 
     def symbol(self, s: str) -> "Form":
         """The Form of one symbol: a generator of the ring, or else a key."""
@@ -342,16 +446,16 @@ class FormRing:
         of another ring), as a polynomial of this ring; ValueError names
         a generator of p that this ring lacks."""
         symbols = tuple(symbols)
-        where = [self.index.get(s) for s in symbols]
-        out = Poly()
-        for m, c in p.items():
-            big = [0] * self.ngens
-            for j in compress(range(len(m)), m):
-                if where[j] is None:
-                    raise ValueError(f"{symbols[j]} is not a generator of the ring")
-                big[where[j]] = m[j]
-            out[tuple(big)] = _rational(c)
-        return out
+        lift = self._lifts.get(symbols)
+        if lift is None:
+            where = [self.index.get(s) for s in symbols]
+            lift = self._lifts[symbols] = (
+                relabel(where), field_mask(j for j, i in enumerate(where) if i is None))
+        move, outside = lift
+        lacking = exponents(p.support() & outside)
+        if lacking:
+            raise ValueError(f"{symbols[lacking[0][0]]} is not a generator of the ring")
+        return Poly({move(m): _rational(c) for m, c in p.items()})
 
     def embed(self, form: "Form") -> "Form":
         """form as a Form of this ring, whose generators include those
@@ -371,7 +475,7 @@ class FormRing:
         """The Form of an exact rational: an int, a Fraction or any
         number with an integer numerator and denominator."""
         c = _rational(c)
-        return Form(self, {ONE: Poly({self.zero_monom: c})}, {}) if c else self.zero
+        return Form(self, {ONE: Poly({0: c})}, {}) if c else self.zero
 
     def scalar(self, p: Poly) -> "Form":
         """The Form of a polynomial of the ring."""
@@ -388,12 +492,14 @@ class FormRing:
         (a*x + b)/den, den the denominator of form; None when form has
         degree 2 or more in x."""
         a, b = {}, {}
+        s, u = W * (i + 1), monomial(i)
         for key, p in form.terms.items():
             for m, c in p.items():
-                if m[i] > 1:
+                e = (m >> s) & MASK
+                if e > 1:
                     return None
-                if m[i]:
-                    a.setdefault(key, {})[m[:i] + (0,) + m[i + 1:]] = c
+                if e:
+                    a.setdefault(key, {})[m - u] = c
                 else:
                     b.setdefault(key, {})[m] = c
         return (Form(self, {k: Poly(t) for k, t in a.items()}, {}),
@@ -408,11 +514,11 @@ class FormRing:
         factor of the denominator that holds one of gens is substituted
         and inverted, which factors it anew; one that becomes zero raises
         DegenerateExpressionError naming it."""
-        gens = frozenset(gens)
-        products: dict = {}  # ((i, k), ...) -> the product of value(i)**k
+        gens = field_mask(gens)
+        products: dict = {}  # h, a monomial of gens -> the product of values it names
 
         def substitute(e: Form) -> Form:
-            held = [fid for fid in e.den if gens.intersection(self._support[fid])]
+            held = [fid for fid in e.den if self._support[fid] & gens]
             if held:
                 inverse = self.constant(1)
                 for fid in held:
@@ -425,33 +531,24 @@ class FormRing:
                     for _ in range(e.den[fid]):
                         inverse = inverse * g
                 e = Form(self, e.terms, {fid: k for fid, k in e.den.items() if fid not in held})
-            present = set()
-            for p in e.terms.values():
-                for m in p:
-                    present.update(compress(self._range, m))
-            present &= gens
-            if present:
-                idx = sorted(present)
-                values = {i: value(i) for i in idx}
-                # group the monomials by key and by their exponents of the
+            if e.numerator_support() & gens:
+                # group the monomials by key and by h, their fields of the
                 # substituted generators, which the group's part leaves out
+                # with its degree h % MASK (as in degree_in)
                 groups: dict = {}
                 for key, p in e.terms.items():
                     for m, c in p.items():
-                        hit = tuple([(i, m[i]) for i in idx if m[i]])
-                        if hit:
-                            base = list(m)
-                            for i, _k in hit:
-                                base[i] = 0
-                            m = tuple(base)
-                        groups.setdefault((key, hit), {})[m] = c
+                        h = m & gens
+                        if h:
+                            m -= h + h % MASK
+                        groups.setdefault((key, h), {})[m] = c
                 parts = []
-                for (key, hit), base in groups.items():
-                    prod = products.get(hit)
+                for (key, h), base in groups.items():
+                    prod = products.get(h)
                     if prod is None:
-                        factors = [values[i] for i, k in hit for _ in range(k)]
+                        factors = [value(i) for i, k in exponents(h) for _ in range(k)]
                         factors = factors or [self.constant(1)]
-                        prod = products[hit] = math.prod(factors[1:], start=factors[0])
+                        prod = products[h] = math.prod(factors[1:], start=factors[0])
                     if prod.terms:
                         parts.append((Form(self, {ONE: Poly(base)}, e.den),
                                       Form(self, {key: prod.terms[ONE]}, prod.den)))
@@ -472,16 +569,16 @@ class FormRing:
             self.factors.append(f)
             self._ids[f] = fid
             lm = f.LM
-            self._gen_of.append(lm.index(1) if len(f) == 1 and sum(lm) == 1 else None)
-            self._support.append(tuple(i for i in self._range
-                                       if any(m[i] for m in f)))
+            self._gen_of.append(exponents(lm)[0][0] if len(f) == 1 and lm & MASK == 1
+                                else None)
+            self._support.append(f.support())
         return fid
 
     def _exquo(self, p: Poly, fid: int) -> Poly | None:
         """p / factors[fid] if it divides p, else None; a factor that is
         one generator is handled by the callers."""
         f = self.factors[fid]
-        if not all(p.degree(j) >= f.degree(j) for j in self._support[fid]):
+        if not all(p.degree(j) >= f.degree(j) for j, _e in exponents(self._support[fid])):
             return None
         return p.exquo(f)
 
@@ -506,7 +603,8 @@ class FormRing:
         divides each of them."""
         g = self._gen_of[fid]
         if g is not None:  # divisibility by a generator is an exponent check
-            k = min(min(m[g] for m in p) for p in polys)
+            s = W * (g + 1)
+            k = min(min((m >> s) & MASK for m in p) for p in polys)
             if limit is not None:
                 k = min(k, limit)
             return k, (tuple(_shift(p, g, -k) for p in polys) if k else polys)
@@ -612,13 +710,15 @@ class Form:
     @property
     def free_symbols(self) -> set:
         ring = self.ring
-        present = set()
-        for p in self.terms.values():
-            for m in p:
-                present.update(compress(ring._range, m))
+        present = self.numerator_support()
         for fid in self.den:
-            present.update(ring._support[fid])
-        return {ring.symbols[i] for i in present} | {k for k in self.terms if k is not ONE}
+            present |= ring._support[fid]
+        return ({ring.symbols[i] for i, _e in exponents(present)}
+                | {k for k in self.terms if k is not ONE})
+
+    def numerator_support(self) -> int:
+        """The OR of the monomials of the numerators (see Poly.support)."""
+        return reduce(or_, map(Poly.support, self.terms.values()), 0)
 
     def __eq__(self, other):
         if isinstance(other, Form):
@@ -682,7 +782,10 @@ class Form:
             raise DegenerateExpressionError("division by zero")
         if not self.is_scalar():
             raise NotLinearError("division by a Form with keys")
-        c, exps = self.ring._factor(self.terms[ONE])
+        p = self.terms[ONE]
+        if p.is_ground():  # a rational: no factor to find
+            return Form(self.ring, {ONE: self.ring.den_poly(self.den).quo_ground(p[0])}, {})
+        c, exps = self.ring._factor(p)
         num = self.ring.den_poly(self.den).quo_ground(c)
         return Form(self.ring, {ONE: num}, exps)
 
@@ -730,7 +833,7 @@ class Form:
             for key, p in terms.items():
                 for m, c in p.items():
                     t = [sp.Rational(c.numerator, c.denominator)]
-                    t.extend(sp.Pow(syms[i], m[i]) for i in compress(self.ring._range, m))
+                    t.extend(sp.Pow(syms[i], e) for i, e in exponents(m))
                     if key is not ONE:
                         t.append(sp.Symbol(key))
                     args.append(sp.Mul(*t))
@@ -791,7 +894,7 @@ def _sorted_terms(ring: FormRing, terms: dict) -> list:
     names = set()
     for key, p in terms.items():
         for m, c in p.items():
-            factors = [(ring.symbols[i], m[i]) for i in compress(ring._range, m)]
+            factors = [(ring.symbols[i], e) for i, e in exponents(m)]
             if key is not ONE:
                 factors.append((key, 1))
                 factors.sort()

@@ -18,7 +18,7 @@ recorded in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .jets import LAMBDA, RewriteSystem, solve_for_leading, total_derivative
 from .kernel import Form, FormRing, fmt
@@ -36,8 +36,7 @@ class DegeneratePairError(ValueError):
     """The two operators do not give distinct leading directions."""
 
 
-@dataclass(frozen=True)
-class FirstOrderOperator:
+class FirstOrderOperator(NamedTuple):
     """free + sum_j dirs[j] * D_j with coefficients Forms of one ring."""
     free: Form
     dirs: tuple[tuple[str, Form], ...]
@@ -154,8 +153,7 @@ def split_lax_operator(op: FirstOrderOperator) -> tuple[FirstOrderOperator, Firs
     return x1, x0
 
 
-@dataclass(frozen=True)
-class LaxPair:
+class LaxPair(NamedTuple):
     """Two lambda-linear operators, stored split as (X1_i, X0_i)."""
     x1: tuple[FirstOrderOperator, FirstOrderOperator]
     x0: tuple[FirstOrderOperator, FirstOrderOperator]
@@ -186,15 +184,14 @@ class LaxPair:
         return self.x0[i] - self.x1[i].scaled(self.x1[i].ring.symbol(LAMBDA))
 
 
-@dataclass
-class LaxReport:
+class LaxReport(NamedTuple):
     """The verdict, with the nonzero residuals, the multipliers and the
     assumptions as Forms."""
     passed: bool
-    residuals: list[Form] = field(default_factory=list)
-    multipliers: tuple[Form, Form] | None = None
-    assumptions: tuple[Form, ...] = ()
-    note: str = ""
+    residuals: list[Form]
+    multipliers: tuple[Form, Form] | None
+    assumptions: tuple[Form, ...]
+    note: str
 
 
 def equation_system(F: Form) -> RewriteSystem:
@@ -229,8 +226,8 @@ def check_lax(pair: LaxPair, F: Form) -> LaxReport:
     pivot = next(((v, w) for i, v in enumerate(dirs) for w in dirs[i + 1:]
                   if sys.reduce(det(v, w)) != 0), None)
     if pivot is None:
-        return LaxReport(False, assumptions=sys.assumptions,
-                         note="no pair of independent directional coefficients")
+        return LaxReport(False, [], None, sys.assumptions,
+                         "no pair of independent directional coefficients")
     v, w = pivot
 
     def closure(reduce):

@@ -14,7 +14,7 @@ Works for any k; nothing here is tied to order 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .jets import JetRing
 from .kernel import Form
@@ -24,8 +24,7 @@ class WrongUnknownError(ValueError):
     """F must be an expression in u-jets and independent variables only."""
 
 
-@dataclass(frozen=True)
-class LinearDifferentialOperator:
+class LinearDifferentialOperator(NamedTuple):
     """Coefficient map from sorted derivative multi-index to coefficient.
 
     The empty index is the zeroth-order term; applying the operator to

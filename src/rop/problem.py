@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import kernel
 from .engine import SLOTS, TwistRelations, check_twist_function
@@ -62,17 +62,16 @@ def _at_line(line_no: int):
         raise ProblemSyntaxError(str(exc), line_no) from exc
 
 
-@dataclass
-class Problem:
+class Problem(NamedTuple):
     name: str
     space: JetSpace
     F: Form  # the equation's numerator, with integer coefficients
     lax: LaxPair
     lets: dict  # the let shorthands, for parsing a basis file
-    twist: TwistRelations | None = None
-    orientation: str | None = None
-    ansatz: dict | None = None
-    warnings: list = field(default_factory=list)
+    twist: TwistRelations | None
+    orientation: str | None
+    ansatz: dict | None
+    warnings: list
 
 
 def _tokenize(text: str, line_no: int):
@@ -232,7 +231,7 @@ def _integer(e) -> int | None:
     if len(p) != 1:
         return None
     (m, c), = p.items()
-    return int(c) if not any(m) and c.denominator == 1 else None
+    return int(c) if not m and c.denominator == 1 else None
 
 
 _SLOT_RE = re.compile(r"f([12])_([01])")

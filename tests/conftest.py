@@ -7,7 +7,7 @@ import sympy as sp
 
 from rop.engine import SLOTS, TwistRelations
 from rop.jets import LAMBDA, JetSpace, jet_ring
-from rop.kernel import DegenerateExpressionError, FormRing
+from rop.kernel import DegenerateExpressionError, FormRing, monomial
 from rop.problem import parse_problem
 
 PROBLEM_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -67,6 +67,12 @@ def evaluate(e, ring):
     if e.has(sp.nan, sp.zoo):
         raise DegenerateExpressionError(f"undefined value in {e}")
     raise ValueError(f"{e} is not a rational function over QQ")
+
+
+def packed(exponents) -> int:
+    """An exponent tuple, one entry per generator as sympy gives it, as
+    the kernel's monomial of one int."""
+    return sum(e * monomial(i) for i, e in enumerate(exponents))
 
 
 def to_form(e, space):

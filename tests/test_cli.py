@@ -444,9 +444,9 @@ class TestErrorsAndLimits:
         assert "exceeded" in err
 
     def test_timeout_env_covers_parsing(self, capsys, monkeypatch, tmp_path):
-        # the equation expands a power of 80 of a sum, which takes seconds
+        # the equation expands a power of 320 of a sum, which takes seconds
         # to parse before it cancels to dfkn2's equation
-        big = "(u_x + u_y + u_z)^80"
+        big = "(u_x + u_y + u_z)^320"
         path = tmp_path / "slow.rop"
         path.write_text(re.sub(r"^equation .*$", f"equation u_tx - u_yy + {big} - {big} = 0",
                                Path(DFKN2).read_text(), flags=re.M))
@@ -454,6 +454,18 @@ class TestErrorsAndLimits:
         code, out, _ = run(capsys, "lax-check", str(path), "--json")
         assert code == 2
         assert "ROP_TIMEOUT_SECS" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("command", ["verify", "lax-check"])
+    def test_exponent_beyond_the_monomial_is_an_error(self, capsys, tmp_path, command):
+        # a monomial holds exponents and total degrees up to 2**15 - 1
+        path = tmp_path / "overflow.rop"
+        path.write_text(re.sub(r"^equation .*$", "equation u_tx - u_yy + u_x^40000 = 0",
+                               Path(DFKN2).read_text(), flags=re.M))
+        code, out, _ = run(capsys, command, str(path), "--json")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["verdict"] == "ERROR"
+        assert doc["error"] == "an exponent or a total degree exceeds 32767 (line 6)"
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "-3", "99999999999"])
     def test_bad_timeout_env_is_an_error(self, capsys, monkeypatch, value):

@@ -505,7 +505,7 @@ def _domain(ring):
 
 def _mask(ours, names):
     """The solver's mask of the unknowns among the generators of ours."""
-    return tuple(s in names for s in ours.symbols)
+    return kernel.field_mask(i for i, s in enumerate(ours.symbols) if s in names)
 
 
 def _ours(p, ours):
@@ -520,8 +520,8 @@ def _monic(f, names):
     mask = _mask(ring, names)
     coeffs: dict = {}
     for m, c in f.terms[kernel.ONE].items():
-        rest = tuple(0 if u else e for u, e in zip(mask, m))
-        coeffs.setdefault(tuple(itertools.compress(m, mask)), {})[rest] = c
+        u = (m & mask) + kernel.degree_in(m, mask)  # m's monomial in the unknowns
+        coeffs.setdefault(u, {})[m - u] = c
     lead = coeffs[max(coeffs, key=kernel._grevlex)]
     return ring.scalar(f.terms[kernel.ONE]) * ring.scalar(kernel.Poly(lead)).inverse()
 

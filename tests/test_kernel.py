@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import grevlex
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyRing
 
 from rop import kernel
@@ -16,7 +17,7 @@ from rop.kernel import DegenerateExpressionError
 from rop.problem import ProblemSyntaxError, parse_problem
 
 import pointwise
-from conftest import canonical, evaluate, random_poly, random_rational
+from conftest import canonical, evaluate, packed, random_poly, random_rational
 from pointwise import (PoleError, as_fraction, eval_rational, probably_nonzero,
                        random_point)
 
@@ -297,6 +298,74 @@ def test_inverse_registers_the_factors_on_their_generators():
     assert inverse.terms == {kernel.ONE: ring.one}
 
 
+def test_inverse_of_a_constant_over_a_denominator(monkeypatch):
+    # a rational numerator has no factor to find: the registry is not searched
+    ring = kernel.FormRing(["u_x", "u_y"])
+    e = evaluate(3 / (2 * (u_x + u_y) * u_y), ring)
+    factors = list(ring.factors)
+    monkeypatch.setattr(ring, "_factor", lambda p: pytest.fail(f"factored {p}"))
+    assert e.inverse() == evaluate(2 * (u_x + u_y) * u_y / 3, ring)
+    assert e.inverse().den == {} and ring.factors == factors
+
+
+# -- monomials against sympy's ----------------------------------------------
+
+
+def _sparse(rng, n, terms):
+    """terms random monomials over n generators, each with at most four
+    of them, of exponent 1-3, as {exponent tuple: coefficient}."""
+    out = {}
+    for _ in range(terms):
+        e = [0] * n
+        for i in rng.sample(range(n), min(n, rng.randint(0, 4))):
+            e[i] = rng.randint(1, 3)
+        out[tuple(e)] = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_monomials_match_sympy(seed):
+    # rings of 1 to 240 generators: leading monomials, products and exact
+    # quotients of sparse polynomials, against sympy's sparse ring in grevlex
+    rng = random.Random(seed)
+    n = rng.randint(1, 240)
+    ring = PolyRing(sp.symbols(f"x0:{n}"), QQ, grevlex)
+    a, b = _sparse(rng, n, rng.randint(1, 6)), _sparse(rng, n, rng.randint(1, 6))
+    ka, kb = (kernel.Poly({packed(m): c for m, c in d.items()}) for d in (a, b))
+    sa, sb = (ring.from_dict(dict(d)) for d in (a, b))
+
+    def ours(p):
+        return kernel.Poly({packed(m): Fraction(int(c.numerator), int(c.denominator))
+                            for m, c in p.items()})
+
+    assert ka.LM == packed(sa.LM) and kb.LM == packed(sb.LM)
+    assert ka * kb == ours(sa * sb)
+    sb = sb.quo_ground(sb.LC)
+    kb = ours(sb)
+    assert (ka * kb).exquo(kb) == ours((sa * sb).exquo(sb)) == ka
+    try:
+        want = ours(sa.exquo(sb))
+    except ExactQuotientFailed:
+        want = None
+    assert ka.exquo(kb) == want
+
+
+def test_monomial_limits():
+    ring = kernel.FormRing(["u_x", "u_y"])
+    x, y = ring.gen(0), ring.gen(1)
+    assert (x**32767).LM == 32767 * kernel.monomial(0)
+    with pytest.raises(kernel.ExponentOverflowError):
+        x**32768
+    with pytest.raises(kernel.ExponentOverflowError):  # a product of two sums
+        (x**20000 + y) * (x**20000 + ring.one)
+    with pytest.raises(kernel.ExponentOverflowError):  # a total degree
+        (x * y)**16384
+    assert issubclass(kernel.ExponentOverflowError, ValueError)
+    with pytest.raises(ValueError, match="at most 1023 generators"):
+        kernel.FormRing(f"x{i}" for i in range(kernel.MAX_GENS + 1))
+
+
 # -- the printer against sympy's ------------------------------------------
 
 PRINT_NAMES = ["alpha", "lam", "u_x", "u_y", "u_z"]
@@ -389,7 +458,7 @@ def _factor_like_sympy(e):
     want = []
     for g, k in factors:
         unit *= g.LC**k
-        monic = kernel.Poly({m: Fraction(int(c.numerator), int(c.denominator))
+        monic = kernel.Poly({packed(m): Fraction(int(c.numerator), int(c.denominator))
                              for m, c in g.quo_ground(g.LC).items()})
         want.append((ring.lift(monic, used), k))
     return got, (unit, want)

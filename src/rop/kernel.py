@@ -10,11 +10,15 @@ A monomial is one ``int`` of fields of ``W`` bits: its total degree in
 bits [0, W), and the exponent of generator i of its ``FormRing`` (in
 ``symbol_order``) in bits [W*(i+1), W*(i+2)).  A product of monomials
 is their sum; and since the last generator holds the highest bits,
-grevlex compares (degree, -monomial).  The top bit of each field is a
-guard: a product or shift that sets one raises ExponentOverflowError,
-a ValueError, so an exponent or a total degree is at most 2**(W-1) - 1
-(a derivative raises no degree, so it needs no check).  A ring has at
-most MAX_GENS generators, the fields the guard mask covers.  Exponents
+grevlex compares (degree, -monomial).  An exponent or a total degree is
+at most 2**(W-1) - 1, so the top bit of each field is a guard, and a sum
+of two fields never carries into the next one.  No exponent exceeds the
+total degree, so the guard of the degree field is the one a product or
+a shift tests: one that sets it raises ExponentOverflowError, a
+ValueError; a shift by more than the limit is refused before the sum,
+and a derivative raises no degree, so it needs no check.  A quotient of
+monomials tests the guards of all fields, one of which a borrow sets.
+The number of generators is not bounded.  Exponents
 are read one by one (``exponents``) only where order or a single
 exponent matters: the printer, the factoring, ``FormRing.split``, the
 move into another ring, the chain rule and the coefficients of
@@ -53,15 +57,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable
 
 W = 16  # bits per field of a monomial
 MASK = (1 << W) - 1
-MAX_GENS = 1023
-# the top bit of the degree field and of the fields of MAX_GENS generators
-GUARD = ((1 << W * (MAX_GENS + 1)) - 1) // MASK << (W - 1)
+LIMIT = (1 << W - 1) - 1  # the largest exponent or total degree
 
 
 class _One:
@@ -163,12 +165,22 @@ def _grevlex(m: int) -> tuple:
     return (m & MASK, -m)
 
 
+def _overflow() -> ExponentOverflowError:
+    return ExponentOverflowError(f"an exponent or a total degree exceeds {LIMIT}")
+
+
 def _guarded(p: "Poly") -> "Poly":
-    """p, unless a monomial of it sets a guard bit."""
-    if p.support() & GUARD:
-        raise ExponentOverflowError(
-            f"an exponent or a total degree exceeds {(1 << W - 1) - 1}")
+    """p, unless a monomial of it sets the guard bit of its degree field
+    (a total degree above LIMIT)."""
+    if p.support() & (LIMIT + 1):
+        raise _overflow()
     return p
+
+
+@lru_cache(maxsize=None)
+def _guards(n: int) -> int:
+    """The top bit of each of the lowest n fields."""
+    return ((1 << W * n) - 1) // MASK << (W - 1)
 
 
 def _rational(c):
@@ -195,11 +207,10 @@ class Poly(dict):
 
     A monomial is one ``int``: the total degree in bits [0, W) and the
     exponent of generator i in bits [W*(i+1), W*(i+2)), with W = 16.
-    The top bit of each field is a guard bit: a product or shift that
-    sets it, an exponent or a degree above 2**(W-1) - 1, raises
-    ExponentOverflowError.  The guard mask covers MAX_GENS generators,
-    the most a FormRing has.  Treated as immutable once built; every
-    operation returns a new Poly."""
+    An exponent or a total degree is at most LIMIT = 2**(W-1) - 1: a
+    product or shift that sets the top bit of the degree field raises
+    ExponentOverflowError.  Any number of generators.  Treated as
+    immutable once built; every operation returns a new Poly."""
 
     __slots__ = ()
 
@@ -317,11 +328,12 @@ class Poly(dict):
         p = Poly(self)
         q = Poly()
         lm = f.LM
+        guards = _guards(lm.bit_length() // W + 1)
         rest = [(m, c) for m, c in f.items() if m != lm]
         while p:
             m = max(p, key=_grevlex)
             e = m - lm
-            if e < 0 or e & GUARD:  # a field of lm above m's borrowed
+            if e < 0 or e & guards:  # a field of lm above m's borrowed
                 return None
             c = p.pop(m)
             q[e] = c
@@ -338,7 +350,10 @@ class Poly(dict):
 
 def _shift(p: Poly, i: int, k: int) -> Poly:
     """p times the i-th generator to the power k (k may be negative when
-    every monomial allows it)."""
+    every monomial allows it).  A k above LIMIT is refused before the
+    sum, which could carry past a field's guard bit."""
+    if k > LIMIT:
+        raise _overflow()
     d = k * monomial(i)
     out = Poly({m + d: c for m, c in p.items()})
     return _guarded(out) if k > 0 else out
@@ -416,16 +431,12 @@ class FormRing:
     def __init__(self, symbols: Iterable[str]):
         self.symbols = tuple(symbol_order(set(symbols)))
         self.ngens = len(self.symbols)
-        if self.ngens > MAX_GENS:
-            raise ValueError(f"a ring has at most {MAX_GENS} generators, "
-                             f"not {self.ngens}")
         self.index = {s: i for i, s in enumerate(self.symbols)}
         self.one = Poly({0: 1})
         self.factors: list[Poly] = []
         self._gen_of: list[int | None] = []  # generator index of a one-generator factor
         self._support: list[int] = []  # the support() of each factor
         self._ids: dict[Poly, int] = {}
-        self._lifts: dict = {}  # symbols -> (relabel map, fields of those outside)
         self.zero = Form(self, {}, {})
 
     # -- conversion ----------------------------------------------------
@@ -446,15 +457,12 @@ class FormRing:
         of another ring), as a polynomial of this ring; ValueError names
         a generator of p that this ring lacks."""
         symbols = tuple(symbols)
-        lift = self._lifts.get(symbols)
-        if lift is None:
-            where = [self.index.get(s) for s in symbols]
-            lift = self._lifts[symbols] = (
-                relabel(where), field_mask(j for j, i in enumerate(where) if i is None))
-        move, outside = lift
+        where = [self.index.get(s) for s in symbols]
+        outside = field_mask(j for j, i in enumerate(where) if i is None)
         lacking = exponents(p.support() & outside)
         if lacking:
             raise ValueError(f"{symbols[lacking[0][0]]} is not a generator of the ring")
+        move = relabel(where)
         return Poly({move(m): _rational(c) for m, c in p.items()})
 
     def embed(self, form: "Form") -> "Form":

@@ -455,11 +455,13 @@ class TestErrorsAndLimits:
         assert code == 2
         assert "ROP_TIMEOUT_SECS" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize("term", ["u_x^40000", "u_x^-70000", "(u_x^-30000)^3"])
     @pytest.mark.parametrize("command", ["verify", "lax-check"])
-    def test_exponent_beyond_the_monomial_is_an_error(self, capsys, tmp_path, command):
-        # a monomial holds exponents and total degrees up to 2**15 - 1
+    def test_exponent_beyond_the_monomial_is_an_error(self, capsys, tmp_path, command, term):
+        # a monomial holds exponents and total degrees up to 2**15 - 1; a
+        # denominator's multiplicity is unbounded until it is multiplied out
         path = tmp_path / "overflow.rop"
-        path.write_text(re.sub(r"^equation .*$", "equation u_tx - u_yy + u_x^40000 = 0",
+        path.write_text(re.sub(r"^equation .*$", f"equation u_tx - u_yy + {term} = 0",
                                Path(DFKN2).read_text(), flags=re.M))
         code, out, _ = run(capsys, command, str(path), "--json")
         assert code == 2

@@ -362,8 +362,21 @@ def test_monomial_limits():
     with pytest.raises(kernel.ExponentOverflowError):  # a total degree
         (x * y)**16384
     assert issubclass(kernel.ExponentOverflowError, ValueError)
-    with pytest.raises(ValueError, match="at most 1023 generators"):
-        kernel.FormRing(f"x{i}" for i in range(kernel.MAX_GENS + 1))
+    with pytest.raises(kernel.ExponentOverflowError):  # a shift past a field
+        kernel._shift(x, 0, 70000)
+    assert (x**2).exquo(x * y) is None
+
+
+def test_monomial_limits_hold_in_any_number_of_generators():
+    ring = kernel.FormRing(f"x{i:04}" for i in range(3000))
+    x, y = ring.gen(2998), ring.gen(2999)
+    with pytest.raises(kernel.ExponentOverflowError):
+        (x**20000 + y) * (x**20000 + ring.one)
+    with pytest.raises(kernel.ExponentOverflowError):
+        kernel._shift(y**2, 2999, 32766)
+    assert (x**3 * y).exquo(x * y) == x**2
+    assert (x * y**2).exquo(x**2) is None and (y**2).exquo(x) is None
+    assert (y * ring.gen(0)).exquo(x) is None
 
 
 # -- the printer against sympy's ------------------------------------------

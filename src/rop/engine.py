@@ -28,9 +28,9 @@ jet of another space is a ValueError); the orientation is an argument
 beside the twist, and the VerifyReport carries Forms and the
 RelationSet.  The determining equations are made in one pass that
 splits each monomial of the residuals' numerators into its equation and
-its monomial there: an equation is a scalar Form of one FormRing whose
-generators are the unknowns and the parameters and independent variables
-the equations hold, one ring per tuple of symbols.  The solver stays in
+its monomial there: an equation is a scalar Form of the derivation's
+JetRing, in the unknowns and the parameters and independent variables
+the equations hold.  The solver stays in
 that ring, with the kernel's operations on Forms: ``FormRing.split`` to
 solve for a pivot, ``FormRing.substitution`` to put in the solved
 values (the one ``RewriteSystem`` also reduces with), and the kernel's
@@ -43,18 +43,15 @@ degree 1.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import time
-import weakref
 from typing import NamedTuple
 
 from .jets import (RewriteRule, RewriteSystem, jet_ring, solve_for_leading,
                    total_derivative)
 from .kernel import (ONE, Form, FormRing, Poly, _irreducible_factors, degree_in, exponents,
-                     field_mask, relabel, symbol_order)
+                     field_mask)
 from .lax import LAMBDA, DegeneratePairError, LaxPair
 from .linearize import LinearDifferentialOperator, linearize
 
@@ -93,11 +90,10 @@ class TwistRelations:
             check_twist_function(slot, e)
 
     def free_constants(self) -> set:
-        """The generators of the twist functions' rings that the JetRing
-        of their space lacks: the unknown constants of an ansatz, also
-        one whose basis term is zero."""
-        return {s for f in self.f.values()
-                for s in set(f.ring.symbols).difference(jet_ring(f.ring.space).index)}
+        """The extra generators of the twist functions' JetRings: the
+        unknown constants of an ansatz, also one whose basis term is
+        zero."""
+        return set().union(*(f.ring.extra for f in self.f.values()))
 
 
 def check_twist_function(slot: tuple[int, int], f: Form) -> None:
@@ -268,32 +264,13 @@ def default_ansatz(F, pair: LaxPair) -> dict:
 
 class DeterminingSystem(NamedTuple):
     """Equations for the ansatz constants (the unknowns): scalar Forms of
-    one FormRing, whose generators are the unknowns and the parameters
-    and independent variables the equations hold.  Their common zeros
-    give the twists of the ansatz that pass."""
+    ``ring``, the JetRing of the derivation, whose generators include
+    the unknowns.  Their common zeros give the twists of the ansatz that
+    pass."""
     equations: list
     unknowns: list
     slot_terms: dict  # slot -> list of (constant, basis term)
-
-    @property
-    def ring(self) -> FormRing:
-        """The FormRing of the equations; with none, that of the
-        unknowns."""
-        return next((e.ring for e in self.equations), None) or \
-            _coefficient_ring(map(str, self.unknowns))
-
-
-_live_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _coefficient_ring(symbols) -> FormRing:
-    """The FormRing of the given symbols, found again for as long as it
-    is alive, so that the equations of two derivations compare equal."""
-    symbols = tuple(symbol_order(set(symbols)))
-    ring = _live_rings.get(symbols)
-    if ring is None:
-        ring = _live_rings[symbols] = FormRing(symbols)
-    return ring
+    ring: FormRing
 
 
 def ansatz_twist(basis: dict) -> tuple[TwistRelations, dict]:
@@ -321,32 +298,30 @@ def derive_determining_system(F, pair: LaxPair, basis: dict,
     twist, slot_terms = ansatz_twist(basis)
     equations = determining_equations_for_twist(F, pair, twist, orientation)
     unknowns = sorted({c for pairs in slot_terms.values() for c, _ in pairs})
-    return DeterminingSystem(equations, unknowns, slot_terms)
+    return DeterminingSystem(equations, unknowns, slot_terms, twist.f[SLOTS[0]].ring)
 
 
 def determining_equations_for_twist(F, pair: LaxPair, twist: TwistRelations,
                                     orientation: str) -> list:
     """Coefficient of every monomial in the parametric jets (and lam, if
-    present) across both residuals, each once, in the solver's ring:
-    Polys over the twist's constants sorted by name, whose coefficients
-    are scalar Forms of the ``_coefficient_ring`` of the other symbols the
-    residuals' numerators hold.  Empty iff the twist satisfies both
-    conditions; with an ansatz twist these are the determining equations
-    for its constants: the coefficients of ``verify``'s residuals."""
+    present) across both residuals, each once: scalar Forms of the
+    residuals' ring, the JetRing of the derivation, in the twist's
+    constants, the parameters and the independent variables.  Empty iff
+    the twist satisfies both conditions; with an ansatz twist these are
+    the determining equations for its constants: the coefficients of
+    ``verify``'s residuals."""
     rep = verify(F, pair, twist, orientation)
-    return list(dict.fromkeys(_coefficients((rep.compatibility, rep.symmetry),
-                                            twist.free_constants())))
+    return list(dict.fromkeys(_coefficients((rep.compatibility, rep.symmetry))))
 
 
-def _coefficients(residuals, unknowns: set) -> list:
+def _coefficients(residuals) -> list:
     """The coefficients of each residual's numerator as a polynomial in
     its jets and lam, in the order sympy's Poly over those generators
     (sorted by name) lists them: descending lex.  In one pass each
     monomial's jet and lam exponents pick its coefficient, and its other
-    exponents (of the unknowns, the parameters and the independent
-    variables) its monomial there.  The unknowns and the others that
-    some coefficient holds, sorted by name, are then the generators of
-    the ``_coefficient_ring`` whose scalar Forms the coefficients are.
+    fields (of the unknowns, the parameters and the independent
+    variables), with the degree field rebuilt as their sum, its monomial
+    there: the coefficients are scalar Forms of the residuals' ring.
     The numerator is the one ``as_numer_denom`` gives: it carries the lcm
     of the denominators of the numerator's coefficients, and of the
     denominator's when that has several terms."""
@@ -358,7 +333,6 @@ def _coefficients(residuals, unknowns: set) -> list:
     jets = field_mask(i for i, j in enumerate(jet) if j)
     others = field_mask(i for i, j in enumerate(jet) if not j)
     groups = []
-    kept: set = set()  # the monomials' fields of the other generators
     for form in residuals:
         scale = 1
         den = src.den_poly(form.den)
@@ -381,15 +355,9 @@ def _coefficients(residuals, unknowns: set) -> list:
                         exps[where[i]] = e
                     exps = rows[j] = tuple(exps)
                 r = m & others
-                kept.add(r)
-                out.setdefault(exps, {})[r] = int(c * scale)
+                out.setdefault(exps, {})[r + degree_in(r, others)] = int(c * scale)
         groups += [out[k] for k in sorted(out, reverse=True)]
-    used = {i for i, _e in exponents(functools.reduce(operator.or_, kept, 0))}
-    used.update(src.index[s] for s in unknowns if s in src.index)
-    ring = _coefficient_ring(src.symbols[i] for i in used)
-    move = relabel([ring.index.get(s) for s in src.symbols])
-    short = {r: move(r) for r in kept}
-    return [ring.scalar(Poly({short[r]: c for r, c in g.items()})) for g in groups]
+    return [src.scalar(Poly(g)) for g in groups]
 
 
 class Solution(NamedTuple):
@@ -410,8 +378,9 @@ def solve_determining(ds: DeterminingSystem, branch_bound: int = 64) -> list[Sol
     """Exact solving: rounds of linear elimination, then bounded
     branching on factors of the remaining nonlinear equations.
 
-    The equations are scalar Forms of the system's ring, and every step
-    stays in that ring; no denominator holds an unknown.  A round brings
+    The equations are scalar Forms of the system's ring (of a derived
+    system, the derivation's JetRing), and every step stays in that
+    ring; no denominator holds an unknown.  A round brings
     every equation of total degree at most 1 in the unknowns to its
     unique reduced row echelon form (``_row_reduce``, columns in the
     unknowns' order), and puts the values into the nonlinear equations

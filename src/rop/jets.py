@@ -26,7 +26,6 @@ numerators and into the factors of the denominator.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from itertools import combinations_with_replacement
 from typing import Iterable, NamedTuple, Sequence
@@ -132,14 +131,16 @@ _TOP = object()  # D_x of a u-jet of the top order would overflow the bound
 class JetRing(FormRing):
     """The carrier's ring on a jet space: the independent variables, the
     u-jets up to the order bound, lam, the parameters and the given
-    symbols (the ansatz constants).  U/Ut jets are the keys."""
+    symbols (the ansatz constants); ``extra`` holds those of the given
+    symbols that are not among the others.  U/Ut jets are the keys."""
 
     def __init__(self, space: JetSpace, symbols: Sequence[str] = ()):
         self.space = space
         u_jets = [space.jet("u", idx) for k in range(space.max_order + 1)
                   for idx in combinations_with_replacement(space.variables, k)]
-        super().__init__([*space.variables, *u_jets, LAMBDA,
-                          *space.params, *symbols])
+        base = [*space.variables, *u_jets, LAMBDA, *space.params]
+        super().__init__([*base, *symbols])
+        self.extra = frozenset(symbols).difference(base)
         self.u_jets = frozenset(self.index[s] for s in u_jets)
         self._target_lists: dict[str, list] = {}
 
@@ -181,7 +182,6 @@ class JetRing(FormRing):
 _live_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@functools.lru_cache(maxsize=16)
 def _jet_ring(*key) -> JetRing:
     ring = _live_rings.get(key)
     if ring is None:  # key: variables, max_order, params, extra symbols
@@ -191,13 +191,12 @@ def _jet_ring(*key) -> JetRing:
 
 
 def jet_ring(space: JetSpace, symbols: Iterable[str] = ()) -> JetRing:
-    """The JetRing of a space with the given extra generators.  The 16
-    rings asked for last are kept; any other is found again for as long
-    as it is alive (a Form refers to it), so that the Forms a parsed
-    problem holds and those made later on an equal space share one
-    ring.  A ring with extra generators is built on the space of the
-    ring without them, so every ring of one configuration has one
-    JetSpace."""
+    """The JetRing of a space with the given extra generators, found
+    again for as long as it is alive (a Form refers to it), so that the
+    Forms a parsed problem holds and those made later on an equal space
+    share one ring.  A ring with extra generators is built on the space
+    of the ring without them, so while that ring is alive every ring of
+    its configuration shares its JetSpace."""
     return _jet_ring(space.variables, space.max_order, space.params,
                      tuple(symbol_order(set(symbols))))
 

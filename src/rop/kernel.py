@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 from typing import Callable, Iterable
 
@@ -177,7 +177,6 @@ def _guarded(p: "Poly") -> "Poly":
     return p
 
 
-@lru_cache(maxsize=None)
 def _guards(n: int) -> int:
     """The top bit of each of the lowest n fields."""
     return ((1 << W * n) - 1) // MASK << (W - 1)

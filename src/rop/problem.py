@@ -173,6 +173,8 @@ class _ExprParser:
         k = _integer(self.unary())
         if k is None:
             raise ProblemSyntaxError("exponent must be an integer", self.line)
+        if abs(k) > kernel.LIMIT:  # each unit of k is one product below
+            raise kernel._overflow()
         if isinstance(base, FirstOrderOperator):
             self.not_first_order()
         if k < 0:

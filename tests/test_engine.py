@@ -123,9 +123,9 @@ class TestVerify:
         rep = verify(dfkn2.F, dfkn2.lax, twist, "forward")
         assert not rep.passed
         assert set(twist.free_constants()) <= set(rep.compatibility.ring.symbols)
-        want = engine._coefficients((rep.compatibility, rep.symmetry),
-                                    twist.free_constants())
+        want = engine._coefficients((rep.compatibility, rep.symmetry))
         assert want
+        assert all(e.ring is rep.compatibility.ring for e in want)
         assert determining_equations_for_twist(dfkn2.F, dfkn2.lax, twist, "forward") == \
             list(dict.fromkeys(want))
 
@@ -158,7 +158,8 @@ class TestDeterminingSystem:
                              + "ansatz f2_1 = u_xx/u_x, t*u_xx/u_x\n")
         basis = {**default_ansatz(prob.F, prob.lax), **prob.ansatz}
         ds = engine.derive_determining_system(prob.F, prob.lax, basis, "forward")
-        assert tuple(s for s in ds.ring.symbols if s not in ds.unknowns) == ("t", "x")
+        assert set().union(*(e.free_symbols for e in ds.equations)) - set(ds.unknowns) == \
+            {"t", "x"}
         assert all(e.ring is ds.ring for e in ds.equations)
         [sol] = solve_determining(ds)
         fs = sol.twist_functions(ds)
@@ -194,13 +195,12 @@ class TestDeterminingSystem:
 
 def _synthetic(eqs, names):
     """The expression equations as the solver's equations: scalar Forms
-    of the shared ring of the unknowns and the equations' other
-    symbols."""
+    of a FormRing of the unknowns and the equations' other symbols."""
     eqs = [sp.sympify(e) for e in eqs]
     others = set().union(*(e.free_symbols for e in eqs))
-    ring = engine._coefficient_ring({*names, *(s.name for s in others)})
+    ring = kernel.FormRing({*names, *(s.name for s in others)})
     return DeterminingSystem([evaluate(e, ring) for e in eqs],
-                             [sp.Symbol(n) for n in names], {slot: [] for slot in SLOTS})
+                             [sp.Symbol(n) for n in names], {slot: [] for slot in SLOTS}, ring)
 
 
 def _expr(eq, unknowns):
@@ -498,9 +498,9 @@ def _sympy_ring(n, alpha):
 
 
 def _domain(ring):
-    """The solver's shared ring for sympy's ring: its unknowns and alpha."""
-    return engine._coefficient_ring([str(g) for g in ring.gens]
-                                    + (["alpha"] if ring.domain != QQ else []))
+    """A FormRing for the solver of sympy's ring: its unknowns and alpha."""
+    return kernel.FormRing([str(g) for g in ring.gens]
+                           + (["alpha"] if ring.domain != QQ else []))
 
 
 def _mask(ours, names):

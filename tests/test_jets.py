@@ -52,7 +52,7 @@ class TestJetSpace:
             -ring.symbol(j("u", ("z", "x"))) * ring.symbol(j("u", "x")).inverse()
 
     def test_ring_shared_while_its_forms_live(self):
-        # more rings than the cache keeps are asked for in between
+        # twenty other rings are asked for in between
         space = JetSpace(["x", "y"], 2)
         form = jet_ring(space).symbol(space.jet("u", ("x",)))
         for k in range(20):

@@ -23,12 +23,12 @@ From the relations to the residuals everything is a ``kernel.Form`` of one
 JetRing per computation, whose generators include the twist's unknown
 constants.  F, the Lax operators and the twist come as Forms of one
 JetRing (an ansatz twist: of that ring with its constants), whose space
-is the computation's, and ``FormRing.embed`` moves them into its ring (a
-jet of another space is a ValueError); the orientation is an argument
-beside the twist, and the VerifyReport carries Forms and the
-RelationSet.  The determining equations are made in one pass that
-splits each monomial of the residuals' numerators into its equation and
-its monomial there: an equation is a scalar Form of the derivation's
+is the computation's, and ``FormRing.embed`` moves them into its ring,
+which extends theirs (a Form of another space is a ValueError); the
+orientation is an argument beside the twist, and the VerifyReport
+carries Forms and the RelationSet.  The determining equations are made
+in one pass that splits each monomial of the residuals' numerators into
+its equation and its monomial there: an equation is a scalar Form of the derivation's
 JetRing, in the unknowns and the parameters and independent variables
 the equations hold.  The solver stays in
 that ring, with the kernel's operations on Forms: ``FormRing.split`` to
@@ -36,9 +36,9 @@ solve for a pivot, ``FormRing.substitution`` to put in the solved
 values (the one ``RewriteSystem`` also reduces with), and the kernel's
 factoring for the branch step.  A closed branch's values are affine in
 its free constants, which ``Solution.twist_functions`` keeps as
-generators, so a family is verified as a family.  sympy is imported
-only by the kernel, to factor an equation that has no generator of
-degree 1.
+generators of the system's ring, so a family is verified as a family,
+in that ring.  sympy is imported only by the kernel, to factor an
+equation that has no generator of degree 1.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ class TwistRelations:
     def free_constants(self) -> set:
         """The extra generators of the twist functions' JetRings: the
         unknown constants of an ansatz, also one whose basis term is
-        zero."""
+        zero; of a solution's twist, every constant of its ansatz, solved
+        or free."""
         return set().union(*(f.ring.extra for f in self.f.values()))
 
 
@@ -275,8 +276,9 @@ class DeterminingSystem(NamedTuple):
 
 def ansatz_twist(basis: dict) -> tuple[TwistRelations, dict]:
     """Expand each slot over its basis terms (slot -> terms, Forms of one
-    JetRing) with fresh unknown constants, generators of the twist's
-    ring.
+    JetRing) with fresh unknown constants, the extra generators of the
+    twist's ring; ValueError names a constant that is a generator of the
+    terms' ring, such as a parameter, and so no unknown.
 
     Returns the twist and, per slot, the (constant, basis term) pairs."""
     slot_terms = {(i, s): [(f"c{i}{s}_{k}", term)
@@ -284,7 +286,11 @@ def ansatz_twist(basis: dict) -> tuple[TwistRelations, dict]:
     every = [pair for pairs in slot_terms.values() for pair in pairs]
     if not every:
         raise ValueError("the ansatz has no basis terms")
-    ring = jet_ring(every[0][1].ring.space, [c for c, _ in every])
+    base = every[0][1].ring
+    clash = next((c for c, _ in every if c in base.index), None)
+    if clash is not None:
+        raise ValueError(f"the ansatz constant {clash} is a symbol of the problem; rename it")
+    ring = jet_ring(base.space, [c for c, _ in every])
     f = {slot: ring.combine([(ring.symbol(c), ring.embed(t)) for c, t in pairs])
          for slot, pairs in slot_terms.items()}
     return TwistRelations(f), slot_terms
@@ -365,12 +371,11 @@ class Solution(NamedTuple):
     free: tuple = ()
 
     def twist_functions(self, ds: DeterminingSystem) -> dict:
-        """Slot -> twist function, a Form of the JetRing of the basis
-        terms' space with the free constants as generators."""
-        space = next(t.ring.space for pairs in ds.slot_terms.values() for _, t in pairs)
-        ring = jet_ring(space, map(str, self.free))
-        return {slot: ring.combine([(ring.embed(self.assignment[c]), ring.embed(t))
-                                    for c, t in pairs])
+        """Slot -> twist function, a Form of the system's ring: the sum
+        of the values times the basis terms, in which the free constants
+        stay generators."""
+        ring = ds.ring
+        return {slot: ring.combine([(self.assignment[c], ring.embed(t)) for c, t in pairs])
                 for slot, pairs in ds.slot_terms.items()}
 
 

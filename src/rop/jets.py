@@ -9,13 +9,14 @@ ranking's order, so ``u_xy`` and ``u_yx`` name one jet.
 Everything from the Lax operators and the relations on is carried as
 ``kernel.Form``, the one canonical form, over a JetRing: the polynomial
 ring of the independent variables, the ``u``-jets up to the order bound,
-the ansatz constants, ``lam`` and the parameters.  ``U``/``Ut`` jets stay
-out of the ring; every relation is linear in them, so they are the keys
-of a Form.  The total derivative is a derivation of the ring (each
-``u``-jet to its shifted jet, ``D_x x = 1``) plus the shift of each key.
-The functions here take and return Forms only; the parser builds them.
-A Form's jet space, with its ranking and order bound, is its ring's
-(``JetRing.space``), so no function past the parser takes a space.
+``lam`` and the parameters, followed by the ansatz constants.
+``U``/``Ut`` jets stay out of the ring; every relation is linear in
+them, so they are the keys of a Form.  The total derivative is a
+derivation of the ring (each ``u``-jet to its shifted jet,
+``D_x x = 1``) plus the shift of each key.  The functions here take
+and return Forms only; the parser builds them.  A Form's jet space,
+with its ranking and order bound, is its ring's (``JetRing.space``), so
+no function past the parser takes a space.
 
 A RewriteSystem holds solved relations (equation, linearized equation,
 recursion relations) oriented by a well-founded ranking, and reduces
@@ -129,18 +130,20 @@ _TOP = object()  # D_x of a u-jet of the top order would overflow the bound
 
 
 class JetRing(FormRing):
-    """The carrier's ring on a jet space: the independent variables, the
-    u-jets up to the order bound, lam, the parameters and the given
-    symbols (the ansatz constants); ``extra`` holds those of the given
-    symbols that are not among the others.  U/Ut jets are the keys."""
+    """The carrier's ring on a jet space: its base generators (the
+    independent variables, the u-jets up to the order bound, lam and the
+    parameters), then its ``extra`` generators, the given symbols (the
+    ansatz constants) that are not among them.  So every JetRing of a
+    space extends the one with no extra generators.  U/Ut jets are the
+    keys."""
 
     def __init__(self, space: JetSpace, symbols: Sequence[str] = ()):
         self.space = space
         u_jets = [space.jet("u", idx) for k in range(space.max_order + 1)
                   for idx in combinations_with_replacement(space.variables, k)]
         base = [*space.variables, *u_jets, LAMBDA, *space.params]
-        super().__init__([*base, *symbols])
-        self.extra = frozenset(symbols).difference(base)
+        super().__init__(base, symbols)
+        self.extra = frozenset(self.symbols[len(set(base)):])
         self.u_jets = frozenset(self.index[s] for s in u_jets)
         self._target_lists: dict[str, list] = {}
 

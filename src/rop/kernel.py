@@ -7,23 +7,26 @@ a nonzero ``int`` or ``fractions.Fraction``; its leading term is the
 grevlex one.
 
 A monomial is one ``int`` of fields of ``W`` bits: its total degree in
-bits [0, W), and the exponent of generator i of its ``FormRing`` (in
-``symbol_order``) in bits [W*(i+1), W*(i+2)).  A product of monomials
-is their sum; and since the last generator holds the highest bits,
-grevlex compares (degree, -monomial).  An exponent or a total degree is
-at most 2**(W-1) - 1, so the top bit of each field is a guard, and a sum
-of two fields never carries into the next one.  No exponent exceeds the
-total degree, so the guard of the degree field is the one a product or
-a shift tests: one that sets it raises ExponentOverflowError, a
-ValueError; a shift by more than the limit is refused before the sum,
-and a derivative raises no degree, so it needs no check.  A quotient of
-monomials tests the guards of all fields, one of which a borrow sets.
-The number of generators is not bounded.  Exponents
-are read one by one (``exponents``) only where order or a single
-exponent matters: the printer, the factoring, ``FormRing.split``, the
-move into another ring, the chain rule and the coefficients of
-``rop.engine``.  Which generators occur is the OR of the monomials
-(``Poly.support``).
+bits [0, W), and the exponent of generator i of its ``FormRing`` in
+bits [W*(i+1), W*(i+2)).  A ring lays out its base generators by name,
+then its extra ones (such as the ansatz constants), also by name
+(``symbol_order``).  So a ring whose base is another ring's generators
+extends it: each monomial of the smaller ring is the same ``int`` in
+the larger one.  A product of monomials is their sum; and since the
+last generator holds the highest bits, grevlex compares (degree,
+-monomial).  An exponent or a total degree is at most 2**(W-1) - 1, so
+the top bit of each field is a guard, and a sum of two fields never
+carries into the next one.  No exponent exceeds the total degree, so
+the guard of the degree field is the one a product or a shift tests:
+one that sets it raises ExponentOverflowError, a ValueError; a shift by
+more than the limit is refused before the sum, and a derivative raises
+no degree, so it needs no check.  A quotient of monomials tests the
+guards of all fields, one of which a borrow sets.  The number of
+generators is not bounded.  Exponents are read one by one
+(``exponents``) only where order or a single exponent matters: the
+printer, the factoring, ``FormRing.split``, the chain rule and the
+coefficients of ``rop.engine``.  Which generators occur is the OR of
+the monomials (``Poly.support``).
 
 A Form is linear over symbols kept outside its ring (the ``U``/``Ut``
 jets, in ``rop.jets``): a sparse map from such a symbol, or ``ONE``, to
@@ -42,10 +45,10 @@ every generator is factored with sympy.
 
 Forms are built only with Form arithmetic (``FormRing.symbol``,
 ``FormRing.constant``, sums, products, ``Form.inverse``), as the parser
-reads a problem file; ``FormRing.embed`` moves a Form into a ring with
-more generators, such as the ansatz constants, and ``FormRing.lift``
-moves one polynomial.  ``FormRing.split`` and ``FormRing.substitution``
-are the two operations that rewriting and solving share: a Form as
+reads a problem file; ``FormRing.embed`` moves a Form into a ring that
+extends its own, such as the ring with the ansatz constants, and keeps
+its numerators as they are.  ``FormRing.split`` and
+``FormRing.substitution`` are the two operations that rewriting and solving share: a Form as
 a*x + b in one generator x, and the values of some generators put into
 a Form.  A Form is true when it is nonzero and hashes by its canonical
 form.  ``fmt`` prints a Form as sympy's ``sstr`` prints its canonical
@@ -93,7 +96,8 @@ class ExponentOverflowError(ValueError):
 
 
 def symbol_order(symbols: Iterable) -> list:
-    """The single global symbol order used for canonicalization: by name."""
+    """Symbols by name: the order of a ring's base generators, and then
+    that of its extra ones."""
     return sorted(symbols, key=str)
 
 
@@ -124,31 +128,6 @@ def exponents(m: int) -> list:
 def field_mask(gens: Iterable[int]) -> int:
     """The mask of the fields of the given generators."""
     return sum(MASK << W * (i + 1) for i in set(gens))
-
-
-def relabel(where: list) -> Callable[[int], int]:
-    """The map of monomials that moves the field of each generator j to
-    that of generator where[j], or drops it where that is None, and
-    sets the degree field to the sum of the fields moved.  Consecutive
-    generators that map to consecutive ones move as one run of fields."""
-    runs: list = []  # [source shift, width, target shift]
-    for j, i in enumerate(where):
-        if i is None:
-            continue
-        if runs and runs[-1][0] + runs[-1][1] == W * (j + 1) \
-                and runs[-1][2] + runs[-1][1] == W * (i + 1):
-            runs[-1][1] += W
-        else:
-            runs.append([W * (j + 1), W, W * (i + 1)])
-    runs = [(a, (1 << w) - 1, b) for a, w, b in runs]
-
-    def move(m: int) -> int:
-        f = 0
-        for a, mask, b in runs:
-            f |= ((m >> a) & mask) << b
-        return f + f % MASK  # the degree, as in degree_in
-
-    return move
 
 
 def degree_in(m: int, mask: int) -> int:
@@ -423,12 +402,16 @@ class FormRing:
     """The polynomial ring of a family of Forms and its registry of
     localising factors.
 
-    Symbols not in the ring are the keys a Form is linear over.  The
-    registry only grows; a factor's id is its position in it.
+    The generators are the base symbols by name, then the extra ones
+    that are not among them, by name; so the ring extends the ring of
+    its base symbols.  Symbols not in the ring are the keys a Form is
+    linear over.  The registry only grows; a factor's id is its position
+    in it.
     """
 
-    def __init__(self, symbols: Iterable[str]):
-        self.symbols = tuple(symbol_order(set(symbols)))
+    def __init__(self, symbols: Iterable[str], extra: Iterable[str] = ()):
+        base = symbol_order(set(symbols))
+        self.symbols = tuple(base + symbol_order(set(extra).difference(base)))
         self.ngens = len(self.symbols)
         self.index = {s: i for i, s in enumerate(self.symbols)}
         self.one = Poly({0: 1})
@@ -451,32 +434,23 @@ class FormRing:
             return Form(self, {s: self.one}, {})
         return Form(self, {ONE: self.gen(i)}, {})
 
-    def lift(self, p, symbols: Iterable) -> Poly:
-        """p, a Poly over QQ in the generators named by symbols (those
-        of another ring), as a polynomial of this ring; ValueError names
-        a generator of p that this ring lacks."""
-        symbols = tuple(symbols)
-        where = [self.index.get(s) for s in symbols]
-        outside = field_mask(j for j, i in enumerate(where) if i is None)
-        lacking = exponents(p.support() & outside)
-        if lacking:
-            raise ValueError(f"{symbols[lacking[0][0]]} is not a generator of the ring")
-        move = relabel(where)
-        return Poly({move(m): _rational(c) for m, c in p.items()})
-
     def embed(self, form: "Form") -> "Form":
-        """form as a Form of this ring, whose generators include those
-        form uses: every numerator and every factor of its denominator
-        lifted.  A factor irreducible in the smaller ring stays
+        """form as a Form of this ring, which extends form's ring: its
+        symbols start with those of form's ring, so every monomial is the
+        same here and the numerators are kept as they are.  A factor of
+        the denominator, irreducible in the smaller ring, stays
         irreducible here and keeps its leading coefficient (grevlex
-        restricts to the common generators), so it is registered as it
-        is."""
+        restricts to the leading generators), so it is registered as it
+        is.  ValueError names the first generator of form's ring that is
+        out of place here."""
         src = form.ring
         if src is self:
             return form
-        den = {self.factor_id(self.lift(src.factors[fid], src.symbols)): k
-               for fid, k in form.den.items()}
-        return Form(self, {k: self.lift(p, src.symbols) for k, p in form.terms.items()}, den)
+        if self.symbols[:src.ngens] != src.symbols:
+            s = next(s for i, s in enumerate(src.symbols) if self.symbols[i:i + 1] != (s,))
+            raise ValueError(f"{s} is out of place: the ring does not extend the Form's")
+        return Form(self, form.terms, {self.factor_id(src.factors[fid]): k
+                                       for fid, k in form.den.items()})
 
     def constant(self, c) -> "Form":
         """The Form of an exact rational: an int, a Fraction or any
@@ -904,7 +878,7 @@ def _sorted_terms(ring: FormRing, terms: dict) -> list:
             factors = [(ring.symbols[i], e) for i, e in exponents(m)]
             if key is not ONE:
                 factors.append((key, 1))
-                factors.sort()
+            factors.sort()
             names.update(n for n, _e in factors)
             out.append((c, factors))
     if len(out) == 1:

@@ -411,6 +411,19 @@ class TestErrorsAndLimits:
         assert doc["error"] == ("the denominator factor -u_t*u_xx + u_tx*u_x"
                                 " - u_x*u_yz + u_y*u_zx vanishes on the equation")
 
+    def test_parameter_named_like_an_ansatz_constant(self, capsys, tmp_path):
+        # dfkn3 with alpha renamed c10_0, the name of the default ansatz's
+        # first constant: a parameter is no unknown, so solve refuses the
+        # constant, and verify does not depend on the name
+        p = tmp_path / "dfkn3.rop"
+        p.write_text((PROBLEM_DIR / "dfkn3.rop").read_text().replace("alpha", "c10_0"))
+        code, out, _ = run(capsys, "verify", str(p), "--json")
+        assert code == 0 and json.loads(out)["verdict"] == "PASS"
+        code, out, _ = run(capsys, "solve", str(p), "--json")
+        doc = json.loads(out)
+        assert code == 2 and doc["verdict"] == "ERROR"
+        assert doc["error"] == "the ansatz constant c10_0 is a symbol of the problem; rename it"
+
     def test_order_overflow_names_remedy(self, capsys):
         code, _, err = run(capsys, "verify", DFKN2, "--max-order", "2")
         assert code == 2

@@ -59,6 +59,18 @@ class TestJetSpace:
             jet_ring(space, [f"c{k}"])
         assert jet_ring(JetSpace(["x", "y"], 2)) is form.ring
 
+    def test_ring_with_constants_extends_the_base_ring(self, dfkn2):
+        # the constants come after every base generator, though "c" sorts
+        # before the jets; a Form of the base ring keeps its numerators
+        base = jet_ring(dfkn2.space)
+        ring = jet_ring(dfkn2.space, ["c", "c0"])
+        assert ring.symbols == base.symbols + ("c", "c0")
+        assert ring.extra == {"c", "c0"}
+        for f in dfkn2.twist.f.values():
+            g = ring.embed(f)
+            assert g.ring is ring and all(g.terms[k] is p for k, p in f.terms.items())
+            assert equal(g.as_expr(), f.as_expr())
+
 
 class TestTotalDerivative:
     def test_quotient_chain_rule(self, ex2_space):
